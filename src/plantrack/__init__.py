@@ -29,7 +29,14 @@ from .frontier import (
 )
 from .lqr import ControllerSpec, EigenvaluePair, control_law, design_controller, dominant_eigenvalue
 from .model import ModelParams, PlanarState, RotorThrusts, linear_altitude_derivative, nonlinear_derivative
-from .tracking_sim import SimConfig, TrackingResult, reference_lookup, score, select_step, simulate
+from .tracking_sim import (
+    SimConfig,
+    TrackingResult,
+    reference_lookup,
+    select_step,
+    simulate,
+    simulate_planar,
+)
 
 __all__ = [
     "ControllerSpec",
@@ -61,9 +68,9 @@ __all__ = [
     "linear_altitude_derivative",
     "nonlinear_derivative",
     "reference_lookup",
-    "score",
     "select_step",
     "simulate",
+    "simulate_planar",
     "solve",
     "spring_fit",
     "sweep",

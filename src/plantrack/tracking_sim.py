@@ -2,10 +2,24 @@
 
 The altitude loop applies the LQR law to the interpolated reference
 position only (no feed-forward).  The lateral and attitude loops are
-PD laws with zero references; for a vertical task they stay dormant,
-which keeps the motion one-dimensional.  Integration is fixed-step RK4
-on the 6-state rigid-body model, with the controller evaluated at every
-stage.
+PD laws with zero references.  Integration is fixed-step RK4, with the
+controller evaluated at every stage; the reference at the three stage
+times of every step (t, t + h/2, t + h) comes from one vectorised cubic
+Hermite lookup before the loop starts.
+
+``simulate`` integrates the altitude states (y, y_dot) only, and that is
+exact, not an approximation.  The vehicle starts at x = x_dot = q =
+q_dot = 0 and the lateral reference is zero; nothing in ``SimConfig``
+can change either.  Every lateral and attitude derivative is then an
+IEEE zero, the rotor pair splits the thrust evenly (u1 = u2 =
+thrust / 2, u1 + u2 == thrust), and y_ddot = thrust / M - g in the same
+order of operations as the full model.  The two-state RK4 therefore
+produces the same bits as the six-state one, and the dormant channels
+are rebuilt from the thrust history after the loop.
+
+``simulate_planar`` integrates all six rigid-body states and is the
+reference the altitude path is tested against (bit for bit), and the
+model behind the check that the sweep's flights stay vertical.
 
 Scoring follows the planner's quadrature: actual cost is the trapezoid
 integral of the squared body accelerations, actual error the integral
@@ -95,65 +109,132 @@ class TrackingResult:
     actual_error_integral: float
 
 
-def reference_lookup(traj: PlannedTrajectory, t: float) -> float:
-    """Reference altitude at time t by cubic Hermite interpolation.
+def reference_lookup(traj: PlannedTrajectory, t):
+    """Reference altitude at time(s) t by cubic Hermite interpolation.
 
     Each segment uses the knot positions and velocities, so the lookup
     reproduces cubic references exactly.  Beyond the horizon the final
-    knot is held (the plan is over, the setpoint remains).
+    knot is held (the plan is over, the setpoint remains).  A scalar t
+    gives a float; an array gives an array of the same shape, each
+    element rounded exactly as the scalar call would round it.
     """
-    times = traj.times
-    horizon = traj.horizon
-    if t >= horizon:
-        return float(traj.y[-1])
-    if t <= 0.0:
-        return float(traj.y[0])
-    dt = traj.knot_spacing
-    k = min(int(t / dt), times.size - 2)
-    s = (t - times[k]) / dt
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return float(
-        h00 * traj.y[k]
-        + h10 * dt * traj.v[k]
-        + h01 * traj.y[k + 1]
-        + h11 * dt * traj.v[k + 1]
-    )
-
-
-def _hermite_lookup(traj: PlannedTrajectory):
-    """Plain-float interpolator for the integration loop."""
-    y = traj.y.tolist()
-    v = traj.v.tolist()
+    y = traj.y
+    v = traj.v
     dt = traj.knot_spacing
     horizon = traj.horizon
-    last = y[-1]
-    first = y[0]
-    top = len(y) - 2
-
-    def lookup(t: float) -> float:
-        if t >= horizon:
-            return last
-        if t <= 0.0:
-            return first
-        k = int(t / dt)
-        if k > top:
-            k = top
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.minimum((np.clip(t, 0.0, horizon) / dt).astype(np.intp), y.size - 2)
         s = (t - k * dt) / dt
         one = 1.0 - s
         h00 = (1.0 + 2.0 * s) * one * one
         h10 = s * one * one
         h01 = s * s * (3.0 - 2.0 * s)
         h11 = s * s * (s - 1.0)
-        return h00 * y[k] + h10 * dt * v[k] + h01 * y[k + 1] + h11 * dt * v[k + 1]
+        inner = h00 * y[k] + h10 * dt * v[k] + h01 * y[k + 1] + h11 * dt * v[k + 1]
+    values = np.where(t >= horizon, y[-1], np.where(t <= 0.0, y[0], inner))
+    return float(values) if values.ndim == 0 else values
 
-    return lookup
+
+def _stage_references(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Step grid and the reference at each RK4 stage time.
+
+    Row 0 of the references is at t_i = i * step, row 1 at t_i + step / 2,
+    row 2 at t_i + step.  Row 2 is not row 0 shifted by one: in floating
+    point i * step + step differs from (i + 1) * step in general.
+    """
+    step = config.step
+    steps = round(config.reference.horizon / step)
+    times = np.arange(steps + 1) * step
+    stage_times = np.stack((times, times + 0.5 * step, times + step))
+    return times, reference_lookup(config.reference, stage_times)
 
 
 def simulate(config: SimConfig) -> TrackingResult:
-    """Run the closed loop from the trimmed initial state.
+    """Run the closed loop from the trimmed initial state on (y, y_dot).
+
+    Per stage: altitude thrust from the LQR law on (y, y_dot) and the
+    interpolated reference, then y_ddot = thrust / M - g.  The result
+    equals ``simulate_planar``'s bit for bit (see the module docstring).
+    A future ``SimConfig`` field that sets a lateral or attitude state,
+    or a nonzero lateral reference, breaks that argument: such a config
+    must be routed to ``simulate_planar``.
+    """
+    spec = config.controller
+    params = config.params
+    mass = params.mass
+    arm = params.arm_length
+    grav = params.gravity
+    neg_k1 = -spec.k1
+    k2 = spec.k2
+    n1 = spec.n1
+    trim = mass * grav
+    step = config.step
+    half = 0.5 * step
+    sixth = step / 6.0
+
+    times, references = _stage_references(config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive = n1 * references
+    start, middle, end = drive[:, :-1].tolist()
+
+    ys = [0.0]
+    yds = [0.0]
+    y = yd = 0.0
+    for d1, d2, d4 in zip(start, middle, end):
+        a1 = (neg_k1 * y - k2 * yd + d1 + trim) / mass - grav
+        v2 = yd + half * a1
+        a2 = (neg_k1 * (y + half * yd) - k2 * v2 + d2 + trim) / mass - grav
+        v3 = yd + half * a2
+        a3 = (neg_k1 * (y + half * v2) - k2 * v3 + d2 + trim) / mass - grav
+        v4 = yd + step * a3
+        a4 = (neg_k1 * (y + step * v3) - k2 * v4 + d4 + trim) / mass - grav
+        y += sixth * (yd + 2.0 * (v2 + v3) + v4)
+        yd += sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        ys.append(y)
+        yds.append(yd)
+
+    y = np.array(ys)
+    y_dot = np.array(yds)
+    # A non-finite altitude never turns finite again, so the first one
+    # is where the step-by-step check would have stopped.
+    diverged = np.flatnonzero(~np.isfinite(y))
+    if diverged.size:
+        raise SimulationDivergedError(float(times[diverged[0]]))
+
+    thrust = neg_k1 * y - k2 * y_dot + drive[0] + trim
+    u1 = 0.5 * thrust
+    u2 = 0.5 * thrust
+    # -sin(0) * thrust / M: a negative zero wherever thrust > 0.
+    x_ddot = -0.0 * thrust / mass
+    y_ddot = thrust / mass - grav
+    q_ddot = (u2 - u1) / (mass * arm)
+    y_ref = references[0]
+    error = y_ref - y
+    cost = trapezoid_quadrature(times, x_ddot**2 + y_ddot**2 + q_ddot**2)
+    error_integral = trapezoid_quadrature(times, error**2)
+    return TrackingResult(
+        times=times,
+        x=np.zeros_like(y),
+        y=y,
+        q=np.zeros_like(y),
+        x_dot=np.zeros_like(y),
+        y_dot=y_dot,
+        q_dot=np.zeros_like(y),
+        u1=u1,
+        u2=u2,
+        y_ref=y_ref,
+        x_ddot=x_ddot,
+        y_ddot=y_ddot,
+        q_ddot=q_ddot,
+        error=error,
+        actual_cost=cost,
+        actual_error_integral=error_integral,
+    )
+
+
+def simulate_planar(config: SimConfig) -> TrackingResult:
+    """Run the closed loop from the trimmed initial state on all 6 states.
 
     Per stage: altitude thrust from the LQR law on (y, y_dot) and the
     interpolated reference; commanded lateral acceleration from the PD
@@ -171,12 +252,10 @@ def simulate(config: SimConfig) -> TrackingResult:
     k2 = spec.k2
     n1 = spec.n1
     trim = mass * grav
-    lookup = _hermite_lookup(config.reference)
     sin = math.sin
     cos = math.cos
 
-    def stage(t, x, y, q, xd, yd, qd):
-        y_ref = lookup(t)
+    def stage(y_ref, x, y, q, xd, yd, qd):
         thrust = -k1 * y - k2 * yd + n1 * y_ref + trim
         xdd_cmd = -_POSITION_GAIN_D * xd - _POSITION_GAIN_P * x
         q_cmd = -mass * xdd_cmd / thrust if thrust != 0.0 else 0.0
@@ -199,19 +278,19 @@ def simulate(config: SimConfig) -> TrackingResult:
             y_ref,
         )
 
-    horizon = config.reference.horizon
     step = config.step
-    steps = round(horizon / step)
     half = 0.5 * step
     sixth = step / 6.0
 
-    times = np.arange(steps + 1) * step
+    times, references = _stage_references(config)
+    steps = times.size - 1
+    start, middle, end = (row.tolist() for row in references)
     hist = np.empty((steps + 1, 13))
 
     x = y = q = xd = yd = qd = 0.0
     for i in range(steps + 1):
         t = i * step
-        d = stage(t, x, y, q, xd, yd, qd)
+        d = stage(start[i], x, y, q, xd, yd, qd)
         hist[i] = (t, x, y, q, xd, yd, qd, d[6], d[7], d[8], d[3], d[4], d[5])
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(q)):
             raise SimulationDivergedError(t)
@@ -219,17 +298,17 @@ def simulate(config: SimConfig) -> TrackingResult:
             break
         a1 = d[:6]
         a2 = stage(
-            t + half,
+            middle[i],
             x + half * a1[0], y + half * a1[1], q + half * a1[2],
             xd + half * a1[3], yd + half * a1[4], qd + half * a1[5],
         )[:6]
         a3 = stage(
-            t + half,
+            middle[i],
             x + half * a2[0], y + half * a2[1], q + half * a2[2],
             xd + half * a2[3], yd + half * a2[4], qd + half * a2[5],
         )[:6]
         a4 = stage(
-            t + step,
+            end[i],
             x + step * a3[0], y + step * a3[1], q + step * a3[2],
             xd + step * a3[3], yd + step * a3[4], qd + step * a3[5],
         )[:6]
@@ -263,15 +342,6 @@ def simulate(config: SimConfig) -> TrackingResult:
         actual_cost=cost,
         actual_error_integral=error_integral,
     )
-
-
-def score(result: TrackingResult) -> tuple[float, float]:
-    """Recompute (actual_cost, actual_error_integral) from the history."""
-    cost = trapezoid_quadrature(
-        result.times, result.x_ddot**2 + result.y_ddot**2 + result.q_ddot**2
-    )
-    error_integral = trapezoid_quadrature(result.times, result.error**2)
-    return cost, error_integral
 
 
 TRACKING_COLUMNS = (

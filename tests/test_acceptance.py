@@ -6,13 +6,16 @@ failure) and then asserts, so the suite doubles as a checklist.
 
 import dataclasses
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 import pytest
 
+import plantrack
 from conftest import constant_reference
 from plantrack import collocation_planner as planner
 from plantrack import tracking_sim as sim
@@ -209,7 +212,9 @@ def test_criterion_09_sweep_simulations_stay_vertical(config):
                     template, mu=mu, dominant_lambda=controller.dominant_lambda
                 )
             )
-            result = sim.simulate(
+            # The six-state model: the altitude-only simulate keeps x and q
+            # at zero by construction, which would make this check vacuous.
+            result = sim.simulate_planar(
                 sim.SimConfig(
                     step=step,
                     reference=traj,
@@ -226,6 +231,13 @@ def test_criterion_09_sweep_simulations_stay_vertical(config):
 
 
 def test_criterion_10_default_sweep_is_fast_and_reproducible(tmp_path):
+    # The child runs in tmp_path, so a relative PYTHONPATH (such as src)
+    # would not find the package; lead with the imported copy's absolute root.
+    package_root = str(Path(plantrack.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     outs = (tmp_path / "first", tmp_path / "second")
     walls = []
     for out in outs:
@@ -233,6 +245,7 @@ def test_criterion_10_default_sweep_is_fast_and_reproducible(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "plantrack", "sweep", "--out", str(out)],
             cwd=tmp_path,
+            env=env,
             capture_output=True,
             text=True,
         )

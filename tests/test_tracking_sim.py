@@ -3,25 +3,29 @@
 The vertical task keeps the lateral/attitude loops dormant, so the
 nonlinear plant collapses to the linear altitude loop exactly; that
 gives a two-exponential closed-form oracle for constant references.
+The same fact lets ``simulate`` integrate the altitude states only; the
+six-state ``simulate_planar`` is its bit-for-bit reference.
 """
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
 from conftest import constant_reference, make_reference
+from plantrack.cli import RunConfig
 from plantrack.collocation_planner import PlanProblem, solve
 from plantrack.lqr import EigenvaluePair, control_law, design_controller
-from plantrack.model import ModelParams
 from plantrack.tracking_sim import (
     TRACKING_COLUMNS,
     SimConfig,
     SimulationDivergedError,
+    TrackingResult,
+    _stage_references,
     reference_lookup,
-    score,
     select_step,
     simulate,
+    simulate_planar,
     write_tracking_csv,
 )
 
@@ -113,6 +117,14 @@ class TestReferenceLookup:
         traj = solve(PlanProblem())
         assert reference_lookup(traj, -1.0) == traj.y[0]
 
+    def test_array_lookup_matches_the_scalar_one_bit_for_bit(self):
+        traj = solve(PlanProblem())
+        t = np.concatenate(([-1.0, 0.0], np.arange(1001) * 1e-3 + 5e-4, [7.5]))
+        values = reference_lookup(traj, t.reshape(2, -1))
+        assert values.shape == (2, t.size // 2)
+        scalars = np.array([reference_lookup(traj, float(ti)) for ti in t])
+        assert values.ravel().tobytes() == scalars.tobytes()
+
 
 class TestTrimEquilibrium:
     def test_zero_reference_stays_at_trim(self, slow_controller):
@@ -193,9 +205,10 @@ class TestClosedLoopOracles:
 
 
 class TestVerticalDormancy:
-    def test_lateral_and_attitude_stay_identically_zero(self, mid_controller):
+    @pytest.mark.parametrize("run", [simulate, simulate_planar])
+    def test_lateral_and_attitude_stay_identically_zero(self, mid_controller, run):
         traj = solve(PlanProblem(mu=1000.0))
-        result = simulate(
+        result = run(
             SimConfig(step=select_step(mid_controller, traj.horizon),
                       reference=traj, controller=mid_controller)
         )
@@ -220,14 +233,6 @@ class TestVerticalDormancy:
 
 
 class TestScoring:
-    def test_score_recomputes_the_result_fields(self, mid_controller):
-        traj = solve(PlanProblem())
-        result = simulate(
-            SimConfig(step=select_step(mid_controller, traj.horizon),
-                      reference=traj, controller=mid_controller)
-        )
-        assert score(result) == (result.actual_cost, result.actual_error_integral)
-
     def test_tracking_lag_leaves_error_and_shifts_cost(self, mid_controller):
         # Feedback-only tracking cannot follow the plan exactly: the
         # error integral stays bounded away from zero, and the flown
@@ -278,3 +283,107 @@ def test_tracking_csv_layout(tmp_path, mid_controller):
     assert np.array_equal(data[:, 0], result.times)
     assert np.array_equal(data[:, 2], result.y)
     assert np.array_equal(data[:, 10], result.error)
+
+
+def _sim_configs(config):
+    """One SimConfig per point of a config's sweep grid, planned as the sweep does."""
+    template = config.problem_template()
+    for pair in config.pairs:
+        controller = design_controller(pair, config.params)
+        step = config.step_for(controller)
+        for mu in config.mu_grid():
+            traj = solve(
+                dataclasses.replace(
+                    template, mu=mu, dominant_lambda=controller.dominant_lambda
+                )
+            )
+            yield SimConfig(
+                step=step, reference=traj, controller=controller, params=config.params
+            )
+
+
+def _field_bytes(result):
+    """Every TrackingResult field as raw bytes, so signed zeros count."""
+    return {
+        field.name: np.asarray(getattr(result, field.name), dtype=float).tobytes()
+        for field in dataclasses.fields(TrackingResult)
+    }
+
+
+class TestAltitudePathMatchesPlanar:
+    """``simulate`` (2 states) against ``simulate_planar`` (6 states), bit for bit."""
+
+    def _assert_identical(self, configs):
+        count = 0
+        for config in configs:
+            fast = _field_bytes(simulate(config))
+            reference = _field_bytes(simulate_planar(config))
+            mismatched = [name for name in reference if fast[name] != reference[name]]
+            assert not mismatched, (config.controller.pair, config.reference.mu, mismatched)
+            count += 1
+        return count
+
+    def test_default_grid(self):
+        assert self._assert_identical(_sim_configs(RunConfig())) == 124
+
+    def test_bounded_grid(self):
+        # The toss clamps at y_max, so the planner's active set engages.
+        config = RunConfig(
+            pairs=(
+                EigenvaluePair(lambda_slow=-10.0, lambda_fast=-100.0),
+                EigenvaluePair(lambda_slow=-20.0, lambda_fast=-200.0),
+            ),
+            segments=120,
+            y0=0.0,
+            v0=30.0,
+            yf=0.0,
+        )
+        assert self._assert_identical(_sim_configs(config)) == 62
+
+    def test_tracking_csv(self, tmp_path):
+        # Every default pair at mu = 0 and mu = 100.
+        for i, sim_config in enumerate(_sim_configs(RunConfig(mu_count=1, mu_min=100.0))):
+            fast = tmp_path / f"fast_{i}.csv"
+            reference = tmp_path / f"planar_{i}.csv"
+            write_tracking_csv(simulate(sim_config), fast)
+            write_tracking_csv(simulate_planar(sim_config), reference)
+            assert fast.read_bytes() == reference.read_bytes()
+
+    def test_stage_references_round_like_the_scalar_loop(self, mid_controller):
+        # Stage t + h is i * step + step, which is not (i + 1) * step in
+        # general; both paths read these rows, so pin them to the scalar call.
+        traj = solve(PlanProblem())
+        step = select_step(mid_controller, traj.horizon)
+        times, references = _stage_references(
+            SimConfig(step=step, reference=traj, controller=mid_controller)
+        )
+        expected = np.array([
+            [reference_lookup(traj, t), reference_lookup(traj, t + 0.5 * step),
+             reference_lookup(traj, t + step)]
+            for t in (i * step for i in range(times.size))
+        ]).T
+        assert np.array_equal(times, np.arange(times.size) * step)
+        assert references.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        ("level", "pair", "time"),
+        [
+            (1e308, (-10.0, -100.0), 0.001),
+            (5.0, (-10.0, -10000.0), 0.124),
+            (5.0, (-10.0, -60000.0), 0.054),
+        ],
+    )
+    def test_divergence_time(self, params, level, pair, time):
+        controller = design_controller(
+            EigenvaluePair(lambda_slow=pair[0], lambda_fast=pair[1]), params
+        )
+        config = SimConfig(
+            step=1e-3, reference=constant_reference(level, 1.0), controller=controller
+        )
+        times = []
+        for run in (simulate, simulate_planar):
+            with pytest.raises(SimulationDivergedError) as err:
+                run(config)
+            times.append(err.value.time)
+        assert times[0] == times[1]
+        assert times[0] == pytest.approx(time, abs=1e-12)
