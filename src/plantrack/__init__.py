@@ -5,9 +5,7 @@ from .collocation_planner import (
     PlannedTrajectory,
     PlannerNumericalError,
     PlanProblem,
-    designed_cost,
     solve,
-    transcribe,
 )
 from .error_estimator import (
     ErrorSeries,
@@ -58,7 +56,6 @@ __all__ = [
     "best_compromise",
     "control_law",
     "design_controller",
-    "designed_cost",
     "dominant_eigenvalue",
     "error_discrete_limit_form",
     "error_integral_form",
@@ -75,5 +72,4 @@ __all__ = [
     "spring_fit",
     "sweep",
     "trapezoid_quadrature",
-    "transcribe",
 ]

@@ -1,4 +1,4 @@
-"""Trajectory design by trapezoid direct collocation, reduced to a box QP.
+"""Trajectory design by trapezoid direct collocation, condensed to a box QP.
 
 The altitude channel is a double integrator, so transcribing the
 error-augmented design problem
@@ -6,20 +6,33 @@ error-augmented design problem
     min  integral(a^2 + mu * e^2)
     s.t. y' = v, v' = a, boundary data, y within box bounds
 
-on a uniform knot grid gives a convex quadratic program in the stacked
-decision vector z = (y_k, v_k, a_k).  The predicted error enters the
-objective through the linear lag-response map e = L v, so the whole
-problem stays quadratic and the KKT system is linear.
+on a uniform knot grid gives a convex quadratic program in the knot
+values (y_k, v_k, a_k).  The trapezoid chains
 
-The solver factorizes the KKT matrix directly (sparse LU) and wraps it
-in a primal active-set loop for the y bounds: starting from a point
+    v_k = v_{k-1} + dt/2 (a_k + a_{k-1}),  y_k = y_{k-1} + dt/2 (v_k + v_{k-1})
+
+are exactly invertible, so y and v are affine in the accelerations:
+v = v0 + C a and y = y0 + v0 t + Y a, with C lower-triangular and Y the
+same chain applied to C's rows.  Eliminating them (condensing) leaves a
+QP in the n = segments + 1 accelerations alone:
+
+    min  1/2 a'Qa + c'a + constant
+    s.t. Y[n-1] a = yf - y0 - v0 T   (and a_0 = 0 when pinned)
+         lower <= y0 + v0 t_k + Y[k] a <= upper   at the interior knots
+
+The predicted error enters through the linear lag-response map
+e = L v = v0 L 1 + (L C) a, so Q = diag(2 w) + 2 mu (LC)' W (LC) with
+the trapezoid weights w, and Q is positive definite.
+
+A primal active-set loop handles the box rows: starting from a point
 that satisfies the equality rows and the box, it steps toward the
 working-set optimum, stopping at the first blocking bound, and at a
 working-set optimum releases the single row whose multiplier has the
-worst wrong sign.  Working-set changes are one at a time because the
-Hessian is only semidefinite (the y block is zero), so multiplier signs
-are trustworthy only at converged subproblems; a cycling limit guards
-the degenerate cases.
+worst wrong sign.  Every iteration is one dense KKT solve of size
+n + equality rows + working set, and a full step lands on the optimum
+whose multipliers that same solve returned.  A cycling limit guards
+the degenerate cases.  y and v are rebuilt from a by the trapezoid
+recursion, with working-set knots pinned exactly to their bound.
 """
 
 from __future__ import annotations
@@ -27,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .error_estimator import (
     ErrorSeries,
@@ -42,7 +53,6 @@ from .model import ModelParams
 
 KKT_TOLERANCE = 1e-8
 _ACTIVE_SET_LIMIT = 40
-_REFINE_PASSES = 3
 
 
 class InfeasibleProblemError(ValueError):
@@ -50,7 +60,7 @@ class InfeasibleProblemError(ValueError):
 
 
 class PlannerNumericalError(RuntimeError):
-    """KKT factorization failed or the active-set loop did not settle."""
+    """KKT solve failed or the active-set loop did not settle."""
 
 
 @dataclass(frozen=True)
@@ -117,29 +127,39 @@ class PlannedTrajectory:
 
 
 @dataclass(frozen=True)
-class QuadraticProgram:
-    """Transcribed QP: min 1/2 z' H z  s.t.  A z = b, box bounds on y.
+class CondensedQP:
+    """Design QP in the accelerations a alone.
 
-    The decision vector stacks (y, v, a) blocks of n knots each; the
-    bound indices select the y block.
+    min 1/2 a'Qa + c'a + constant  s.t.  E a = e  and, at the interior
+    knots k, lower <= y_offset[k] + y_map[k] a <= upper.  The constant
+    makes the objective equal the design objective, integral of
+    a^2 + mu e^2, at every a.
     """
 
     times: np.ndarray
-    hessian: sp.csc_matrix
-    eq_matrix: sp.csc_matrix
+    hessian: np.ndarray
+    gradient: np.ndarray
+    constant: float
+    eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    bound_indices: np.ndarray
+    y_map: np.ndarray
+    y_offset: np.ndarray
     lower: float
     upper: float
 
 
-def transcribe(problem: PlanProblem) -> QuadraticProgram:
-    """Build the QP for a design problem.
+def _chain_matrix(n: int, dt: float) -> np.ndarray:
+    """Lower-triangular C with v - v0 = C a for the trapezoid chain."""
+    C = np.tri(n)
+    C *= dt
+    C[:, 0] *= 0.5
+    C[np.arange(n), np.arange(n)] *= 0.5
+    C[0, :] = 0.0
+    return C
 
-    Equality rows are the two trapezoid chains linking y to v and v to
-    a, plus the boundary data; the objective is the trapezoid quadrature
-    of a^2 + mu e^2 with e = L v.
-    """
+
+def condense(problem: PlanProblem) -> CondensedQP:
+    """Eliminate y and v from the transcribed design problem."""
     lo, hi = problem.y_bounds
     if not (lo <= problem.y0 <= hi and lo <= problem.yf <= hi):
         raise InfeasibleProblemError(
@@ -151,75 +171,61 @@ def transcribe(problem: PlanProblem) -> QuadraticProgram:
     times = np.linspace(0.0, problem.horizon, n)
     quad = trapezoid_weights(n) * dt
 
-    # Hessian of 1/2 z' H z: factor 2 because the objective is quadratic
-    # with no linear term.
-    blocks = [sp.csc_matrix((n, n)), None, sp.diags(2.0 * quad)]
+    C = _chain_matrix(n, dt)
+    # Row k of Y is the trapezoid chain over rows 0..k of C: O(n^2), where
+    # the equivalent matrix product would be O(n^3).  Built in place
+    # because at a thousand knots every fresh n x n array costs as much as
+    # the arithmetic.
+    y_map = np.zeros((n, n))
+    np.add(C[1:], C[:-1], out=y_map[1:])
+    y_map *= 0.5 * dt
+    np.cumsum(y_map, axis=0, out=y_map)
+
+    hessian = np.diag(2.0 * quad)
+    gradient = np.zeros(n)
+    constant = 0.0
     if problem.mu > 0:
         L = lag_response_matrix(times, problem.dominant_lambda)
-        blocks[1] = sp.csc_matrix(2.0 * problem.mu * (L.T * quad) @ L)
-    else:
-        blocks[1] = sp.csc_matrix((n, n))
-    hessian = sp.block_diag(blocks, format="csc")
+        LC = L @ C
+        e_free = problem.v0 * L.sum(axis=1)  # predicted error of a = 0
+        weighted = LC.T * quad
+        hessian += 2.0 * problem.mu * (weighted @ LC)
+        gradient = 2.0 * problem.mu * (weighted @ e_free)
+        constant = problem.mu * float(np.dot(quad, e_free**2))
 
-    rows, cols, vals = [], [], []
-    rhs = []
-
-    def add_row(entries, value):
-        r = len(rhs)
-        for c, v in entries:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        rhs.append(value)
-
-    half = 0.5 * dt
-    for k in range(1, n):
-        add_row(
-            [(k, 1.0), (k - 1, -1.0), (n + k, -half), (n + k - 1, -half)], 0.0
-        )
-    for k in range(1, n):
-        add_row(
-            [(n + k, 1.0), (n + k - 1, -1.0), (2 * n + k, -half), (2 * n + k - 1, -half)],
-            0.0,
-        )
-    add_row([(0, 1.0)], problem.y0)
-    add_row([(n, 1.0)], problem.v0)
-    add_row([(n - 1, 1.0)], problem.yf)
+    y_offset = problem.y0 + problem.v0 * times
+    rows = [y_map[n - 1]]
+    rhs = [problem.yf - y_offset[n - 1]]
     if problem.enforce_initial_accel_zero:
-        add_row([(2 * n, 1.0)], 0.0)
-
-    eq_matrix = sp.csc_matrix(
-        (vals, (rows, cols)), shape=(len(rhs), 3 * n)
-    )
-    return QuadraticProgram(
+        rows.append(np.eye(1, n)[0])
+        rhs.append(0.0)
+    return CondensedQP(
         times=times,
         hessian=hessian,
-        eq_matrix=eq_matrix,
+        gradient=gradient,
+        constant=constant,
+        eq_matrix=np.array(rows),
         eq_rhs=np.array(rhs),
-        bound_indices=np.arange(n),
+        y_map=y_map,
+        y_offset=y_offset,
         lower=lo,
         upper=hi,
     )
 
 
-def _solve_equality_kkt(hessian, eq_matrix, stationarity_rhs, eq_rhs):
-    """Solve the equality-constrained KKT system with iterative refinement."""
+def _solve_equality_kkt(hessian, rows, stationarity_rhs, rows_rhs):
+    """Solve [[Q, A'], [A, 0]] [x; nu] = [r; b] densely."""
     nv = hessian.shape[0]
-    m = eq_matrix.shape[0]
-    kkt = sp.bmat(
-        [[hessian, eq_matrix.T], [eq_matrix, None]], format="csc"
-    )
-    rhs = np.concatenate([stationarity_rhs, eq_rhs])
+    m = rows.shape[0]
+    kkt = np.zeros((nv + m, nv + m))
+    kkt[:nv, :nv] = hessian
+    kkt[:nv, nv:] = rows.T
+    kkt[nv:, :nv] = rows
+    rhs = np.concatenate([stationarity_rhs, rows_rhs])
     try:
-        lu = spla.splu(kkt)
-        sol = lu.solve(rhs)
-    except RuntimeError as exc:
-        raise PlannerNumericalError(f"KKT factorization failed: {exc}") from exc
-    for _ in range(_REFINE_PASSES):
-        resid = rhs - kkt @ sol
-        if np.max(np.abs(resid)) < 1e-12:
-            break
-        sol += lu.solve(resid)
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise PlannerNumericalError(f"KKT solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise PlannerNumericalError(
             "KKT solve produced non-finite values; the system is singular "
@@ -228,195 +234,198 @@ def _solve_equality_kkt(hessian, eq_matrix, stationarity_rhs, eq_rhs):
     return sol[:nv], sol[nv:]
 
 
-def _feasible_start(qp: QuadraticProgram) -> np.ndarray:
-    """A point satisfying the equality rows with y inside the box.
+def _feasible_start(problem: PlanProblem) -> np.ndarray:
+    """Accelerations whose altitude profile is inside the box.
 
     Only y carries bounds, so any in-box altitude profile through the
-    boundary rows works: take the straight line between y0 and yf (the
+    boundary data works: take the straight line between y0 and yf (the
     segment between two in-box points stays in the box) and back out v
     and a from the trapezoid chains, which are exactly invertible knot
-    by knot.
+    by knot.  a_0 = 0 also satisfies the optional initial pin.
     """
-    n = qp.times.size
-    dt = qp.times[1] - qp.times[0]
-    m_dyn = 2 * (n - 1)
-    y0, v0, yf = qp.eq_rhs[m_dyn : m_dyn + 3]
-    y = np.linspace(y0, yf, n)
-    v = np.empty(n)
-    a = np.empty(n)
-    v[0] = v0
-    a[0] = 0.0
+    n = problem.segments + 1
+    dt = problem.horizon / problem.segments
+    y = np.linspace(problem.y0, problem.yf, n)
+    v = problem.v0
+    a = np.zeros(n)
     for k in range(1, n):
-        v[k] = 2.0 * (y[k] - y[k - 1]) / dt - v[k - 1]
-        a[k] = 2.0 * (v[k] - v[k - 1]) / dt - a[k - 1]
-    return np.concatenate([y, v, a])
+        v_next = 2.0 * (y[k] - y[k - 1]) / dt - v
+        a[k] = 2.0 * (v_next - v) / dt - a[k - 1]
+        v = v_next
+    return a
 
 
-def _solve_box_qp(qp: QuadraticProgram) -> tuple[np.ndarray, float]:
-    """Minimize the transcribed QP, returning (z, kkt_residual).
+def _solve_box_qp(qp: CondensedQP, a: np.ndarray):
+    """Minimize the condensed QP from the feasible start a.
 
-    Multiplier convention: with stationarity H z + A' nu = 0, an active
-    lower bound carries nu <= 0 and an active upper bound nu >= 0; at a
+    Returns (a, multipliers, lower working set, upper working set); the
+    multipliers follow the rows (equality rows, lower rows, upper rows).
+    Convention: with stationarity Q a + c + A' nu = 0, an active lower
+    bound carries nu <= 0 and an active upper bound nu >= 0; at a
     working-set optimum the row with the worst wrong-signed multiplier
     is released.
     """
-    idx = qp.bound_indices
-    n_bound = idx.size
-    nv = qp.hessian.shape[0]
-    m_base = qp.eq_matrix.shape[0]
     n = qp.times.size
-
-    z = _feasible_start(qp)
-    lo_active = np.zeros(n_bound, dtype=bool)
-    hi_active = np.zeros(n_bound, dtype=bool)
-    # The endpoint knots are pinned by equality rows; bounding them too
-    # would duplicate rows and make the KKT matrix singular.
-    blockable = np.ones(n_bound, dtype=bool)
+    m_base = qp.eq_matrix.shape[0]
+    lo_active = np.zeros(n, dtype=bool)
+    hi_active = np.zeros(n, dtype=bool)
+    # The endpoint knots are fixed by the boundary data (y_0 does not
+    # depend on a, y_{n-1} is an equality row), so only interior knots
+    # can block.
+    blockable = np.ones(n, dtype=bool)
     blockable[0] = blockable[n - 1] = False
 
-    limit = max(_ACTIVE_SET_LIMIT, 4 * n_bound)
+    limit = max(_ACTIVE_SET_LIMIT, 4 * n)
     for _ in range(limit):
-        lo_idx = idx[lo_active]
-        hi_idx = idx[hi_active]
-        pinned = np.concatenate([lo_idx, hi_idx])
-        if pinned.size:
-            bound_rows = sp.csc_matrix(
-                (np.ones(pinned.size), (np.arange(pinned.size), pinned)),
-                shape=(pinned.size, nv),
-            )
-            eq = sp.vstack([qp.eq_matrix, bound_rows], format="csc")
-        else:
-            eq = qp.eq_matrix
-        step, mult = _solve_equality_kkt(
-            qp.hessian, eq, -(qp.hessian @ z), np.zeros(eq.shape[0])
+        lo_idx = np.flatnonzero(lo_active)
+        hi_idx = np.flatnonzero(hi_active)
+        rows = np.concatenate([qp.eq_matrix, qp.y_map[lo_idx], qp.y_map[hi_idx]])
+        # Solve for the working-set optimum itself, not for the step to
+        # it: the straight-line start has large alternating accelerations,
+        # and a step from it would carry their rounding into the optimum.
+        target, mult = _solve_equality_kkt(
+            qp.hessian,
+            rows,
+            -qp.gradient,
+            np.concatenate([
+                qp.eq_rhs,
+                qp.lower - qp.y_offset[lo_idx],
+                qp.upper - qp.y_offset[hi_idx],
+            ]),
         )
+        step = target - a
 
-        scale = max(1.0, float(np.max(np.abs(z))))
-        if np.max(np.abs(step)) <= 1e-10 * scale:
-            # Working-set optimum; release the worst wrong-sign row.
-            bound_mult = mult[m_base:]
-            lo_mult = bound_mult[: lo_idx.size]
-            hi_mult = bound_mult[lo_idx.size :]
-            worst = KKT_TOLERANCE / 10.0
-            release = None
-            if lo_mult.size and np.max(lo_mult, initial=-np.inf) > worst:
-                worst = float(np.max(lo_mult))
-                release = ("lo", lo_idx[int(np.argmax(lo_mult))])
-            if hi_mult.size and float(np.max(-hi_mult, initial=-np.inf)) > worst:
-                release = ("hi", hi_idx[int(np.argmax(-hi_mult))])
-            if release is None:
-                residual = _kkt_residual(qp, z, mult, lo_idx, hi_idx)
-                if residual >= KKT_TOLERANCE:
-                    raise PlannerNumericalError(
-                        f"optimality residual {residual:.3e} exceeds "
-                        f"{KKT_TOLERANCE:.0e}"
-                    )
-                return z, residual
-            which, knot = release
-            (lo_active if which == "lo" else hi_active)[knot] = False
-            continue
+        scale = max(1.0, float(np.max(np.abs(a))))
+        if np.max(np.abs(step)) > 1e-10 * scale:
+            # Longest feasible step toward the working-set optimum.
+            y = qp.y_offset + qp.y_map @ a
+            direction = qp.y_map @ step
+            tol_dir = 1e-12 * float(np.max(np.abs(step)))
+            free = blockable & ~lo_active & ~hi_active
+            down = np.flatnonzero(free & (direction < -tol_dir))
+            up = np.flatnonzero(free & (direction > tol_dir))
+            ratios = np.maximum(
+                np.concatenate([
+                    (qp.lower - y[down]) / direction[down],
+                    (qp.upper - y[up]) / direction[up],
+                ]),
+                0.0,
+            )
+            first = int(np.argmin(ratios)) if ratios.size else -1
+            if first >= 0 and ratios[first] < 1.0:
+                a = a + ratios[first] * step
+                if first < down.size:
+                    lo_active[down[first]] = True
+                else:
+                    hi_active[up[first - down.size]] = True
+                continue
+            # A full step lands on the working-set optimum, and this
+            # solve's multipliers already belong to it.
+            a = target
 
-        # Longest feasible step toward the working-set optimum.
-        y = z[idx]
-        direction = step[idx]
-        tol_dir = 1e-12 * float(np.max(np.abs(step)))
-        free = blockable & ~lo_active & ~hi_active
-        alpha = 1.0
-        block = None
-        down = free & (direction < -tol_dir)
-        for i in np.flatnonzero(down):
-            ratio = max((qp.lower - y[i]) / direction[i], 0.0)
-            if ratio < alpha:
-                alpha, block = ratio, ("lo", i)
-        up = free & (direction > tol_dir)
-        for i in np.flatnonzero(up):
-            ratio = max((qp.upper - y[i]) / direction[i], 0.0)
-            if ratio < alpha:
-                alpha, block = ratio, ("hi", i)
-
-        z = z + alpha * step
-        if block is not None:
-            which, knot = block
-            (lo_active if which == "lo" else hi_active)[knot] = True
-        # Pin working-set knots exactly to kill step-length drift.
-        z[idx[lo_active]] = qp.lower
-        z[idx[hi_active]] = qp.upper
+        # Working-set optimum; release the worst wrong-sign row.
+        bound_mult = mult[m_base:]
+        lo_mult = bound_mult[: lo_idx.size]
+        hi_mult = bound_mult[lo_idx.size :]
+        worst = KKT_TOLERANCE / 10.0
+        release = None
+        if lo_mult.size and np.max(lo_mult) > worst:
+            worst = float(np.max(lo_mult))
+            release = lo_active, lo_idx[int(np.argmax(lo_mult))]
+        if hi_mult.size and float(np.max(-hi_mult)) > worst:
+            release = hi_active, hi_idx[int(np.argmax(-hi_mult))]
+        if release is None:
+            return a, mult, lo_idx, hi_idx
+        working, knot = release
+        working[knot] = False
 
     raise PlannerNumericalError(
         f"active-set loop exceeded {limit} iterations (cycling)"
     )
 
 
-def _kkt_residual(qp, z, mult, lo_idx, hi_idx) -> float:
-    """Max-norm KKT residual: stationarity, feasibility, complementarity."""
+def _trapezoid_chain(start: float, rates: np.ndarray, dt: float) -> np.ndarray:
+    """x_0 = start, x_k = x_{k-1} + dt/2 (rate_k + rate_{k-1})."""
+    increments = 0.5 * dt * (rates[1:] + rates[:-1])
+    return np.cumsum(np.concatenate([[start], increments]))
+
+
+def _kkt_residual(qp, a, y, mult, lo_idx, hi_idx) -> float:
+    """Max-norm KKT residual of a and its altitude profile y.
+
+    Stationarity of the condensed QP, feasibility of the equality rows
+    and of the working set (distance of its knots from their bound),
+    box violation at every interior knot, and the multiplier sign and
+    complementarity on the working set.  Inactive bounds carry no
+    multiplier by construction.
+    """
     m_base = qp.eq_matrix.shape[0]
-    grad = qp.hessian @ z + qp.eq_matrix.T @ mult[:m_base]
-    bound_mult = mult[m_base:]
-    lo_mult = bound_mult[: lo_idx.size]
-    hi_mult = bound_mult[lo_idx.size :]
-    for which, sub in ((lo_idx, lo_mult), (hi_idx, hi_mult)):
-        if which.size:
-            grad[which] += sub
-    stationarity = np.max(np.abs(grad))
+    rows = np.concatenate([qp.eq_matrix, qp.y_map[lo_idx], qp.y_map[hi_idx]])
+    stationarity = np.max(np.abs(qp.hessian @ a + qp.gradient + rows.T @ mult))
 
-    primal = np.max(np.abs(qp.eq_matrix @ z - qp.eq_rhs))
-    y = z[qp.bound_indices]
+    lo_mult = mult[m_base : m_base + lo_idx.size]
+    hi_mult = mult[m_base + lo_idx.size :]
+    lo_gap = y[lo_idx] - qp.lower
+    hi_gap = y[hi_idx] - qp.upper
+    interior = y[1:-1]
     primal = max(
-        primal,
-        float(np.max(np.maximum(qp.lower - y, 0.0), initial=0.0)),
-        float(np.max(np.maximum(y - qp.upper, 0.0), initial=0.0)),
+        float(np.max(np.abs(qp.eq_matrix @ a - qp.eq_rhs))),
+        float(np.max(np.abs(lo_gap), initial=0.0)),
+        float(np.max(np.abs(hi_gap), initial=0.0)),
+        float(np.max(np.maximum(qp.lower - interior, 0.0), initial=0.0)),
+        float(np.max(np.maximum(interior - qp.upper, 0.0), initial=0.0)),
     )
-
-    # Inactive bounds carry no multiplier by construction, so the
-    # complementarity block reduces to sign and pinning checks on the
-    # working set.
-    dual = 0.0
-    comp = 0.0
-    if lo_idx.size:
-        dual = max(dual, float(np.max(lo_mult, initial=0.0)))
-        comp = max(comp, float(np.max(np.abs((z[lo_idx] - qp.lower) * lo_mult))))
-    if hi_idx.size:
-        dual = max(dual, float(np.max(-hi_mult, initial=0.0)))
-        comp = max(comp, float(np.max(np.abs((z[hi_idx] - qp.upper) * hi_mult))))
+    dual = max(
+        float(np.max(lo_mult, initial=0.0)),
+        float(np.max(-hi_mult, initial=0.0)),
+    )
+    comp = max(
+        float(np.max(np.abs(lo_gap * lo_mult), initial=0.0)),
+        float(np.max(np.abs(hi_gap * hi_mult), initial=0.0)),
+    )
     return max(stationarity, primal, dual, comp)
 
 
 def solve(problem: PlanProblem) -> PlannedTrajectory:
     """Solve a design problem to global optimality.
 
-    The transcribed QP is convex with affine constraints, so the KKT
-    point found here is the global optimum; the residual certificate is
-    attached to the returned trajectory.
+    The condensed QP is strictly convex with affine constraints, so the
+    KKT point found here is the global optimum; the residual certificate
+    is attached to the returned trajectory.
     """
-    qp = transcribe(problem)
-    z, residual = _solve_box_qp(qp)
-    n = qp.times.size
-    y = z[:n]
-    v = z[n : 2 * n]
-    a = z[2 * n :]
+    qp = condense(problem)
+    a, mult, lo_idx, hi_idx = _solve_box_qp(qp, _feasible_start(problem))
+    times = qp.times
+    dt = problem.horizon / problem.segments
+    v = _trapezoid_chain(problem.v0, a, dt)
+    y = _trapezoid_chain(problem.y0, v, dt)
+    residual = _kkt_residual(qp, a, y, mult, lo_idx, hi_idx)
+    if residual >= KKT_TOLERANCE:
+        raise PlannerNumericalError(
+            f"optimality residual {residual:.3e} exceeds {KKT_TOLERANCE:.0e}"
+        )
+    # Pin working-set knots exactly; the recursion leaves them within
+    # rounding of their bound.
+    y[lo_idx] = qp.lower
+    y[hi_idx] = qp.upper
     predicted = error_integral_form(
-        VelocityProfile(qp.times, v), problem.dominant_lambda
+        VelocityProfile(times, v), problem.dominant_lambda
     )
     params = problem.params
     return PlannedTrajectory(
-        times=qp.times,
+        times=times,
         y=y,
         v=v,
         a=a,
         u=params.mass * (a + params.gravity),
         predicted_error=predicted,
-        designed_cost=trapezoid_quadrature(qp.times, a**2),
+        designed_cost=trapezoid_quadrature(times, a**2),
         predicted_error_integral=trapezoid_quadrature(
-            qp.times, predicted.values**2
+            times, predicted.values**2
         ),
         mu=problem.mu,
         kkt_residual=residual,
     )
-
-
-def designed_cost(traj: PlannedTrajectory) -> float:
-    """Trapezoid quadrature of the squared planned acceleration."""
-    return trapezoid_quadrature(traj.times, traj.a**2)
 
 
 TRAJECTORY_COLUMNS = ("t", "y", "v", "a", "u", "e_pred")

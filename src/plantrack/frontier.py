@@ -99,16 +99,16 @@ def evaluate_point(
                 params=problem.params,
             )
         )
+        return FrontierPoint(
+            mu=mu,
+            designed_cost=traj.designed_cost,
+            predicted_error_integral=traj.predicted_error_integral,
+            actual_cost=result.actual_cost,
+            actual_error_integral=result.actual_error_integral,
+            trajectory_id=trajectory_id,
+        )
     except Exception as exc:
         raise SweepError(mu, exc) from exc
-    return FrontierPoint(
-        mu=mu,
-        designed_cost=traj.designed_cost,
-        predicted_error_integral=traj.predicted_error_integral,
-        actual_cost=result.actual_cost,
-        actual_error_integral=result.actual_error_integral,
-        trajectory_id=trajectory_id,
-    )
 
 
 def _evaluate_star(job) -> FrontierPoint:

@@ -150,6 +150,22 @@ def _stage_references(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return times, reference_lookup(config.reference, stage_times)
 
 
+def _score(times, x_ddot, y_ddot, q_ddot, error) -> tuple[float, float]:
+    """Actual cost and actual error integral of one flight.
+
+    A state can stay finite while its squared acceleration or error
+    overflows; the first time either integrand is non-finite is where
+    the flight stops being scorable, and is reported as divergence.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        effort = x_ddot**2 + y_ddot**2 + q_ddot**2
+        miss = error**2
+    unscorable = np.flatnonzero(~(np.isfinite(effort) & np.isfinite(miss)))
+    if unscorable.size:
+        raise SimulationDivergedError(float(times[unscorable[0]]))
+    return trapezoid_quadrature(times, effort), trapezoid_quadrature(times, miss)
+
+
 def simulate(config: SimConfig) -> TrackingResult:
     """Run the closed loop from the trimmed initial state on (y, y_dot).
 
@@ -211,8 +227,7 @@ def simulate(config: SimConfig) -> TrackingResult:
     q_ddot = (u2 - u1) / (mass * arm)
     y_ref = references[0]
     error = y_ref - y
-    cost = trapezoid_quadrature(times, x_ddot**2 + y_ddot**2 + q_ddot**2)
-    error_integral = trapezoid_quadrature(times, error**2)
+    cost, error_integral = _score(times, x_ddot, y_ddot, q_ddot, error)
     return TrackingResult(
         times=times,
         x=np.zeros_like(y),
@@ -320,10 +335,7 @@ def simulate_planar(config: SimConfig) -> TrackingResult:
         qd += sixth * (a1[5] + 2.0 * (a2[5] + a3[5]) + a4[5])
 
     error = hist[:, 9] - hist[:, 2]
-    cost = trapezoid_quadrature(
-        times, hist[:, 10] ** 2 + hist[:, 11] ** 2 + hist[:, 12] ** 2
-    )
-    error_integral = trapezoid_quadrature(times, error**2)
+    cost, error_integral = _score(times, hist[:, 10], hist[:, 11], hist[:, 12], error)
     return TrackingResult(
         times=times,
         x=hist[:, 1],

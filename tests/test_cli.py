@@ -1,15 +1,21 @@
 """End-to-end CLI tests: config loading, subcommands, artifacts, determinism.
 
 Everything runs in-process through main(argv) so exit codes and stderr
-diagnostics are observable without spawning interpreters.
+diagnostics are observable without spawning interpreters; only the
+import check needs a fresh one.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
 import pytest
 
+import plantrack
 from conftest import make_reference
 from plantrack import tracking_sim
 from plantrack.cli import ConfigError, RunConfig, load_config, main
@@ -436,3 +442,22 @@ class TestStiffnessCommand:
              "--config", config, "--out", str(out)]
         ) == 0
         assert (out / "spring_12p5_125.json").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing it costs a cold process
+    # about a third of a second.
+    package_root = str(Path(plantrack.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import plantrack.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,4 @@
-"""Planner tests: transcription, analytic optimum, certificates, CSV schema.
+"""Planner tests: condensation, analytic optimum, certificates, CSV schema.
 
 The mu = 0 problem has a closed-form optimum: with free terminal
 velocity the minimum-acceleration trajectory from (0, 0) to altitude 5
@@ -6,25 +6,33 @@ in unit time is y(t) = 7.5 t^2 - 2.5 t^3 with cost exactly 75.  That
 cubic is the oracle for the solver tests here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_reference
+from plantrack.cli import RunConfig
 from plantrack.collocation_planner import (
+    KKT_TOLERANCE,
     TRAJECTORY_COLUMNS,
     InfeasibleProblemError,
     PlanProblem,
+    PlannerNumericalError,
     TrajectorySchemaError,
-    designed_cost,
+    condense,
     read_trajectory_csv,
     solve,
-    transcribe,
     write_trajectory_csv,
 )
 from plantrack.error_estimator import (
     VelocityProfile,
     error_integral_form,
+    lag_response_matrix,
     trapezoid_quadrature,
+    trapezoid_weights,
 )
 
 
@@ -63,52 +71,72 @@ class TestProblemValidation:
 
 
 class TestTranscription:
+    """The condensed QP in the accelerations a alone."""
+
     def test_dimensions(self):
-        qp = transcribe(PlanProblem())
+        qp = condense(PlanProblem())
         n = 61
         assert qp.times.shape == (n,)
-        assert qp.hessian.shape == (3 * n, 3 * n)
-        # 2 * 60 trapezoid defect rows plus y0, v0, yf.
-        assert qp.eq_matrix.shape == (123, 3 * n)
-        assert qp.eq_rhs.shape == (123,)
-        assert np.array_equal(qp.bound_indices, np.arange(n))
+        assert qp.hessian.shape == (n, n)
+        assert qp.gradient.shape == (n,)
+        assert qp.y_map.shape == (n, n)
+        assert qp.y_offset.shape == (n,)
+        # The yf row is the only equality row left.
+        assert qp.eq_matrix.shape == (1, n)
+        assert qp.eq_rhs.shape == (1,)
         assert (qp.lower, qp.upper) == (0.0, 5.0)
 
     def test_boundary_rows_carry_the_problem_data(self):
-        qp = transcribe(PlanProblem(y0=0.5, v0=-2.0, yf=4.0))
-        assert np.array_equal(qp.eq_rhs[-3:], [0.5, -2.0, 4.0])
+        qp = condense(PlanProblem(y0=0.5, v0=-2.0, yf=4.0))
+        assert np.array_equal(qp.y_offset, 0.5 - 2.0 * qp.times)
+        assert np.array_equal(qp.eq_matrix[0], qp.y_map[-1])
+        assert qp.eq_rhs[0] == 4.0 - (0.5 - 2.0 * 1.0)
 
     def test_initial_accel_row_is_optional(self):
-        qp = transcribe(PlanProblem(enforce_initial_accel_zero=True))
-        assert qp.eq_matrix.shape[0] == 124
-        row = qp.eq_matrix.getrow(123).toarray().ravel()
-        assert row[2 * 61] == 1.0
+        qp = condense(PlanProblem(enforce_initial_accel_zero=True))
+        assert qp.eq_matrix.shape == (2, 61)
+        row = qp.eq_matrix[1]
+        assert row[0] == 1.0
         assert np.count_nonzero(row) == 1
-        assert qp.eq_rhs[123] == 0.0
+        assert qp.eq_rhs[1] == 0.0
 
     def test_zero_weight_drops_velocity_block(self):
-        qp = transcribe(PlanProblem(mu=0.0))
-        dense = qp.hessian.toarray()
-        n = 61
-        assert not dense[:n, :].any()
-        assert not dense[n : 2 * n, n : 2 * n].any()
+        qp = condense(PlanProblem(mu=0.0, v0=3.0))
         dt = 1.0 / 60
-        accel_diag = np.diag(dense[2 * n :, 2 * n :])
-        expected = 2.0 * dt * np.ones(n)
+        expected = 2.0 * dt * np.ones(61)
         expected[0] = expected[-1] = dt
-        assert np.allclose(accel_diag, expected, rtol=0, atol=1e-15)
+        assert np.array_equal(qp.hessian, np.diag(qp.hessian.diagonal()))
+        assert np.allclose(qp.hessian.diagonal(), expected, rtol=0, atol=1e-15)
+        assert not qp.gradient.any()
+        assert qp.constant == 0.0
 
     def test_weighted_velocity_block_is_psd(self):
-        qp = transcribe(PlanProblem(mu=100.0))
-        n = 61
-        block = qp.hessian.toarray()[n : 2 * n, n : 2 * n]
-        assert np.allclose(block, block.T, atol=1e-12)
-        assert np.linalg.eigvalsh(block).min() > -1e-10
+        # Positive definite, in fact: the acceleration weights stay on the
+        # diagonal.
+        qp = condense(PlanProblem(mu=100.0))
+        assert np.allclose(qp.hessian, qp.hessian.T, atol=1e-12)
+        assert np.linalg.eigvalsh(qp.hessian).min() > 0.0
+
+    def test_altitude_map_is_the_trapezoid_chain(self):
+        problem = PlanProblem(y0=1.0, v0=-4.0, segments=40)
+        qp = condense(problem)
+        dt = problem.horizon / problem.segments
+        a = np.random.default_rng(7).uniform(-50.0, 50.0, 41)
+        v = np.empty(41)
+        y = np.empty(41)
+        v[0], y[0] = problem.v0, problem.y0
+        for k in range(1, 41):
+            v[k] = v[k - 1] + 0.5 * dt * (a[k] + a[k - 1])
+            y[k] = y[k - 1] + 0.5 * dt * (v[k] + v[k - 1])
+        assert np.allclose(qp.y_offset + qp.y_map @ a, y, rtol=0, atol=1e-12)
+        assert not np.triu(qp.y_map, 1).any()
 
     @pytest.mark.parametrize("kwargs", [{"yf": 6.0}, {"y0": -0.5}])
     def test_boundary_outside_box_is_infeasible(self, kwargs):
         with pytest.raises(InfeasibleProblemError):
-            transcribe(PlanProblem(**kwargs))
+            condense(PlanProblem(**kwargs))
+        with pytest.raises(InfeasibleProblemError):
+            solve(PlanProblem(**kwargs))
 
 
 class TestAnalyticOptimum:
@@ -232,16 +260,17 @@ def test_grid_refinement_is_second_order(mu):
 
 @pytest.mark.parametrize("mu", [0.0, 100.0, 1e4])
 def test_objective_consistency_with_the_estimator(mu):
-    problem = PlanProblem(mu=mu)
-    qp = transcribe(problem)
+    # v0 != 0 so the linear term and the constant carry weight too.
+    problem = PlanProblem(mu=mu, v0=2.0)
+    qp = condense(problem)
     traj = solve(problem)
-    z = np.concatenate([traj.y, traj.v, traj.a])
-    solver_objective = 0.5 * z @ (qp.hessian @ z)
+    a = traj.a
+    solver_objective = 0.5 * a @ (qp.hessian @ a) + qp.gradient @ a + qp.constant
 
     error = error_integral_form(
         VelocityProfile(traj.times, traj.v), problem.dominant_lambda
     )
-    recomputed = designed_cost(traj) + mu * trapezoid_quadrature(
+    recomputed = trapezoid_quadrature(traj.times, a**2) + mu * trapezoid_quadrature(
         traj.times, error.values**2
     )
     assert recomputed == pytest.approx(solver_objective, rel=1e-9)
@@ -249,15 +278,141 @@ def test_objective_consistency_with_the_estimator(mu):
     assert reported == pytest.approx(solver_objective, rel=1e-9)
 
 
+def full_space_optimum(problem, pinned_lower, pinned_upper):
+    """Equality-constrained optimum in the full (y, v, a) variables.
+
+    An independent check of the condensed solver: the trapezoid chains,
+    the boundary data and the pinned knots are all rows of one dense
+    KKT system, as the uncondensed transcription writes them.  Returns
+    the knot arrays and the multipliers of the pinned lower and upper
+    rows (stationarity H z + A' nu = 0).
+    """
+    n = problem.segments + 1
+    dt = problem.horizon / problem.segments
+    times = np.linspace(0.0, problem.horizon, n)
+    quad = trapezoid_weights(n) * dt
+    hessian = np.zeros((3 * n, 3 * n))
+    hessian[2 * n :, 2 * n :] = np.diag(2.0 * quad)
+    if problem.mu > 0:
+        L = lag_response_matrix(times, problem.dominant_lambda)
+        hessian[n : 2 * n, n : 2 * n] = 2.0 * problem.mu * (L.T * quad) @ L
+
+    rows, rhs = [], []
+
+    def row(entries, value):
+        r = np.zeros(3 * n)
+        for column, coefficient in entries:
+            r[column] += coefficient
+        rows.append(r)
+        rhs.append(value)
+
+    for base in (0, n):  # y from v, then v from a
+        for k in range(1, n):
+            row([(base + k, 1.0), (base + k - 1, -1.0),
+                 (base + n + k, -0.5 * dt), (base + n + k - 1, -0.5 * dt)], 0.0)
+    row([(0, 1.0)], problem.y0)
+    row([(n, 1.0)], problem.v0)
+    row([(n - 1, 1.0)], problem.yf)
+    if problem.enforce_initial_accel_zero:
+        row([(2 * n, 1.0)], 0.0)
+    lo, hi = problem.y_bounds
+    for knot in pinned_lower:
+        row([(knot, 1.0)], lo)
+    for knot in pinned_upper:
+        row([(knot, 1.0)], hi)
+
+    A = np.array(rows)
+    m = A.shape[0]
+    kkt = np.block([[hessian, A.T], [A, np.zeros((m, m))]])
+    sol = np.linalg.solve(kkt, np.concatenate([np.zeros(3 * n), rhs]))
+    y, v, a = sol[:n], sol[n : 2 * n], sol[2 * n : 3 * n]
+    bound_mult = sol[3 * n + m - len(pinned_lower) - len(pinned_upper) :]
+    return times, y, v, a, bound_mult[: len(pinned_lower)], bound_mult[len(pinned_lower) :]
+
+
+_DEFAULT_TEMPLATE = PlanProblem()
+_BOUNDED_TEMPLATE = PlanProblem(segments=120, y0=0.0, v0=30.0, yf=0.0)
+
+
+@pytest.mark.parametrize(
+    "template,lam",
+    [(_DEFAULT_TEMPLATE, lam) for lam in (10.0, 20.0, 30.0, 50.0)]
+    + [(_BOUNDED_TEMPLATE, lam) for lam in (10.0, 20.0)],
+    ids=["default-10", "default-20", "default-30", "default-50", "bounded-10", "bounded-20"],
+)
+def test_condensed_solver_matches_the_full_space_kkt(template, lam):
+    lo, hi = template.y_bounds
+    pinned = 0
+    for mu in RunConfig().mu_grid():
+        problem = dataclasses.replace(template, mu=mu, dominant_lambda=lam)
+        traj = solve(problem)
+        interior = np.arange(1, traj.y.size - 1)
+        lower = interior[traj.y[1:-1] == lo]
+        upper = interior[traj.y[1:-1] == hi]
+        pinned += lower.size + upper.size
+        times, y, v, a, lo_mult, hi_mult = full_space_optimum(problem, lower, upper)
+
+        # The pinned set is the optimal active set: the remaining knots are
+        # inside the box and every pinned row pushes the right way.
+        assert y.min() >= lo - 1e-9 and y.max() <= hi + 1e-9
+        assert np.all(lo_mult <= KKT_TOLERANCE)
+        assert np.all(hi_mult >= -KKT_TOLERANCE)
+
+        assert np.max(np.abs(traj.a - a)) <= 1e-10 * np.max(np.abs(a))
+        cost = trapezoid_quadrature(times, a**2)
+        assert traj.designed_cost == pytest.approx(cost, rel=1e-10, abs=0)
+        error = error_integral_form(VelocityProfile(times, v), lam)
+        predicted = trapezoid_quadrature(times, error.values**2)
+        assert traj.predicted_error_integral == pytest.approx(predicted, rel=1e-10, abs=0)
+    # The bounded toss really exercises the active set; the default climb
+    # never touches the box.
+    assert (pinned > 0) == (template is _BOUNDED_TEMPLATE)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    lower=st.floats(-10.0, 10.0),
+    width=st.floats(0.1, 20.0),
+    y0_place=st.floats(-0.1, 1.1),
+    yf_place=st.floats(-0.1, 1.1),
+    v0=st.floats(-50.0, 50.0),
+    mu=st.floats(0.0, 1e6),
+    lam=st.floats(1.0, 100.0),
+    segments=st.integers(2, 200),
+    pin=st.booleans(),
+)
+def test_every_problem_is_certified_or_rejected(
+    lower, width, y0_place, yf_place, v0, mu, lam, segments, pin
+):
+    # Placements outside [0, 1] put a boundary altitude outside the box.
+    problem = PlanProblem(
+        segments=segments,
+        y0=lower + y0_place * width,
+        v0=v0,
+        yf=lower + yf_place * width,
+        y_bounds=(lower, lower + width),
+        mu=mu,
+        dominant_lambda=lam,
+        enforce_initial_accel_zero=pin,
+    )
+    try:
+        traj = solve(problem)
+    except (InfeasibleProblemError, PlannerNumericalError):
+        return
+    assert traj.kkt_residual < KKT_TOLERANCE
+    assert traj.y.min() >= lower - 1e-9
+    assert traj.y.max() <= lower + width + 1e-9
+
+
 class TestDesignedCostOperation:
     def test_zero_acceleration_costs_nothing(self):
         times = np.linspace(0.0, 1.0, 61)
         traj = make_reference(times, times.copy(), np.ones(61), np.zeros(61))
-        assert designed_cost(traj) == 0.0
+        assert traj.designed_cost == 0.0
 
     def test_matches_the_solver_field(self):
         traj = solve(PlanProblem(mu=100.0))
-        assert designed_cost(traj) == traj.designed_cost
+        assert trapezoid_quadrature(traj.times, traj.a**2) == traj.designed_cost
 
 
 class TestTrajectoryCsv:

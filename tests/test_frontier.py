@@ -1,11 +1,15 @@
 """Frontier sweep, best-compromise, spring fit, and CSV schema tests."""
 
+import dataclasses
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from conftest import constant_reference
+from plantrack import frontier as frontier_module
 from plantrack.collocation_planner import PlanProblem
 from plantrack.error_estimator import (
     VelocityProfile,
@@ -20,6 +24,7 @@ from plantrack.frontier import (
     SpringFit,
     SweepError,
     best_compromise,
+    evaluate_point,
     frontier_gap,
     read_frontier_points,
     spring_constant,
@@ -30,6 +35,7 @@ from plantrack.frontier import (
 )
 from plantrack.lqr import EigenvaluePair, design_controller
 from plantrack.model import ModelParams
+from plantrack.tracking_sim import SimulationDivergedError
 
 
 @pytest.fixture
@@ -138,6 +144,31 @@ class TestSweep:
             sweep(controller, [0.0, 1.0], bad_template)
         assert err.value.mu == 0.0
         assert "mu = 0" in str(err.value)
+
+    def test_unscorable_flight_is_a_sweep_error(self, controller, monkeypatch):
+        # A plan whose flight overflows the squared scores (the planner's
+        # absolute KKT tolerance rejects such magnitudes itself).
+        monkeypatch.setattr(
+            frontier_module, "solve", lambda problem: constant_reference(1e300, 1.0)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SweepError) as err:
+                evaluate_point(controller, 5.0, PlanProblem(), 1e-3, 0)
+        assert err.value.mu == 5.0
+        assert isinstance(err.value.__cause__, SimulationDivergedError)
+
+    def test_invalid_point_is_a_sweep_error(self, controller, monkeypatch):
+        real = frontier_module.simulate
+        monkeypatch.setattr(
+            frontier_module,
+            "simulate",
+            lambda config: dataclasses.replace(real(config), actual_cost=math.inf),
+        )
+        with pytest.raises(SweepError) as err:
+            evaluate_point(controller, 5.0, PlanProblem(), 1e-3, 0)
+        assert err.value.mu == 5.0
+        assert isinstance(err.value.__cause__, ValueError)
 
     def test_actual_cost_dips_then_rises(self, controller):
         # The pseudo frontier is not monotone in mu: a weighted point

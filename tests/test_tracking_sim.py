@@ -8,6 +8,7 @@ six-state ``simulate_planar`` is its bit-for-bit reference.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,31 @@ def test_divergence_is_reported_with_its_time(slow_controller):
         simulate(SimConfig(step=1e-3, reference=ref, controller=slow_controller))
     assert err.value.time > 0.0
     assert "diverged" in str(err.value)
+
+
+def overflow_reference(ramp, params=None):
+    """1e300-scale reference: the state stays finite, its squares do not."""
+    times = np.linspace(0.0, 1.0, 61)
+    if ramp:
+        return make_reference(times, 1e300 * times, np.full(61, 1e300), np.zeros(61), params)
+    return constant_reference(1e300, 1.0, params=params)
+
+
+@pytest.mark.parametrize(("ramp", "time"), [(False, 0.0), (True, 4e-4)])
+def test_overflowing_score_is_divergence(params, fast_controller, ramp, time):
+    config = SimConfig(
+        step=4e-4, reference=overflow_reference(ramp, params),
+        controller=fast_controller, params=params,
+    )
+    times = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (simulate, simulate_planar):
+            with pytest.raises(SimulationDivergedError) as err:
+                run(config)
+            times.append(err.value.time)
+    assert times[0] == times[1]
+    assert times[0] == pytest.approx(time, abs=1e-12)
 
 
 def test_tracking_csv_layout(tmp_path, mid_controller):
