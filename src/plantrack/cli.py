@@ -17,7 +17,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -388,7 +387,13 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     files: dict[str, str] = {}
     failures: dict[str, str] = {}
 
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    executor = None
+    if workers > 1:
+        # The pool machinery (multiprocessing, logging, sockets) is about
+        # a tenth of a cold start, and one worker never needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=workers)
     try:
         mapper = executor.map if executor is not None else None
         for pair in config.pairs:

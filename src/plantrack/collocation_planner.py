@@ -24,19 +24,33 @@ The predicted error enters through the linear lag-response map
 e = L v = v0 L 1 + (L C) a, so Q = diag(2 w) + 2 mu (LC)' W (LC) with
 the trapezoid weights w, and Q is positive definite.
 
+Only mu scales the error term, so a mu sweep shares everything else:
+the grid, Y, the equality rows, the feasible start and the error block
+(LC)' W (LC) with its linear and constant terms.  That design is built
+once per (grid, boundary data, box, lambda) and kept, read-only, in a
+small per-process cache; a point only scales the error block by mu.
+The lag matrix L is likewise built once per (grid, lambda) and shared
+with the error estimate.
+
 A primal active-set loop handles the box rows: starting from a point
 that satisfies the equality rows and the box, it steps toward the
 working-set optimum, stopping at the first blocking bound, and at a
 working-set optimum releases the single row whose multiplier has the
-worst wrong sign.  Every iteration is one dense KKT solve of size
-n + equality rows + working set, and a full step lands on the optimum
-whose multipliers that same solve returned.  A cycling limit guards
-the degenerate cases.  y and v are rebuilt from a by the trapezoid
-recursion, with working-set knots pinned exactly to their bound.
+worst wrong sign.  Q is positive definite and the working sets are
+small, so every working set is solved in the range space (Nocedal and
+Wright, Numerical Optimization, 2nd ed., 16.2 and 16.5): Q^-1 is formed
+once per point (the reciprocal diagonal when mu = 0), and the KKT system
+of the equality rows and the working set reduces to its Schur
+complement R Q^-1 R', one small system, plus one correction against the
+full KKT residual.  A full step lands on the optimum whose multipliers
+that same solve returned.  A cycling limit guards the degenerate cases.
+y and v are rebuilt from a by the trapezoid recursion, with working-set
+knots pinned exactly to their bound.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +117,9 @@ class PlannedTrajectory:
 
     u is the total thrust that realizes the planned acceleration,
     u = M (a + g).  kkt_residual is the max-norm optimality residual of
-    the returned solution (None for trajectories read back from disk).
+    the returned solution and active_set_iterations the number of
+    working-set solves that found it (both None for trajectories read
+    back from disk).
     """
 
     times: np.ndarray
@@ -116,6 +132,7 @@ class PlannedTrajectory:
     predicted_error_integral: float
     mu: float | None
     kkt_residual: float | None = None
+    active_set_iterations: int | None = None
 
     @property
     def horizon(self) -> float:
@@ -158,6 +175,94 @@ def _chain_matrix(n: int, dt: float) -> np.ndarray:
     return C
 
 
+class _Design:
+    """The mu-independent part of one condensed design problem.
+
+    Everything here depends on the grid, the boundary data, the box and
+    lambda only, so one instance serves every mu point of a controller's
+    sweep.  Every array is read-only because the instance is shared.
+    """
+
+    def __init__(self, horizon, segments, y0, v0, yf, lower, upper, pin, lam):
+        n = segments + 1
+        dt = horizon / segments
+        self.dt = dt
+        self.lam = lam
+        self.v0 = v0
+        self.times = np.linspace(0.0, horizon, n)
+        self.quad = trapezoid_weights(n) * dt
+
+        # Row k of Y is the trapezoid chain over rows 0..k of C: O(n^2),
+        # where the equivalent matrix product would be O(n^3).  Built in
+        # place because at a thousand knots every fresh n x n array costs
+        # as much as the arithmetic.
+        C = _chain_matrix(n, dt)
+        y_map = np.zeros((n, n))
+        np.add(C[1:], C[:-1], out=y_map[1:])
+        y_map *= 0.5 * dt
+        np.cumsum(y_map, axis=0, out=y_map)
+        self.y_map = y_map
+        self.y_offset = y0 + v0 * self.times
+
+        rows = [y_map[n - 1]]
+        rhs = [yf - self.y_offset[n - 1]]
+        if pin:
+            rows.append(np.eye(1, n)[0])
+            rhs.append(0.0)
+        self.eq_matrix = np.array(rows)
+        self.eq_rhs = np.array(rhs)
+        self.lower = lower
+        self.upper = upper
+        self.start = _feasible_start(segments, dt, y0, v0, yf)
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    @functools.cached_property
+    def weighted(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(P, p, q) with the error term mu (a'Pa + 2 p'a + q).
+
+        P = (LC)' W (LC), p = (LC)' W e_free and q = e_free' W e_free,
+        where e_free is the predicted error of a = 0.  Built on the first
+        mu > 0 point only: the plain mu = 0 problem never needs the
+        O(n^3) product.
+        """
+        L = lag_response_matrix(self.times, self.lam)
+        LC = L @ _chain_matrix(self.times.size, self.dt)
+        e_free = self.v0 * L.sum(axis=1)
+        weighted = LC.T * self.quad
+        P = weighted @ LC
+        p = weighted @ e_free
+        P.flags.writeable = p.flags.writeable = False
+        return P, p, float(np.dot(self.quad, e_free**2))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_design(segments: int, pin: bool, data: bytes) -> _Design:
+    horizon, y0, v0, yf, lower, upper, lam = np.frombuffer(data).tolist()
+    return _Design(horizon, segments, y0, v0, yf, lower, upper, pin, lam)
+
+
+def _design(problem: PlanProblem) -> _Design:
+    """The shared design of the problem; mu and params are not part of it.
+
+    The float fields are keyed by their bits, so -0.0 and 0.0 (equal as
+    dict keys) get designs of their own and every design is the one the
+    problem's own values build.
+    """
+    data = np.array([
+        problem.horizon,
+        problem.y0,
+        problem.v0,
+        problem.yf,
+        *problem.y_bounds,
+        problem.dominant_lambda,
+    ])
+    return _cached_design(
+        problem.segments, bool(problem.enforce_initial_accel_zero), data.tobytes()
+    )
+
+
 def condense(problem: PlanProblem) -> CondensedQP:
     """Eliminate y and v from the transcribed design problem."""
     lo, hi = problem.y_bounds
@@ -166,75 +271,30 @@ def condense(problem: PlanProblem) -> CondensedQP:
             f"boundary altitudes y0={problem.y0}, yf={problem.yf} "
             f"must lie within the bounds [{lo}, {hi}]"
         )
-    n = problem.segments + 1
-    dt = problem.horizon / problem.segments
-    times = np.linspace(0.0, problem.horizon, n)
-    quad = trapezoid_weights(n) * dt
-
-    C = _chain_matrix(n, dt)
-    # Row k of Y is the trapezoid chain over rows 0..k of C: O(n^2), where
-    # the equivalent matrix product would be O(n^3).  Built in place
-    # because at a thousand knots every fresh n x n array costs as much as
-    # the arithmetic.
-    y_map = np.zeros((n, n))
-    np.add(C[1:], C[:-1], out=y_map[1:])
-    y_map *= 0.5 * dt
-    np.cumsum(y_map, axis=0, out=y_map)
-
-    hessian = np.diag(2.0 * quad)
-    gradient = np.zeros(n)
+    design = _design(problem)
+    hessian = np.diag(2.0 * design.quad)
+    gradient = np.zeros(design.times.size)
     constant = 0.0
     if problem.mu > 0:
-        L = lag_response_matrix(times, problem.dominant_lambda)
-        LC = L @ C
-        e_free = problem.v0 * L.sum(axis=1)  # predicted error of a = 0
-        weighted = LC.T * quad
-        hessian += 2.0 * problem.mu * (weighted @ LC)
-        gradient = 2.0 * problem.mu * (weighted @ e_free)
-        constant = problem.mu * float(np.dot(quad, e_free**2))
-
-    y_offset = problem.y0 + problem.v0 * times
-    rows = [y_map[n - 1]]
-    rhs = [problem.yf - y_offset[n - 1]]
-    if problem.enforce_initial_accel_zero:
-        rows.append(np.eye(1, n)[0])
-        rhs.append(0.0)
+        P, p, q = design.weighted
+        hessian += 2.0 * problem.mu * P
+        gradient = 2.0 * problem.mu * p
+        constant = problem.mu * q
     return CondensedQP(
-        times=times,
+        times=design.times,
         hessian=hessian,
         gradient=gradient,
         constant=constant,
-        eq_matrix=np.array(rows),
-        eq_rhs=np.array(rhs),
-        y_map=y_map,
-        y_offset=y_offset,
-        lower=lo,
-        upper=hi,
+        eq_matrix=design.eq_matrix,
+        eq_rhs=design.eq_rhs,
+        y_map=design.y_map,
+        y_offset=design.y_offset,
+        lower=design.lower,
+        upper=design.upper,
     )
 
 
-def _solve_equality_kkt(hessian, rows, stationarity_rhs, rows_rhs):
-    """Solve [[Q, A'], [A, 0]] [x; nu] = [r; b] densely."""
-    nv = hessian.shape[0]
-    m = rows.shape[0]
-    kkt = np.zeros((nv + m, nv + m))
-    kkt[:nv, :nv] = hessian
-    kkt[:nv, nv:] = rows.T
-    kkt[nv:, :nv] = rows
-    rhs = np.concatenate([stationarity_rhs, rows_rhs])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise PlannerNumericalError(f"KKT solve failed: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise PlannerNumericalError(
-            "KKT solve produced non-finite values; the system is singular "
-            f"(size {nv + m}, equality rows {m})"
-        )
-    return sol[:nv], sol[nv:]
-
-
-def _feasible_start(problem: PlanProblem) -> np.ndarray:
+def _feasible_start(segments, dt, y0, v0, yf) -> np.ndarray:
     """Accelerations whose altitude profile is inside the box.
 
     Only y carries bounds, so any in-box altitude profile through the
@@ -243,10 +303,9 @@ def _feasible_start(problem: PlanProblem) -> np.ndarray:
     and a from the trapezoid chains, which are exactly invertible knot
     by knot.  a_0 = 0 also satisfies the optional initial pin.
     """
-    n = problem.segments + 1
-    dt = problem.horizon / problem.segments
-    y = np.linspace(problem.y0, problem.yf, n)
-    v = problem.v0
+    n = segments + 1
+    y = np.linspace(y0, yf, n)
+    v = v0
     a = np.zeros(n)
     for k in range(1, n):
         v_next = 2.0 * (y[k] - y[k - 1]) / dt - v
@@ -255,18 +314,69 @@ def _feasible_start(problem: PlanProblem) -> np.ndarray:
     return a
 
 
-def _solve_box_qp(qp: CondensedQP, a: np.ndarray):
+def _inverse_hessian(hessian: np.ndarray, diagonal: bool):
+    """Q^-1 applied to vectors and to column blocks, formed once.
+
+    Q is diagonal when mu = 0, so its inverse is the reciprocal
+    diagonal and no O(n^3) work is done; otherwise one dense inverse
+    serves every working set of the point.
+    """
+    if diagonal:
+        inverse_diagonal = 1.0 / hessian.diagonal()
+        return lambda x: (inverse_diagonal * x.T).T
+    try:
+        inverse = np.linalg.inv(hessian)
+    except np.linalg.LinAlgError as exc:
+        raise PlannerNumericalError(f"Hessian inverse failed: {exc}") from exc
+    return lambda x: inverse @ x
+
+
+def _solve_working_set(qp, apply_inverse, free_optimum, rows, rhs):
+    """Working-set optimum of min 1/2 a'Qa + c'a s.t. rows a = rhs.
+
+    Range-space (Schur complement) solve of [[Q, R'], [R, 0]] [x; nu] =
+    [-c; rhs]: with x0 = -Q^-1 c and G = Q^-1 R', (R G) nu = R x0 - rhs
+    and x = x0 - G nu.  One correction against the true KKT residual,
+    through the same G and R G, takes back the accuracy the explicit
+    inverse gives away.
+    """
+    G = apply_inverse(rows.T)
+    schur = rows @ G
+    try:
+        mult = np.linalg.solve(schur, rows @ free_optimum - rhs)
+        target = free_optimum - G @ mult
+        stationarity = qp.hessian @ target + qp.gradient + rows.T @ mult
+        feasibility = rows @ target - rhs
+        correction = -apply_inverse(stationarity)
+        delta = np.linalg.solve(schur, rows @ correction + feasibility)
+    except np.linalg.LinAlgError as exc:
+        raise PlannerNumericalError(f"KKT solve failed: {exc}") from exc
+    target = target + correction - G @ delta
+    mult = mult + delta
+    if not (np.all(np.isfinite(target)) and np.all(np.isfinite(mult))):
+        nv, m = G.shape
+        raise PlannerNumericalError(
+            "KKT solve produced non-finite values; the system is singular "
+            f"(size {nv + m}, equality rows {m})"
+        )
+    return target, mult
+
+
+def _solve_box_qp(qp: CondensedQP, a: np.ndarray, diagonal: bool):
     """Minimize the condensed QP from the feasible start a.
 
-    Returns (a, multipliers, lower working set, upper working set); the
-    multipliers follow the rows (equality rows, lower rows, upper rows).
-    Convention: with stationarity Q a + c + A' nu = 0, an active lower
-    bound carries nu <= 0 and an active upper bound nu >= 0; at a
-    working-set optimum the row with the worst wrong-signed multiplier
-    is released.
+    diagonal says Q is diagonal (mu = 0).  Returns (a, multipliers,
+    lower working set, upper working set, iterations); the multipliers
+    follow the rows (equality rows, lower rows, upper rows) and every
+    iteration is one working-set solve.  Convention: with stationarity
+    Q a + c + A' nu = 0, an active lower bound carries nu <= 0 and an
+    active upper bound nu >= 0; at a working-set optimum the row with
+    the worst wrong-signed multiplier is released.
     """
     n = qp.times.size
     m_base = qp.eq_matrix.shape[0]
+    apply_inverse = _inverse_hessian(qp.hessian, diagonal)
+    free_optimum = -apply_inverse(qp.gradient)
     lo_active = np.zeros(n, dtype=bool)
     hi_active = np.zeros(n, dtype=bool)
     # The endpoint knots are fixed by the boundary data (y_0 does not
@@ -276,17 +386,18 @@ def _solve_box_qp(qp: CondensedQP, a: np.ndarray):
     blockable[0] = blockable[n - 1] = False
 
     limit = max(_ACTIVE_SET_LIMIT, 4 * n)
-    for _ in range(limit):
+    for iteration in range(1, limit + 1):
         lo_idx = np.flatnonzero(lo_active)
         hi_idx = np.flatnonzero(hi_active)
         rows = np.concatenate([qp.eq_matrix, qp.y_map[lo_idx], qp.y_map[hi_idx]])
         # Solve for the working-set optimum itself, not for the step to
         # it: the straight-line start has large alternating accelerations,
         # and a step from it would carry their rounding into the optimum.
-        target, mult = _solve_equality_kkt(
-            qp.hessian,
+        target, mult = _solve_working_set(
+            qp,
+            apply_inverse,
+            free_optimum,
             rows,
-            -qp.gradient,
             np.concatenate([
                 qp.eq_rhs,
                 qp.lower - qp.y_offset[lo_idx],
@@ -335,7 +446,7 @@ def _solve_box_qp(qp: CondensedQP, a: np.ndarray):
         if hi_mult.size and float(np.max(-hi_mult)) > worst:
             release = hi_active, hi_idx[int(np.argmax(-hi_mult))]
         if release is None:
-            return a, mult, lo_idx, hi_idx
+            return a, mult, lo_idx, hi_idx, iteration
         working, knot = release
         working[knot] = False
 
@@ -394,7 +505,9 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     is attached to the returned trajectory.
     """
     qp = condense(problem)
-    a, mult, lo_idx, hi_idx = _solve_box_qp(qp, _feasible_start(problem))
+    a, mult, lo_idx, hi_idx, iterations = _solve_box_qp(
+        qp, _design(problem).start, diagonal=problem.mu == 0
+    )
     times = qp.times
     dt = problem.horizon / problem.segments
     v = _trapezoid_chain(problem.v0, a, dt)
@@ -425,6 +538,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
         ),
         mu=problem.mu,
         kkt_residual=residual,
+        active_set_iterations=iterations,
     )
 
 

@@ -15,6 +15,7 @@ lam is always the positive decay rate of the equivalent lag.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,19 +103,36 @@ def lag_response_matrix(times: np.ndarray, lam: float) -> np.ndarray:
     exp(-lam t_k) * integral_0^{t_k} v(tau) exp(+lam tau) dtau, written
     with the exponent exp(-lam (t_k - t_i)) so no large intermediate is
     formed.  Row 0 is zero (empty integration range).
+
+    The matrix depends on the grid and lam only, and the planner and
+    the estimator both need it at every point of a mu sweep, so it is
+    built once per (grid, lam) and shared: the result is read-only.
     """
     times = np.asarray(times, dtype=float)
     if lam <= 0:
         raise ValueError("lam must be a positive decay rate")
     dt = _uniform_spacing(times)
+    return _lag_matrix(times.tobytes(), float(lam), dt)
+
+
+@functools.lru_cache(maxsize=8)
+def _lag_matrix(grid: bytes, lam: float, dt: float) -> np.ndarray:
+    times = np.frombuffer(grid)
     n = times.size
-    gaps = times[:, None] - times[None, :]
-    decay = np.exp(-lam * np.where(gaps >= 0.0, gaps, 0.0))
-    L = np.tril(decay)
+    # In place: at a thousand knots each n x n temporary costs as much
+    # as the exponentials.  Clamping the gaps above the diagonal to 0
+    # keeps exp finite there before those entries are zeroed.
+    L = np.subtract.outer(times, times)
+    np.maximum(L, 0.0, out=L)
+    L *= -lam
+    np.exp(L, out=L)
+    for k in range(n - 1):
+        L[k, k + 1 :] = 0.0
     L[:, 0] *= 0.5
     L[np.arange(n), np.arange(n)] *= 0.5
     L *= dt
     L[0, :] = 0.0
+    L.flags.writeable = False
     return L
 
 

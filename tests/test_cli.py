@@ -444,9 +444,13 @@ class TestStiffnessCommand:
         assert (out / "spring_12p5_125.json").exists()
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is a test-only dependency; importing it costs a cold process
-    # about a third of a second.
+@pytest.mark.parametrize(
+    "module", ["scipy", "concurrent.futures.process", "multiprocessing"]
+)
+def test_cli_import_does_not_load(module):
+    # scipy is a test-only dependency, and the process pool is needed
+    # only by a sweep with more than one worker; each costs every cold
+    # process its import time.
     package_root = str(Path(plantrack.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -454,7 +458,7 @@ def test_cli_import_does_not_load_scipy():
     )
     code = (
         "import plantrack.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({module!r} + '.')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_reference
+from plantrack import collocation_planner, error_estimator
 from plantrack.cli import RunConfig
 from plantrack.collocation_planner import (
     KKT_TOLERANCE,
@@ -367,6 +368,206 @@ def test_condensed_solver_matches_the_full_space_kkt(template, lam):
     # The bounded toss really exercises the active set; the default climb
     # never touches the box.
     assert (pinned > 0) == (template is _BOUNDED_TEMPLATE)
+
+
+def test_active_set_iterations_follow_the_working_set_path():
+    # One working-set solve per default point (the box never blocks);
+    # the bounded toss takes 363 over its 62 points.  Any change to the
+    # solve that alters the working-set path moves these counts.
+    grid = RunConfig().mu_grid()
+    for lam in (10.0, 20.0, 30.0, 50.0):
+        for mu in grid:
+            problem = dataclasses.replace(_DEFAULT_TEMPLATE, mu=mu, dominant_lambda=lam)
+            assert solve(problem).active_set_iterations == 1
+    total = sum(
+        solve(
+            dataclasses.replace(_BOUNDED_TEMPLATE, mu=mu, dominant_lambda=lam)
+        ).active_set_iterations
+        for lam in (10.0, 20.0)
+        for mu in grid
+    )
+    assert total == 363
+
+
+def _clear_design_caches():
+    collocation_planner._cached_design.cache_clear()
+    error_estimator._lag_matrix.cache_clear()
+
+
+def _trajectory_bytes(traj):
+    """Every array of a trajectory as bytes, and every scalar as is."""
+    return (
+        traj.times.tobytes(),
+        traj.y.tobytes(),
+        traj.v.tobytes(),
+        traj.a.tobytes(),
+        traj.u.tobytes(),
+        traj.predicted_error.times.tobytes(),
+        traj.predicted_error.values.tobytes(),
+        traj.designed_cost,
+        traj.predicted_error_integral,
+        traj.mu,
+        traj.kkt_residual,
+        traj.active_set_iterations,
+    )
+
+
+def lag_matrix_from_scratch(times, lam):
+    n = times.size
+    dt = (times[-1] - times[0]) / (n - 1)
+    gaps = times[:, None] - times[None, :]
+    L = np.tril(np.exp(-lam * np.where(gaps >= 0.0, gaps, 0.0)))
+    L[:, 0] *= 0.5
+    L[np.arange(n), np.arange(n)] *= 0.5
+    L *= dt
+    L[0, :] = 0.0
+    return L
+
+
+def condense_from_scratch(problem):
+    """The condensed QP built from the formulas with no shared state.
+
+    The same operations in the same order as the planner, so the result
+    must match bit for bit.
+    """
+    n = problem.segments + 1
+    dt = problem.horizon / problem.segments
+    times = np.linspace(0.0, problem.horizon, n)
+    quad = trapezoid_weights(n) * dt
+    C = np.tri(n)
+    C *= dt
+    C[:, 0] *= 0.5
+    C[np.arange(n), np.arange(n)] *= 0.5
+    C[0, :] = 0.0
+    y_map = np.zeros((n, n))
+    np.add(C[1:], C[:-1], out=y_map[1:])
+    y_map *= 0.5 * dt
+    np.cumsum(y_map, axis=0, out=y_map)
+    hessian = np.diag(2.0 * quad)
+    gradient = np.zeros(n)
+    constant = 0.0
+    if problem.mu > 0:
+        L = lag_matrix_from_scratch(times, problem.dominant_lambda)
+        LC = L @ C
+        e_free = problem.v0 * L.sum(axis=1)
+        weighted = LC.T * quad
+        hessian += 2.0 * problem.mu * (weighted @ LC)
+        gradient = 2.0 * problem.mu * (weighted @ e_free)
+        constant = problem.mu * float(np.dot(quad, e_free**2))
+    y_offset = problem.y0 + problem.v0 * times
+    rows = [y_map[n - 1]]
+    rhs = [problem.yf - y_offset[n - 1]]
+    if problem.enforce_initial_accel_zero:
+        rows.append(np.eye(1, n)[0])
+        rhs.append(0.0)
+    return dict(
+        times=times,
+        hessian=hessian,
+        gradient=gradient,
+        constant=constant,
+        eq_matrix=np.array(rows),
+        eq_rhs=np.array(rhs),
+        y_map=y_map,
+        y_offset=y_offset,
+        lower=problem.y_bounds[0],
+        upper=problem.y_bounds[1],
+    )
+
+
+class TestDesignCache:
+    """The mu-independent design is shared across points, never changed."""
+
+    PROBLEMS = [
+        dataclasses.replace(template, mu=mu, dominant_lambda=lam)
+        for template in (
+            _DEFAULT_TEMPLATE,
+            _BOUNDED_TEMPLATE,
+            PlanProblem(v0=2.0, enforce_initial_accel_zero=True),
+        )
+        for lam in (10.0, 20.0)
+        for mu in (0.0, 1.0, 1e3, 1e6)
+    ]
+
+    def test_cold_warm_and_interleaved_solves_are_byte_equal(self):
+        _clear_design_caches()
+        cold = []
+        for problem in self.PROBLEMS:
+            _clear_design_caches()
+            cold.append(_trajectory_bytes(solve(problem)))
+        # Warm: each problem's design was built by its predecessor with
+        # the same template and lambda.
+        _clear_design_caches()
+        warm = [_trajectory_bytes(solve(problem)) for problem in self.PROBLEMS]
+        # Interleaved point by point across pairs, as a latency probe
+        # orders them; more designs than the cache holds.
+        _clear_design_caches()
+        order = sorted(
+            range(len(self.PROBLEMS)), key=lambda i: (self.PROBLEMS[i].mu, i)
+        )
+        interleaved = {i: _trajectory_bytes(solve(self.PROBLEMS[i])) for i in order}
+        assert warm == cold
+        assert [interleaved[i] for i in range(len(self.PROBLEMS))] == cold
+
+    def test_cached_arrays_reject_writes(self):
+        problem = PlanProblem(mu=100.0, enforce_initial_accel_zero=True)
+        qp = condense(problem)
+        traj = solve(problem)
+        design = collocation_planner._design(problem)
+        shared = [
+            qp.times,
+            qp.eq_matrix,
+            qp.eq_rhs,
+            qp.y_map,
+            qp.y_offset,
+            traj.times,
+            design.quad,
+            design.start,
+            *design.weighted[:2],
+            lag_response_matrix(qp.times, problem.dominant_lambda),
+        ]
+        for array in shared:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        # The per-point parts stay the caller's own.
+        qp.hessian[0, 0] = qp.gradient[0] = 1.0
+
+    def test_lag_matrix_is_built_once_per_grid_and_lambda(self):
+        times = np.linspace(0.0, 1.0, 61)
+        L = lag_response_matrix(times, 20.0)
+        assert L.tobytes() == lag_matrix_from_scratch(times, 20.0).tobytes()
+        assert lag_response_matrix(times.copy(), 20.0) is L
+        assert lag_response_matrix(times, 30.0) is not L
+        with pytest.raises(ValueError):
+            lag_response_matrix(np.stack([times, times]), 20.0)
+
+    @staticmethod
+    def assert_condense_is_the_formula(problem):
+        qp = condense(problem)
+        for name, value in condense_from_scratch(problem).items():
+            assert np.asarray(getattr(qp, name)).tobytes() == np.asarray(value).tobytes(), name
+
+    @pytest.mark.parametrize("problem", PROBLEMS[::3])
+    def test_condense_equals_the_formula_bit_for_bit(self, problem):
+        _clear_design_caches()
+        self.assert_condense_is_the_formula(problem)  # cold
+        self.assert_condense_is_the_formula(problem)  # from the cache
+
+    def test_signed_zero_boundary_data_gets_its_own_design(self):
+        # -0.0 == 0.0 as a dict key; the design must still carry the
+        # problem's own bits.
+        for sign in (1.0, -1.0, 1.0):
+            zero = sign * 0.0
+            self.assert_condense_is_the_formula(
+                PlanProblem(y0=zero, v0=zero, y_bounds=(zero, 5.0))
+            )
+
+    def test_cache_stays_within_its_size_after_a_large_solve(self):
+        for segments in (1500, 40, 41, 42, 43, 44, 45, 46, 47, 48):
+            solve(PlanProblem(segments=segments, mu=1.0))
+        for cache in (collocation_planner._cached_design, error_estimator._lag_matrix):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+        _clear_design_caches()  # release the large design for later tests
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
