@@ -25,8 +25,8 @@ from .frontier import (
     spring_fit,
     sweep,
 )
-from .lqr import ControllerSpec, EigenvaluePair, control_law, design_controller, dominant_eigenvalue
-from .model import ModelParams, PlanarState, RotorThrusts, linear_altitude_derivative, nonlinear_derivative
+from .lqr import ControllerSpec, EigenvaluePair, control_law, design_controller
+from .model import ModelParams, nonlinear_derivative
 from .tracking_sim import (
     SimConfig,
     TrackingResult,
@@ -45,10 +45,8 @@ __all__ = [
     "InfeasibleProblemError",
     "ModelParams",
     "PlanProblem",
-    "PlanarState",
     "PlannedTrajectory",
     "PlannerNumericalError",
-    "RotorThrusts",
     "SimConfig",
     "SpringFit",
     "TrackingResult",
@@ -56,13 +54,11 @@ __all__ = [
     "best_compromise",
     "control_law",
     "design_controller",
-    "dominant_eigenvalue",
     "error_discrete_limit_form",
     "error_integral_form",
     "error_sum_discretization",
     "frontier_gap",
     "lag_response_matrix",
-    "linear_altitude_derivative",
     "nonlinear_derivative",
     "reference_lookup",
     "select_step",

@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import collocation_planner as planner
@@ -304,17 +304,8 @@ def _parse_pair_flag(raw: str, config: RunConfig, parser) -> EigenvaluePair:
 
 def cmd_plan(config: RunConfig, out_dir: Path, mu: float, pair: EigenvaluePair) -> int:
     controller = design_controller(pair, config.params)
-    problem = planner.PlanProblem(
-        horizon=config.horizon,
-        segments=config.segments,
-        y0=config.y0,
-        v0=config.v0,
-        yf=config.yf,
-        y_bounds=(config.y_min, config.y_max),
-        mu=mu,
-        dominant_lambda=controller.dominant_lambda,
-        params=config.params,
-        enforce_initial_accel_zero=config.enforce_initial_accel_zero,
+    problem = replace(
+        config.problem_template(), mu=mu, dominant_lambda=controller.dominant_lambda
     )
     traj = planner.solve(problem)
     out_dir.mkdir(parents=True, exist_ok=True)

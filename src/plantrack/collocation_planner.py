@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._artifact_csv import read_rows, write_rows
 from .error_estimator import (
     ErrorSeries,
     VelocityProfile,
@@ -554,10 +555,7 @@ def write_trajectory_csv(traj: PlannedTrajectory, path) -> None:
     columns = np.column_stack(
         [traj.times, traj.y, traj.v, traj.a, traj.u, traj.predicted_error.values]
     )
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for row in columns:
-            handle.write(",".join(f"{value:.17g}" for value in row) + "\n")
+    write_rows(path, TRAJECTORY_COLUMNS, columns)
 
 
 def read_trajectory_csv(path) -> PlannedTrajectory:
@@ -567,24 +565,7 @@ def read_trajectory_csv(path) -> PlannedTrajectory:
     back as None; cost and error integrals are recomputed from the
     columns.
     """
-    with open(path, newline="") as handle:
-        header = handle.readline().strip()
-        names = tuple(part.strip() for part in header.split(","))
-        if names != TRAJECTORY_COLUMNS:
-            for position, expected in enumerate(TRAJECTORY_COLUMNS):
-                found = names[position] if position < len(names) else "nothing"
-                if found != expected:
-                    raise TrajectorySchemaError(
-                        f"column {position}: expected {expected!r}, found {found!r}"
-                    )
-            raise TrajectorySchemaError(
-                f"unexpected extra columns {names[len(TRAJECTORY_COLUMNS):]!r}"
-            )
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    if data.shape[1] != len(TRAJECTORY_COLUMNS):
-        raise TrajectorySchemaError(
-            f"expected {len(TRAJECTORY_COLUMNS)} columns, found {data.shape[1]}"
-        )
+    data = read_rows(path, TRAJECTORY_COLUMNS, TrajectorySchemaError)
     times, y, v, a, u, e_pred = data.T
     return PlannedTrajectory(
         times=times,

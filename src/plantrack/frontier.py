@@ -16,17 +16,26 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._artifact_csv import read_rows, write_rows
 from .collocation_planner import PlanProblem, solve
 from .lqr import ControllerSpec
 from .tracking_sim import SimConfig, select_step, simulate
 
 
 class SweepError(RuntimeError):
-    """A planner or simulator failure inside a sweep; carries mu."""
+    """A planner or simulator failure inside a sweep; carries mu.
 
-    def __init__(self, mu: float, cause: Exception):
+    It pickles as (mu, the cause's message), so a failure inside a pool
+    worker reaches the parent whether or not the cause itself pickles.
+    """
+
+    def __init__(self, mu: float, cause: Exception | str):
         super().__init__(f"sweep failed at mu = {mu:g}: {cause}")
         self.mu = mu
+        self.reason = str(cause)
+
+    def __reduce__(self):
+        return type(self), (self.mu, self.reason)
 
 
 @dataclass(frozen=True)
@@ -208,38 +217,21 @@ class FrontierSchemaError(ValueError):
 
 
 def write_frontier_csv(frontier: Frontier, path) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(FRONTIER_COLUMNS) + "\n")
-        for p in frontier.points:
-            row = (
-                p.mu,
-                p.designed_cost,
-                p.predicted_error_integral,
-                p.actual_cost,
-                p.actual_error_integral,
-            )
-            handle.write(",".join(f"{value:.17g}" for value in row) + "\n")
+    rows = (
+        (
+            p.mu,
+            p.designed_cost,
+            p.predicted_error_integral,
+            p.actual_cost,
+            p.actual_error_integral,
+        )
+        for p in frontier.points
+    )
+    write_rows(path, FRONTIER_COLUMNS, rows)
 
 
 def read_frontier_points(path) -> list[FrontierPoint]:
-    with open(path, newline="") as handle:
-        header = handle.readline().strip()
-        names = tuple(part.strip() for part in header.split(","))
-        if names != FRONTIER_COLUMNS:
-            for position, expected in enumerate(FRONTIER_COLUMNS):
-                found = names[position] if position < len(names) else "nothing"
-                if found != expected:
-                    raise FrontierSchemaError(
-                        f"column {position}: expected {expected!r}, found {found!r}"
-                    )
-            raise FrontierSchemaError(
-                f"unexpected extra columns {names[len(FRONTIER_COLUMNS):]!r}"
-            )
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    if data.shape[1] != len(FRONTIER_COLUMNS):
-        raise FrontierSchemaError(
-            f"expected {len(FRONTIER_COLUMNS)} columns, found {data.shape[1]}"
-        )
+    data = read_rows(path, FRONTIER_COLUMNS, FrontierSchemaError)
     return [
         FrontierPoint(
             mu=float(row[0]),

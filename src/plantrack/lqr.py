@@ -1,9 +1,10 @@
 """Altitude LQR synthesis by pole placement on the double integrator.
 
 The altitude loop is y_ddot = (u1 + u2)/M - g with full state feedback
-u1 + u2 = -k1 y - k2 y_dot + N1 r + N2 * 0 + M g.  Prescribing the two
-closed-loop eigenvalues fixes (k1, k2); N1 = k1 gives zero steady-state
-error, and N2 multiplies a zero so it is set to 0.
+on the reference position only (no feed-forward):
+u1 + u2 = -k1 y - k2 y_dot + N1 r + M g.  Prescribing the two
+closed-loop eigenvalues fixes (k1, k2), and N1 = k1 gives zero
+steady-state error.
 """
 
 from __future__ import annotations
@@ -42,32 +43,29 @@ class EigenvaluePair:
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Gains and offsets of one altitude controller.
-
-    dominant_lambda is the magnitude of the slow pole; the error
-    estimator approximates the second-order loop by a first-order lag
-    with this decay rate.
-    """
+    """Gains of one altitude controller."""
 
     pair: EigenvaluePair
     k1: float
     k2: float
-    n1: float
-    n2: float
-    dominant_lambda: float
 
     def __post_init__(self):
-        if self.k1 != self.n1:
-            raise ValueError("zero steady-state condition requires n1 == k1")
         if not (self.k1 > 0 and self.k2 > 0):
             raise ValueError("gains must be strictly positive for a stable pair")
-        if self.dominant_lambda != abs(self.pair.lambda_slow):
-            raise ValueError("dominant_lambda must equal |lambda_slow|")
 
+    @property
+    def n1(self) -> float:
+        """Reference gain; n1 = k1 is the zero steady-state condition."""
+        return self.k1
 
-def dominant_eigenvalue(pair: EigenvaluePair) -> float:
-    """Magnitude of the slower pole, stored as a positive decay rate."""
-    return abs(pair.lambda_slow)
+    @property
+    def dominant_lambda(self) -> float:
+        """Magnitude of the slow pole, a positive decay rate.
+
+        The error estimator approximates the second-order loop by a
+        first-order lag with this rate.
+        """
+        return abs(self.pair.lambda_slow)
 
 
 def design_controller(pair: EigenvaluePair, params: ModelParams) -> ControllerSpec:
@@ -82,28 +80,13 @@ def design_controller(pair: EigenvaluePair, params: ModelParams) -> ControllerSp
     l1, l2 = pair.lambda_slow, pair.lambda_fast
     k1 = params.mass * l1 * l2
     k2 = -params.mass * (l1 + l2)
-    return ControllerSpec(
-        pair=pair,
-        k1=k1,
-        k2=k2,
-        n1=k1,
-        n2=0.0,
-        dominant_lambda=dominant_eigenvalue(pair),
-    )
+    return ControllerSpec(pair=pair, k1=k1, k2=k2)
 
 
-def control_law(
-    spec: ControllerSpec, y: float, y_dot: float, reference: float, params: ModelParams
-) -> float:
-    """Total thrust command for the altitude loop.
+def control_law(spec: ControllerSpec, y, y_dot, reference, params: ModelParams):
+    """Total thrust command for the altitude loop; the trim cancels gravity.
 
-    The reference vector's second entry is identically zero, so n2
-    contributes nothing; the M g term trims out gravity.
+    The arguments may be floats or numpy arrays of one shape; an array
+    gives, element by element, the bits the float call gives.
     """
-    return (
-        -spec.k1 * y
-        - spec.k2 * y_dot
-        + spec.n1 * reference
-        + spec.n2 * 0.0
-        + params.mass * params.gravity
-    )
+    return -spec.k1 * y - spec.k2 * y_dot + spec.n1 * reference + params.hover_thrust

@@ -29,79 +29,19 @@ class ModelParams:
         return self.mass * self.gravity
 
 
-@dataclass(frozen=True)
-class PlanarState:
-    """Position (x, y), pitch q, and their rates."""
-
-    x: float
-    y: float
-    q: float
-    x_dot: float
-    y_dot: float
-    q_dot: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "q", "x_dot", "y_dot", "q_dot"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite state component {name!r}")
-
-
-@dataclass(frozen=True)
-class RotorThrusts:
-    u1: float
-    u2: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.u1) and math.isfinite(self.u2)):
-            raise ValueError("non-finite rotor thrust")
-
-    @property
-    def total(self) -> float:
-        return self.u1 + self.u2
-
-    @property
-    def differential(self) -> float:
-        return self.u2 - self.u1
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Velocities passed through plus body accelerations."""
-
-    x_dot: float
-    y_dot: float
-    q_dot: float
-    x_ddot: float
-    y_ddot: float
-    q_ddot: float
-
-
-def nonlinear_derivative(
-    state: PlanarState, thrusts: RotorThrusts, params: ModelParams
-) -> StateDerivative:
-    """Rigid-body accelerations of the planar quadrotor.
+def nonlinear_derivative(q, u1, u2, params: ModelParams):
+    """Rigid-body accelerations (x_ddot, y_ddot, q_ddot) of the planar quadrotor.
 
     x_ddot = -(1/M) sin(q) (u1 + u2)
     y_ddot =  (1/M) cos(q) (u1 + u2) - g
     q_ddot =  (1/(M d)) (u2 - u1)
+
+    q is a float; the thrusts may be floats or numpy arrays, and an
+    array gives, element by element, the bits the float call gives.
     """
-    total = thrusts.total
-    sin_q = math.sin(state.q)
-    cos_q = math.cos(state.q)
-    return StateDerivative(
-        x_dot=state.x_dot,
-        y_dot=state.y_dot,
-        q_dot=state.q_dot,
-        x_ddot=-sin_q * total / params.mass,
-        y_ddot=cos_q * total / params.mass - params.gravity,
-        q_ddot=thrusts.differential / (params.mass * params.arm_length),
+    total = u1 + u2
+    return (
+        -math.sin(q) * total / params.mass,
+        math.cos(q) * total / params.mass - params.gravity,
+        (u2 - u1) / (params.mass * params.arm_length),
     )
-
-
-def linear_altitude_derivative(
-    y: float, y_dot: float, total_thrust: float, params: ModelParams
-) -> tuple[float, float]:
-    """Altitude channel linearized at zero pitch: y_ddot = u/M - g."""
-    if not (math.isfinite(y) and math.isfinite(y_dot) and math.isfinite(total_thrust)):
-        raise ValueError("non-finite altitude input")
-    return y_dot, total_thrust / params.mass - params.gravity

@@ -1,8 +1,9 @@
 """Closed-loop tracking of a planned trajectory on the nonlinear quadrotor.
 
-The altitude loop applies the LQR law to the interpolated reference
-position only (no feed-forward).  The lateral and attitude loops are
-PD laws with zero references.  Integration is fixed-step RK4, with the
+The vehicle is ``model.nonlinear_derivative`` and the altitude loop is
+``lqr.control_law`` on the interpolated reference position only (no
+feed-forward); this module adds the lateral and attitude loops, PD laws
+with zero references.  Integration is fixed-step RK4, with the
 controller evaluated at every stage; the reference at the three stage
 times of every step (t, t + h/2, t + h) comes from one vectorised cubic
 Hermite lookup before the loop starts.
@@ -13,9 +14,12 @@ q_dot = 0 and the lateral reference is zero; nothing in ``SimConfig``
 can change either.  Every lateral and attitude derivative is then an
 IEEE zero, the rotor pair splits the thrust evenly (u1 = u2 =
 thrust / 2, u1 + u2 == thrust), and y_ddot = thrust / M - g in the same
-order of operations as the full model.  The two-state RK4 therefore
-produces the same bits as the six-state one, and the dormant channels
-are rebuilt from the thrust history after the loop.
+order of operations as the full model.  Its RK4 loop writes that
+altitude law out inline, the one copy of the physics outside ``model``
+and ``lqr``; the thrust and the accelerations it reports are rebuilt
+from the state history by ``control_law`` and ``nonlinear_derivative``
+after the loop.  The two-state RK4 produces the same bits as the
+six-state one.
 
 ``simulate_planar`` integrates all six rigid-body states and is the
 reference the altitude path is tested against (bit for bit), and the
@@ -34,10 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._artifact_csv import write_rows
 from .collocation_planner import PlannedTrajectory
 from .error_estimator import trapezoid_quadrature
-from .lqr import ControllerSpec
-from .model import ModelParams
+from .lqr import ControllerSpec, control_law
+from .model import ModelParams, nonlinear_derivative
 
 # PD gains of the dormant loops: lateral position and attitude.
 _POSITION_GAIN_D = 10.0
@@ -52,6 +57,11 @@ class SimulationDivergedError(RuntimeError):
     def __init__(self, time: float):
         super().__init__(f"simulation diverged at t = {time:.6f} s")
         self.time = time
+
+    def __reduce__(self):
+        # A failure inside a pool worker crosses to the parent by pickle,
+        # which would otherwise call __init__ with the message.
+        return type(self), (self.time,)
 
 
 def select_step(
@@ -179,12 +189,11 @@ def simulate(config: SimConfig) -> TrackingResult:
     spec = config.controller
     params = config.params
     mass = params.mass
-    arm = params.arm_length
     grav = params.gravity
     neg_k1 = -spec.k1
     k2 = spec.k2
     n1 = spec.n1
-    trim = mass * grav
+    trim = params.hover_thrust
     step = config.step
     half = 0.5 * step
     sixth = step / 6.0
@@ -218,14 +227,11 @@ def simulate(config: SimConfig) -> TrackingResult:
     if diverged.size:
         raise SimulationDivergedError(float(times[diverged[0]]))
 
-    thrust = neg_k1 * y - k2 * y_dot + drive[0] + trim
+    y_ref = references[0]
+    thrust = control_law(spec, y, y_dot, y_ref, params)
     u1 = 0.5 * thrust
     u2 = 0.5 * thrust
-    # -sin(0) * thrust / M: a negative zero wherever thrust > 0.
-    x_ddot = -0.0 * thrust / mass
-    y_ddot = thrust / mass - grav
-    q_ddot = (u2 - u1) / (mass * arm)
-    y_ref = references[0]
+    x_ddot, y_ddot, q_ddot = nonlinear_derivative(0.0, u1, u2, params)
     error = y_ref - y
     cost, error_integral = _score(times, x_ddot, y_ddot, q_ddot, error)
     return TrackingResult(
@@ -262,36 +268,16 @@ def simulate_planar(config: SimConfig) -> TrackingResult:
     params = config.params
     mass = params.mass
     arm = params.arm_length
-    grav = params.gravity
-    k1 = spec.k1
-    k2 = spec.k2
-    n1 = spec.n1
-    trim = mass * grav
-    sin = math.sin
-    cos = math.cos
 
     def stage(y_ref, x, y, q, xd, yd, qd):
-        thrust = -k1 * y - k2 * yd + n1 * y_ref + trim
+        thrust = control_law(spec, y, yd, y_ref, params)
         xdd_cmd = -_POSITION_GAIN_D * xd - _POSITION_GAIN_P * x
         q_cmd = -mass * xdd_cmd / thrust if thrust != 0.0 else 0.0
         qdd_cmd = -_ATTITUDE_GAIN_D * qd + _ATTITUDE_GAIN_P * (q_cmd - q)
         diff = mass * arm * qdd_cmd
         u1 = 0.5 * (thrust - diff)
         u2 = 0.5 * (thrust + diff)
-        total = u1 + u2
-        sin_q = sin(q)
-        cos_q = cos(q)
-        return (
-            xd,
-            yd,
-            qd,
-            -sin_q * total / mass,
-            cos_q * total / mass - grav,
-            (u2 - u1) / (mass * arm),
-            u1,
-            u2,
-            y_ref,
-        )
+        return (xd, yd, qd, *nonlinear_derivative(q, u1, u2, params), u1, u2, y_ref)
 
     step = config.step
     half = 0.5 * step
@@ -377,7 +363,4 @@ def write_tracking_csv(result: TrackingResult, path) -> None:
             result.error,
         ]
     )
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(TRACKING_COLUMNS) + "\n")
-        for row in columns:
-            handle.write(",".join(f"{value:.17g}" for value in row) + "\n")
+    write_rows(path, TRACKING_COLUMNS, columns)

@@ -382,6 +382,29 @@ class TestSweepCommand:
         assert manifest["files"] == {}
         assert not (out / "frontier_20_200.csv").exists()
 
+    def test_worker_failure_reports_like_a_serial_one(self, tmp_path, capsys):
+        # A step longer than the knot spacing fails every point inside
+        # the process that plans and flies it.
+        config = write_config(
+            tmp_path,
+            "[controllers]\npairs = -50,-500\n[sim]\nmax_step = 1.0\npole_fraction = 10\n",
+        )
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            code = main(
+                ["sweep", "--config", config, "--out", str(out), "--workers", workers]
+            )
+            runs.append(
+                (code, capsys.readouterr().err, (out / "manifest.json").read_bytes())
+            )
+        assert runs[1] == runs[0]
+        assert runs[0][:2] == (
+            1,
+            "sweep 50_500: sweep failed at mu = 0: "
+            "step must not exceed the knot spacing\n",
+        )
+
 
 class TestStiffnessCommand:
     def test_matches_the_sweep_record(self, sweep_artifacts, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -144,6 +145,18 @@ class TestSweep:
             sweep(controller, [0.0, 1.0], bad_template)
         assert err.value.mu == 0.0
         assert "mu = 0" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "error",
+        [SweepError(2.5, SimulationDivergedError(0.125)), SimulationDivergedError(0.125)],
+        ids=["sweep", "diverged"],
+    )
+    def test_failure_survives_pickling(self, error):
+        # A failure raised inside a pool worker reaches the parent by pickle.
+        again = pickle.loads(pickle.dumps(error))
+        assert type(again) is type(error)
+        assert str(again) == str(error)
+        assert vars(again) == vars(error)
 
     def test_unscorable_flight_is_a_sweep_error(self, controller, monkeypatch):
         # A plan whose flight overflows the squared scores (the planner's

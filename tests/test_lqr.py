@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,7 +9,6 @@ from plantrack.lqr import (
     EigenvaluePair,
     control_law,
     design_controller,
-    dominant_eigenvalue,
 )
 
 
@@ -39,7 +40,6 @@ def test_gains_for_reference_pairs(params):
     assert spec.k1 == pytest.approx(540.0, rel=1e-12)
     assert spec.k2 == pytest.approx(59.4, rel=1e-12)
     assert spec.n1 == spec.k1
-    assert spec.n2 == 0.0
     assert spec.dominant_lambda == 10.0
 
     spec = design_controller(
@@ -69,16 +69,21 @@ def test_repeated_pair_rejected(params):
         design_controller(EigenvaluePair(lambda_fast=-1.0, lambda_slow=-1.0), params)
 
 
-def test_dominant_eigenvalue_is_slow_pole_magnitude(paper_pairs):
-    assert [dominant_eigenvalue(p) for p in paper_pairs] == [10.0, 20.0, 30.0, 50.0]
+def test_dominant_lambda_is_slow_pole_magnitude(params, paper_pairs):
+    specs = [design_controller(p, params) for p in paper_pairs]
+    assert [s.dominant_lambda for s in specs] == [10.0, 20.0, 30.0, 50.0]
 
 
-def test_controller_spec_invariants_enforced(params):
+def test_controller_spec_holds_the_gains_only(params):
     pair = EigenvaluePair(lambda_slow=-10.0, lambda_fast=-100.0)
-    with pytest.raises(ValueError):
-        ControllerSpec(pair=pair, k1=540.0, k2=59.4, n1=0.0, n2=0.0, dominant_lambda=10.0)
-    with pytest.raises(ValueError):
-        ControllerSpec(pair=pair, k1=540.0, k2=59.4, n1=540.0, n2=0.0, dominant_lambda=100.0)
+    spec = ControllerSpec(pair=pair, k1=540.0, k2=59.4)
+    assert (spec.n1, spec.dominant_lambda) == (540.0, 10.0)
+    assert [f.name for f in dataclasses.fields(spec)] == ["pair", "k1", "k2"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.n1 = 0.0
+    for k1, k2 in ((0.0, 59.4), (540.0, -1.0)):
+        with pytest.raises(ValueError):
+            ControllerSpec(pair=pair, k1=k1, k2=k2)
 
 
 def test_control_law_values(params):
@@ -108,6 +113,19 @@ def test_control_law_is_affine(params):
             control_law(spec, *s1, params) + control_law(spec, *s2, params) - base
         )
         assert combined == pytest.approx(sum_of_parts, rel=1e-9, abs=1e-9)
+
+
+def test_control_law_arrays_give_the_float_bits(params, paper_pairs):
+    # simulate rebuilds a whole flight's thrust in one call.
+    rng = np.random.default_rng(6)
+    y, y_dot, reference = rng.uniform(-6.0, 6.0, (3, 40))
+    y[:2] = y_dot[:2] = reference[:2] = (0.0, -0.0)
+    for pair in paper_pairs:
+        spec = design_controller(pair, params)
+        thrust = control_law(spec, y, y_dot, reference, params)
+        for k in range(y.size):
+            value = control_law(spec, float(y[k]), float(y_dot[k]), float(reference[k]), params)
+            assert thrust[k].tobytes() == np.float64(value).tobytes()
 
 
 def test_zero_steady_state_for_stable_pairs(params, paper_pairs):

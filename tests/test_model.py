@@ -1,19 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from plantrack.model import (
-    ModelParams,
-    PlanarState,
-    RotorThrusts,
-    linear_altitude_derivative,
-    nonlinear_derivative,
-)
-
-
-def state_at(q=0.0, x_dot=0.0, y_dot=0.0, q_dot=0.0):
-    return PlanarState(x=0.0, y=0.0, q=q, x_dot=x_dot, y_dot=y_dot, q_dot=q_dot)
+from plantrack.model import ModelParams, nonlinear_derivative
 
 
 def test_default_params_match_reference_vehicle(params):
@@ -33,74 +21,42 @@ def test_params_must_be_positive(field, bad):
 
 def test_hover_trim_gives_zero_accelerations(params):
     half = params.hover_thrust / 2.0
-    d = nonlinear_derivative(state_at(), RotorThrusts(half, half), params)
-    assert d.x_ddot == 0.0
-    assert d.y_ddot == pytest.approx(0.0, abs=1e-15)
-    assert d.q_ddot == 0.0
+    x_ddot, y_ddot, q_ddot = nonlinear_derivative(0.0, half, half, params)
+    assert x_ddot == 0.0
+    assert y_ddot == pytest.approx(0.0, abs=1e-15)
+    assert q_ddot == 0.0
     assert half == pytest.approx(2.6487, abs=1e-4)
 
 
 def test_free_fall(params):
-    d = nonlinear_derivative(state_at(), RotorThrusts(0.0, 0.0), params)
-    assert d.y_ddot == -9.81
-    assert d.x_ddot == 0.0
-    assert d.q_ddot == 0.0
+    assert nonlinear_derivative(0.0, 0.0, 0.0, params) == (0.0, -9.81, 0.0)
 
 
 def test_single_rotor_torque(params):
-    d = nonlinear_derivative(state_at(), RotorThrusts(0.0, 1.0), params)
+    _, _, q_ddot = nonlinear_derivative(0.0, 0.0, 1.0, params)
     expected = 1.0 / (0.54 * 0.12164)
-    assert d.q_ddot == pytest.approx(expected, rel=1e-12)
+    assert q_ddot == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(15.224, abs=1e-3)
 
 
-def test_velocities_pass_through(params):
-    d = nonlinear_derivative(
-        state_at(x_dot=1.5, y_dot=-2.0, q_dot=0.25),
-        RotorThrusts(1.0, 2.0),
-        params,
-    )
-    assert (d.x_dot, d.y_dot, d.q_dot) == (1.5, -2.0, 0.25)
-
-
-def test_nonfinite_inputs_rejected():
-    with pytest.raises(ValueError):
-        PlanarState(x=math.nan, y=0, q=0, x_dot=0, y_dot=0, q_dot=0)
-    with pytest.raises(ValueError):
-        PlanarState(x=0, y=math.inf, q=0, x_dot=0, y_dot=0, q_dot=0)
-    with pytest.raises(ValueError):
-        RotorThrusts(math.nan, 1.0)
-
-
-def test_linear_altitude_channel(params):
-    assert linear_altitude_derivative(0.0, 0.0, params.hover_thrust, params) == (
-        0.0,
-        pytest.approx(0.0, abs=1e-15),
-    )
-    _, acc = linear_altitude_derivative(1.0, 2.0, 0.0, params)
-    assert acc == -9.81
-    _, acc = linear_altitude_derivative(0.0, 0.0, 2 * params.hover_thrust, params)
-    assert acc == pytest.approx(9.81, abs=1e-12)
-    with pytest.raises(ValueError):
-        linear_altitude_derivative(math.nan, 0.0, 1.0, params)
-
-
 def test_linearization_exact_at_zero_pitch(params):
+    # y_ddot = (u1 + u2)/M - g, the channel the planner and the altitude
+    # loop rely on.
     rng = np.random.default_rng(7)
     for _ in range(25):
         u1, u2 = rng.uniform(0.0, 10.0, 2)
-        d = nonlinear_derivative(state_at(), RotorThrusts(u1, u2), params)
-        _, linear = linear_altitude_derivative(0.0, 0.0, u1 + u2, params)
-        assert d.y_ddot == pytest.approx(linear, abs=1e-15)
+        _, y_ddot, _ = nonlinear_derivative(0.0, u1, u2, params)
+        assert y_ddot == pytest.approx((u1 + u2) / params.mass - 9.81, abs=1e-15)
+    _, y_ddot, _ = nonlinear_derivative(0.0, params.hover_thrust, params.hover_thrust, params)
+    assert y_ddot == pytest.approx(9.81, abs=1e-12)
 
 
 def test_altitude_insensitive_to_pitch_at_trim(params):
     # centered difference of y_ddot w.r.t. q at q = 0 for equal thrusts
     half = params.hover_thrust / 2.0
-    thrusts = RotorThrusts(half, half)
     eps = 1e-5
-    plus = nonlinear_derivative(state_at(q=eps), thrusts, params).y_ddot
-    minus = nonlinear_derivative(state_at(q=-eps), thrusts, params).y_ddot
+    _, plus, _ = nonlinear_derivative(eps, half, half, params)
+    _, minus, _ = nonlinear_derivative(-eps, half, half, params)
     assert abs((plus - minus) / (2 * eps)) < 1e-6
 
 
@@ -109,8 +65,20 @@ def test_thrust_swap_negates_torque_only(params):
     for _ in range(25):
         q = rng.uniform(-1.0, 1.0)
         u1, u2 = rng.uniform(0.0, 8.0, 2)
-        d = nonlinear_derivative(state_at(q=q), RotorThrusts(u1, u2), params)
-        swapped = nonlinear_derivative(state_at(q=q), RotorThrusts(u2, u1), params)
-        assert swapped.q_ddot == pytest.approx(-d.q_ddot, rel=1e-12, abs=1e-15)
-        assert swapped.x_ddot == d.x_ddot
-        assert swapped.y_ddot == d.y_ddot
+        x_ddot, y_ddot, q_ddot = nonlinear_derivative(q, u1, u2, params)
+        swapped = nonlinear_derivative(q, u2, u1, params)
+        assert swapped[2] == pytest.approx(-q_ddot, rel=1e-12, abs=1e-15)
+        assert swapped[:2] == (x_ddot, y_ddot)
+
+
+@pytest.mark.parametrize("q", [0.0, -0.0, 0.3, -1.2])
+def test_thrust_arrays_give_the_float_bits(params, q):
+    # simulate rebuilds a whole flight's accelerations in one call.
+    rng = np.random.default_rng(13)
+    u1 = np.concatenate([rng.uniform(-10.0, 10.0, 40), [0.0, -0.0, 2.6487]])
+    u2 = np.concatenate([rng.uniform(-10.0, 10.0, 40), [-0.0, 0.0, 2.6487]])
+    arrays = nonlinear_derivative(q, u1, u2, params)
+    for k in range(u1.size):
+        floats = nonlinear_derivative(q, float(u1[k]), float(u2[k]), params)
+        for array, value in zip(arrays, floats):
+            assert array[k].tobytes() == np.float64(value).tobytes()
