@@ -25,27 +25,28 @@ e = L v = v0 L 1 + (L C) a, so Q = diag(2 w) + 2 mu (LC)' W (LC) with
 the trapezoid weights w, and Q is positive definite.
 
 Only mu scales the error term, so a mu sweep shares everything else:
-the grid, Y, the equality rows, the feasible start and the error block
-(LC)' W (LC) with its linear and constant terms.  That design is built
-once per (grid, boundary data, box, lambda) and kept, read-only, in a
-small per-process cache; a point only scales the error block by mu.
-The lag matrix L is likewise built once per (grid, lambda) and shared
-with the error estimate.
+the grid, Y, the equality rows and the error block (LC)' W (LC) with
+its linear and constant terms.  That design is built once per (grid,
+boundary data, box, lambda) and kept, read-only, in a small
+per-process cache; a point only scales the error block by mu.  The lag
+matrix L is likewise built once per (grid, lambda) and shared with the
+error estimate.
 
-A primal active-set loop handles the box rows: starting from a point
-that satisfies the equality rows and the box, it steps toward the
-working-set optimum, stopping at the first blocking bound, and at a
-working-set optimum releases the single row whose multiplier has the
-worst wrong sign.  Q is positive definite and the working sets are
-small, so every working set is solved in the range space (Nocedal and
-Wright, Numerical Optimization, 2nd ed., 16.2 and 16.5): Q^-1 is formed
-once per point (the reciprocal diagonal when mu = 0), and the KKT system
-of the equality rows and the working set reduces to its Schur
-complement R Q^-1 R', one small system, plus one correction against the
-full KKT residual.  A full step lands on the optimum whose multipliers
-that same solve returned.  A cycling limit guards the degenerate cases.
-y and v are rebuilt from a by the trapezoid recursion, with working-set
-knots pinned exactly to their bound.
+A dual active-set loop (Goldfarb and Idnani, Math. Programming 27,
+1983; Nocedal and Wright, Numerical Optimization, 2nd ed., 16.5)
+handles the box rows.  It starts from the optimum of the equality rows
+alone, so it needs no feasible point, adds the most violated interior
+bound to the working set and re-solves, and when a working-set
+multiplier comes back with the wrong sign it stops part way, where the
+first multiplier reaches zero, and drops that row.  Q is positive
+definite and the working sets are small, so every working set is solved
+in the range space: Q^-1 is formed once per point (the reciprocal
+diagonal when mu = 0), and the KKT system of the equality rows and the
+working set reduces to its Schur complement R Q^-1 R', one small
+system, plus one correction against the full KKT residual.  A limit on
+the bound additions guards against rounding loops.  y and v are
+rebuilt from a by the trapezoid recursion, with working-set knots
+pinned exactly to their bound.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .error_estimator import (
 from .model import ModelParams
 
 KKT_TOLERANCE = 1e-8
-_ACTIVE_SET_LIMIT = 40
 
 
 class InfeasibleProblemError(ValueError):
@@ -75,7 +75,10 @@ class InfeasibleProblemError(ValueError):
 
 
 class PlannerNumericalError(RuntimeError):
-    """KKT solve failed or the active-set loop did not settle."""
+    """A KKT solve failed, the active-set loop hit its limit, or the
+    solution's KKT residual is over KKT_TOLERANCE (the message names the
+    largest term: stationarity, primal, multiplier sign or
+    complementarity)."""
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,9 @@ class PlannedTrajectory:
     u is the total thrust that realizes the planned acceleration,
     u = M (a + g).  kkt_residual is the max-norm optimality residual of
     the returned solution and active_set_iterations the number of
-    working-set solves that found it (both None for trajectories read
-    back from disk).
+    working-set solves the dual active-set loop made, the first one (the
+    equality rows alone) included; both are None for trajectories read
+    back from disk.
     """
 
     times: np.ndarray
@@ -179,9 +183,11 @@ def _chain_matrix(n: int, dt: float) -> np.ndarray:
 class _Design:
     """The mu-independent part of one condensed design problem.
 
-    Everything here depends on the grid, the boundary data, the box and
-    lambda only, so one instance serves every mu point of a controller's
-    sweep.  Every array is read-only because the instance is shared.
+    The grid and its trapezoid weights, Y, the y offset, the equality
+    rows and, on first use, the error block depend on the grid, the
+    boundary data, the box and lambda only, so one instance serves every
+    mu point of a controller's sweep.  Every array is read-only because
+    the instance is shared.
     """
 
     def __init__(self, horizon, segments, y0, v0, yf, lower, upper, pin, lam):
@@ -214,7 +220,6 @@ class _Design:
         self.eq_rhs = np.array(rhs)
         self.lower = lower
         self.upper = upper
-        self.start = _feasible_start(segments, dt, y0, v0, yf)
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
@@ -295,26 +300,6 @@ def condense(problem: PlanProblem) -> CondensedQP:
     )
 
 
-def _feasible_start(segments, dt, y0, v0, yf) -> np.ndarray:
-    """Accelerations whose altitude profile is inside the box.
-
-    Only y carries bounds, so any in-box altitude profile through the
-    boundary data works: take the straight line between y0 and yf (the
-    segment between two in-box points stays in the box) and back out v
-    and a from the trapezoid chains, which are exactly invertible knot
-    by knot.  a_0 = 0 also satisfies the optional initial pin.
-    """
-    n = segments + 1
-    y = np.linspace(y0, yf, n)
-    v = v0
-    a = np.zeros(n)
-    for k in range(1, n):
-        v_next = 2.0 * (y[k] - y[k - 1]) / dt - v
-        a[k] = 2.0 * (v_next - v) / dt - a[k - 1]
-        v = v_next
-    return a
-
-
 def _inverse_hessian(hessian: np.ndarray, diagonal: bool):
     """Q^-1 applied to vectors and to column blocks, formed once.
 
@@ -363,97 +348,86 @@ def _solve_working_set(qp, apply_inverse, free_optimum, rows, rhs):
     return target, mult
 
 
-def _solve_box_qp(qp: CondensedQP, a: np.ndarray, diagonal: bool):
-    """Minimize the condensed QP from the feasible start a.
+def _solve_box_qp(qp: CondensedQP, diagonal: bool):
+    """Minimize the condensed QP by a dual active-set loop.
 
-    diagonal says Q is diagonal (mu = 0).  Returns (a, multipliers,
-    lower working set, upper working set, iterations); the multipliers
-    follow the rows (equality rows, lower rows, upper rows) and every
-    iteration is one working-set solve.  Convention: with stationarity
-    Q a + c + A' nu = 0, an active lower bound carries nu <= 0 and an
-    active upper bound nu >= 0; at a working-set optimum the row with
-    the worst wrong-signed multiplier is released.
+    diagonal says Q is diagonal (mu = 0).  Starts from the optimum of
+    the equality rows alone, which needs no feasible point, and adds the
+    most violated interior bound until none is violated (Goldfarb and
+    Idnani, Math. Programming 27, 1983; Nocedal and Wright 16.5).
+    Adding bound p moves (a, nu) on a straight line from the current
+    optimum, where p carries nu_p = 0 and its own value as right-hand
+    side, to the optimum with p at its bound.  If that optimum has a
+    wrong-signed multiplier, the loop stops on the line where the first
+    multiplier reaches zero, drops that row and re-solves.
+
+    Returns (a, multipliers, lower working set, upper working set,
+    working-set solves).  The multipliers follow the rows (equality
+    rows, lower knots ascending, upper knots ascending).  Convention:
+    with stationarity Q a + c + A' nu = 0, an active lower bound carries
+    nu <= 0 and an active upper bound nu >= 0.
     """
     n = qp.times.size
     m_base = qp.eq_matrix.shape[0]
     apply_inverse = _inverse_hessian(qp.hessian, diagonal)
     free_optimum = -apply_inverse(qp.gradient)
-    lo_active = np.zeros(n, dtype=bool)
-    hi_active = np.zeros(n, dtype=bool)
-    # The endpoint knots are fixed by the boundary data (y_0 does not
-    # depend on a, y_{n-1} is an equality row), so only interior knots
-    # can block.
-    blockable = np.ones(n, dtype=bool)
-    blockable[0] = blockable[n - 1] = False
-
-    limit = max(_ACTIVE_SET_LIMIT, 4 * n)
-    for iteration in range(1, limit + 1):
-        lo_idx = np.flatnonzero(lo_active)
-        hi_idx = np.flatnonzero(hi_active)
-        rows = np.concatenate([qp.eq_matrix, qp.y_map[lo_idx], qp.y_map[hi_idx]])
-        # Solve for the working-set optimum itself, not for the step to
-        # it: the straight-line start has large alternating accelerations,
-        # and a step from it would carry their rounding into the optimum.
-        target, mult = _solve_working_set(
+    tol = KKT_TOLERANCE / 10.0
+    # Working set by knot: -1 lower bound, +1 upper bound, 0 free; a
+    # multiplier nu has the right sign when side * nu >= 0.  nu holds the
+    # bound multipliers of the current point on the dual path.
+    side = np.zeros(n, dtype=np.int8)
+    nu = np.zeros(n)
+    # The most additions measured are 3.0n over 3400 property-test draws
+    # and 7.4n at v0 = 1000 in a 0.1 m box; only a rounding loop gets
+    # further.
+    limit = 10 * n
+    additions = solves = 0
+    while True:
+        lo_idx = np.flatnonzero(side < 0)
+        hi_idx = np.flatnonzero(side > 0)
+        a, mult = _solve_working_set(
             qp,
             apply_inverse,
             free_optimum,
-            rows,
+            np.concatenate([qp.eq_matrix, qp.y_map[lo_idx], qp.y_map[hi_idx]]),
             np.concatenate([
                 qp.eq_rhs,
                 qp.lower - qp.y_offset[lo_idx],
                 qp.upper - qp.y_offset[hi_idx],
             ]),
         )
-        step = target - a
+        solves += 1
+        new = np.zeros(n)
+        new[np.concatenate([lo_idx, hi_idx])] = mult[m_base:]
 
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(step)) > 1e-10 * scale:
-            # Longest feasible step toward the working-set optimum.
-            y = qp.y_offset + qp.y_map @ a
-            direction = qp.y_map @ step
-            tol_dir = 1e-12 * float(np.max(np.abs(step)))
-            free = blockable & ~lo_active & ~hi_active
-            down = np.flatnonzero(free & (direction < -tol_dir))
-            up = np.flatnonzero(free & (direction > tol_dir))
-            ratios = np.maximum(
-                np.concatenate([
-                    (qp.lower - y[down]) / direction[down],
-                    (qp.upper - y[up]) / direction[up],
-                ]),
-                0.0,
+        wrong = np.flatnonzero(side * new < -tol)
+        if wrong.size:
+            # Partial step: on the line nu + t (new - nu) the first
+            # wrong-signed multiplier reaches zero at t = nu / (nu - new).
+            steps = nu[wrong] / (nu[wrong] - new[wrong])
+            drop = wrong[np.argmin(steps)]
+            nu += max(float(np.min(steps)), 0.0) * (new - nu)
+            side[drop] = 0
+            nu[drop] = 0.0
+            continue
+
+        # The endpoint knots are fixed by the boundary data (y_0 does not
+        # depend on a, y_{n-1} is an equality row); only interior knots
+        # can leave the box.
+        y = qp.y_offset + qp.y_map @ a
+        violation = np.maximum(qp.lower - y, y - qp.upper)
+        violation[[0, n - 1]] = -np.inf
+        violation[side != 0] = -np.inf
+        knot = int(np.argmax(violation))
+        if violation[knot] <= tol:
+            return a, mult, lo_idx, hi_idx, solves
+        additions += 1
+        if additions > limit:
+            raise PlannerNumericalError(
+                f"active-set loop exceeded {limit} bound additions"
             )
-            first = int(np.argmin(ratios)) if ratios.size else -1
-            if first >= 0 and ratios[first] < 1.0:
-                a = a + ratios[first] * step
-                if first < down.size:
-                    lo_active[down[first]] = True
-                else:
-                    hi_active[up[first - down.size]] = True
-                continue
-            # A full step lands on the working-set optimum, and this
-            # solve's multipliers already belong to it.
-            a = target
-
-        # Working-set optimum; release the worst wrong-sign row.
-        bound_mult = mult[m_base:]
-        lo_mult = bound_mult[: lo_idx.size]
-        hi_mult = bound_mult[lo_idx.size :]
-        worst = KKT_TOLERANCE / 10.0
-        release = None
-        if lo_mult.size and np.max(lo_mult) > worst:
-            worst = float(np.max(lo_mult))
-            release = lo_active, lo_idx[int(np.argmax(lo_mult))]
-        if hi_mult.size and float(np.max(-hi_mult)) > worst:
-            release = hi_active, hi_idx[int(np.argmax(-hi_mult))]
-        if release is None:
-            return a, mult, lo_idx, hi_idx, iteration
-        working, knot = release
-        working[knot] = False
-
-    raise PlannerNumericalError(
-        f"active-set loop exceeded {limit} iterations (cycling)"
-    )
+        side[knot] = -1 if y[knot] < qp.lower else 1
+        nu = new
 
 
 def _trapezoid_chain(start: float, rates: np.ndarray, dt: float) -> np.ndarray:
@@ -462,14 +436,14 @@ def _trapezoid_chain(start: float, rates: np.ndarray, dt: float) -> np.ndarray:
     return np.cumsum(np.concatenate([[start], increments]))
 
 
-def _kkt_residual(qp, a, y, mult, lo_idx, hi_idx) -> float:
-    """Max-norm KKT residual of a and its altitude profile y.
+def _kkt_residual(qp, a, y, mult, lo_idx, hi_idx) -> dict[str, float]:
+    """Max-norm KKT residual terms of a and its altitude profile y.
 
-    Stationarity of the condensed QP, feasibility of the equality rows
-    and of the working set (distance of its knots from their bound),
-    box violation at every interior knot, and the multiplier sign and
-    complementarity on the working set.  Inactive bounds carry no
-    multiplier by construction.
+    Stationarity of the condensed QP, primal feasibility of the equality
+    rows and of the working set (distance of its knots from their bound)
+    with the box violation at every interior knot, and the multiplier
+    sign and complementarity on the working set, keyed by those names.
+    Inactive bounds carry no multiplier by construction.
     """
     m_base = qp.eq_matrix.shape[0]
     rows = np.concatenate([qp.eq_matrix, qp.y_map[lo_idx], qp.y_map[hi_idx]])
@@ -495,7 +469,12 @@ def _kkt_residual(qp, a, y, mult, lo_idx, hi_idx) -> float:
         float(np.max(np.abs(lo_gap * lo_mult), initial=0.0)),
         float(np.max(np.abs(hi_gap * hi_mult), initial=0.0)),
     )
-    return max(stationarity, primal, dual, comp)
+    return {
+        "stationarity": stationarity,
+        "primal": primal,
+        "multiplier sign": dual,
+        "complementarity": comp,
+    }
 
 
 def solve(problem: PlanProblem) -> PlannedTrajectory:
@@ -507,16 +486,19 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     """
     qp = condense(problem)
     a, mult, lo_idx, hi_idx, iterations = _solve_box_qp(
-        qp, _design(problem).start, diagonal=problem.mu == 0
+        qp, diagonal=problem.mu == 0
     )
     times = qp.times
     dt = problem.horizon / problem.segments
     v = _trapezoid_chain(problem.v0, a, dt)
     y = _trapezoid_chain(problem.y0, v, dt)
-    residual = _kkt_residual(qp, a, y, mult, lo_idx, hi_idx)
+    terms = _kkt_residual(qp, a, y, mult, lo_idx, hi_idx)
+    worst = max(terms, key=terms.get)
+    residual = terms[worst]
     if residual >= KKT_TOLERANCE:
         raise PlannerNumericalError(
-            f"optimality residual {residual:.3e} exceeds {KKT_TOLERANCE:.0e}"
+            f"optimality residual {residual:.3e} exceeds {KKT_TOLERANCE:.0e} "
+            f"({worst})"
         )
     # Pin working-set knots exactly; the recursion leaves them within
     # rounding of their bound.

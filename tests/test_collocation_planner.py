@@ -371,9 +371,10 @@ def test_condensed_solver_matches_the_full_space_kkt(template, lam):
 
 
 def test_active_set_iterations_follow_the_working_set_path():
-    # One working-set solve per default point (the box never blocks);
-    # the bounded toss takes 363 over its 62 points.  Any change to the
-    # solve that alters the working-set path moves these counts.
+    # One working-set solve per default point (the equality optimum is
+    # inside the box); the bounded toss takes 171 over its 62 points.
+    # Any change to the solve that alters the working-set path moves
+    # these counts.
     grid = RunConfig().mu_grid()
     for lam in (10.0, 20.0, 30.0, 50.0):
         for mu in grid:
@@ -386,7 +387,7 @@ def test_active_set_iterations_follow_the_working_set_path():
         for lam in (10.0, 20.0)
         for mu in grid
     )
-    assert total == 363
+    assert total == 171
 
 
 def _clear_design_caches():
@@ -521,7 +522,6 @@ class TestDesignCache:
             qp.y_offset,
             traj.times,
             design.quad,
-            design.start,
             *design.weighted[:2],
             lag_response_matrix(qp.times, problem.dominant_lambda),
         ]
@@ -570,39 +570,140 @@ class TestDesignCache:
         _clear_design_caches()  # release the large design for later tests
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(
-    lower=st.floats(-10.0, 10.0),
-    width=st.floats(0.1, 20.0),
-    y0_place=st.floats(-0.1, 1.1),
-    yf_place=st.floats(-0.1, 1.1),
-    v0=st.floats(-50.0, 50.0),
-    mu=st.floats(0.0, 1e6),
-    lam=st.floats(1.0, 100.0),
-    segments=st.integers(2, 200),
-    pin=st.booleans(),
-)
-def test_every_problem_is_certified_or_rejected(
-    lower, width, y0_place, yf_place, v0, mu, lam, segments, pin
-):
-    # Placements outside [0, 1] put a boundary altitude outside the box.
-    problem = PlanProblem(
-        segments=segments,
-        y0=lower + y0_place * width,
-        v0=v0,
-        yf=lower + yf_place * width,
+@st.composite
+def plan_problems(draw):
+    """Design problems over a wide range of boundary data and scales.
+
+    Placements outside [0, 1] put a boundary altitude outside the box.
+    """
+    lower = draw(st.floats(-10.0, 10.0))
+    width = draw(st.floats(0.1, 20.0))
+    return PlanProblem(
+        segments=draw(st.integers(2, 200)),
+        y0=lower + draw(st.floats(-0.1, 1.1)) * width,
+        v0=draw(st.floats(-50.0, 50.0)),
+        yf=lower + draw(st.floats(-0.1, 1.1)) * width,
         y_bounds=(lower, lower + width),
-        mu=mu,
-        dominant_lambda=lam,
-        enforce_initial_accel_zero=pin,
+        mu=draw(st.floats(0.0, 1e6)),
+        dominant_lambda=draw(st.floats(1.0, 100.0)),
+        enforce_initial_accel_zero=draw(st.booleans()),
     )
+
+
+def _is_complementarity_rejection(exc):
+    """The named residual-gate class: the largest KKT term is |gap * nu|.
+
+    The gap of a working-set knot is at rounding level, but with narrow
+    boxes and large v0 its multiplier reaches 1e6 and more, so the
+    absolute gate can reject an optimal working set.
+    """
+    return str(exc).endswith("(complementarity)")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(problem=plan_problems())
+def test_every_problem_is_certified_or_rejected(problem):
     try:
         traj = solve(problem)
-    except (InfeasibleProblemError, PlannerNumericalError):
+    except InfeasibleProblemError:
         return
+    except PlannerNumericalError as exc:
+        if _is_complementarity_rejection(exc):
+            return
+        raise
+    lower, upper = problem.y_bounds
     assert traj.kkt_residual < KKT_TOLERANCE
     assert traj.y.min() >= lower - 1e-9
-    assert traj.y.max() <= lower + width + 1e-9
+    assert traj.y.max() <= upper + 1e-9
+
+
+# 27 of the DRAWS draws below fall in the complementarity class; the
+# bound leaves room for rounding differences between BLAS builds.
+DRAWS = 1000
+COMPLEMENTARITY_REJECTIONS = 30
+
+
+def test_complementarity_rejections_are_counted_and_bounded():
+    outcomes = []
+
+    @settings(max_examples=DRAWS, derandomize=True, deadline=None, database=None)
+    @given(problem=plan_problems())
+    def record(problem):
+        try:
+            solve(problem)
+            outcomes.append("certified")
+        except InfeasibleProblemError:
+            outcomes.append("infeasible")
+        except PlannerNumericalError as exc:
+            if not _is_complementarity_rejection(exc):
+                raise
+            outcomes.append("complementarity")
+
+    record()
+    assert len(outcomes) == DRAWS
+    assert outcomes.count("complementarity") <= COMPLEMENTARITY_REJECTIONS
+
+
+_NARROW = dict(
+    segments=51,
+    y0=7.441943433181036,
+    v0=-6.8156043992856254,
+    yf=7.431943433181036,
+    y_bounds=(7.431943433181036, 7.531943433181036),
+    enforce_initial_accel_zero=True,
+)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        PlanProblem(**_NARROW, mu=0.0),
+        PlanProblem(**_NARROW, mu=9.5e5),
+        PlanProblem(segments=14, y0=0.0, v0=17.0, yf=0.0, y_bounds=(0.0, 0.1)),
+    ],
+    ids=["narrow-mu0", "narrow-mu9.5e5", "v0-17"],
+)
+def test_large_v0_in_a_narrow_box_is_certified(problem):
+    # A straight-line start for these has large alternating accelerations
+    # that hit a bound at nearly every knot; the dual loop starts from the
+    # equality optimum instead and adds bounds until none is violated.
+    traj = solve(problem)
+    lower, upper = problem.y_bounds
+    assert traj.kkt_residual < KKT_TOLERANCE
+    assert traj.y.min() >= lower - 1e-9
+    assert traj.y.max() <= upper + 1e-9
+
+
+def test_partial_dual_step_follows_the_multiplier_line():
+    # Several drops in a row: each one is chosen on the line from the
+    # multipliers of the previous partial step, not of the last full
+    # optimum.  Choosing from stale multipliers takes 24 solves here.
+    traj = solve(
+        PlanProblem(
+            segments=64,
+            y0=0.0,
+            v0=-47.5,
+            yf=6.0,
+            y_bounds=(0.0, 6.5),
+            enforce_initial_accel_zero=True,
+        )
+    )
+    assert traj.kkt_residual < KKT_TOLERANCE
+    assert traj.active_set_iterations == 20
+
+
+@pytest.mark.parametrize(
+    "term", ["stationarity", "primal", "multiplier sign", "complementarity"]
+)
+def test_residual_gate_names_the_largest_term(monkeypatch, term):
+    terms = dict.fromkeys(
+        ["stationarity", "primal", "multiplier sign", "complementarity"], 1e-12
+    )
+    terms[term] = 2e-8
+    monkeypatch.setattr(collocation_planner, "_kkt_residual", lambda *_: terms)
+    with pytest.raises(PlannerNumericalError) as info:
+        solve(PlanProblem())
+    assert str(info.value) == f"optimality residual 2.000e-08 exceeds 1e-08 ({term})"
 
 
 class TestDesignedCostOperation:
