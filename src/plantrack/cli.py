@@ -2,7 +2,10 @@
 
 All numeric behavior lives in the library modules; this module loads
 the run configuration, wires the stages together, and writes the CSV
-and JSON artifacts.  Outputs are deterministic functions of the config:
+and JSON artifacts.  The INI format is the one table `_FORMAT`
+(section -> key -> RunConfig field and parser): load_config accepts
+and parses exactly its keys, and the checksummed canonical text renders
+them in its order.  Outputs are deterministic functions of the config:
 CSV floats use 17 significant digits, JSON keys are sorted, and the run
 manifest stores content checksums rather than timestamps, so reruns are
 byte-identical.
@@ -18,6 +21,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import collocation_planner as planner
@@ -78,6 +82,21 @@ class RunConfig:
             raise ConfigError("mu_min must not exceed mu_max")
         if self.max_step <= 0 or self.pole_fraction <= 0:
             raise ConfigError("step rule fields must be positive")
+        grid = self.mu_grid()
+        if not all(b > a for a, b in zip(grid, grid[1:])):
+            raise ConfigError(
+                "mu grid must be strictly ascending: mu_min > 0, and"
+                " mu_min < mu_max when count > 1"
+            )
+        labels: dict[str, EigenvaluePair] = {}
+        for pair in self.pairs:
+            slug = _pair_slug(pair)
+            if slug in labels:
+                raise ConfigError(
+                    f"pairs {_pair_text(labels[slug])} and {_pair_text(pair)}"
+                    f" share the file label {slug!r}"
+                )
+            labels[slug] = pair
 
     def mu_grid(self) -> list[float]:
         """{0} followed by mu_count spaced weights from mu_min to mu_max."""
@@ -113,56 +132,36 @@ class RunConfig:
             pole_fraction=self.pole_fraction,
         )
 
-    def find_pair(self, pair: EigenvaluePair) -> EigenvaluePair | None:
-        for candidate in self.pairs:
-            if candidate == pair:
-                return candidate
-        return None
-
     def canonical_text(self) -> str:
-        """Stable key = value rendering used for the config checksum."""
+        """Stable rendering used for the config checksum: one
+        `section.key = value` line per key of the INI format, in its order."""
         lines = [
-            f"model.mass = {self.params.mass!r}",
-            f"model.arm_length = {self.params.arm_length!r}",
-            f"model.gravity = {self.params.gravity!r}",
-            "controllers.pairs = "
-            + "; ".join(f"{p.lambda_slow!r},{p.lambda_fast!r}" for p in self.pairs),
-            f"plan.horizon = {self.horizon!r}",
-            f"plan.segments = {self.segments!r}",
-            f"plan.y0 = {self.y0!r}",
-            f"plan.v0 = {self.v0!r}",
-            f"plan.yf = {self.yf!r}",
-            f"plan.y_min = {self.y_min!r}",
-            f"plan.y_max = {self.y_max!r}",
-            f"plan.enforce_initial_accel_zero = {self.enforce_initial_accel_zero!r}",
-            f"mu_grid.count = {self.mu_count!r}",
-            f"mu_grid.min = {self.mu_min!r}",
-            f"mu_grid.max = {self.mu_max!r}",
-            f"mu_grid.scale = {self.mu_scale}",
-            f"sim.max_step = {self.max_step!r}",
-            f"sim.pole_fraction = {self.pole_fraction!r}",
-            f"output.directory = {self.out_dir}",
+            f"{section}.{key} = {_render(attrgetter(name)(self))}"
+            for section, keys in _FORMAT.items()
+            for key, (name, _) in keys.items()
         ]
         return "\n".join(lines) + "\n"
 
 
-_SCHEMA = {
-    "model": {"mass", "arm_length", "gravity"},
-    "controllers": {"pairs"},
-    "plan": {
-        "horizon",
-        "segments",
-        "y0",
-        "v0",
-        "yf",
-        "y_min",
-        "y_max",
-        "enforce_initial_accel_zero",
-    },
-    "mu_grid": {"count", "min", "max", "scale"},
-    "sim": {"max_step", "pole_fraction"},
-    "output": {"directory"},
-}
+def _pair_text(pair: EigenvaluePair) -> str:
+    return f"{pair.lambda_slow!r},{pair.lambda_fast!r}"
+
+
+def _render(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return "; ".join(_pair_text(p) for p in value)
+    return repr(value)
+
+
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_pairs(text: str) -> tuple[EigenvaluePair, ...]:
@@ -176,13 +175,44 @@ def _parse_pairs(text: str) -> tuple[EigenvaluePair, ...]:
             raise ConfigError(f"pair {chunk!r} is not 'slow,fast'")
         try:
             slow, fast = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"pair {chunk!r}: {exc}") from exc
-        try:
             pairs.append(EigenvaluePair(lambda_slow=slow, lambda_fast=fast))
         except ValueError as exc:
             raise ConfigError(f"pair {chunk!r}: {exc}") from exc
     return tuple(pairs)
+
+
+# The INI format: section -> key -> (RunConfig field, parser of the raw
+# value).  load_config accepts exactly these keys, and canonical_text
+# checksums every one of them in this order.
+_FORMAT = {
+    "model": {
+        "mass": ("params.mass", float),
+        "arm_length": ("params.arm_length", float),
+        "gravity": ("params.gravity", float),
+    },
+    "controllers": {"pairs": ("pairs", _parse_pairs)},
+    "plan": {
+        "horizon": ("horizon", float),
+        "segments": ("segments", int),
+        "y0": ("y0", float),
+        "v0": ("v0", float),
+        "yf": ("yf", float),
+        "y_min": ("y_min", float),
+        "y_max": ("y_max", float),
+        "enforce_initial_accel_zero": ("enforce_initial_accel_zero", _parse_bool),
+    },
+    "mu_grid": {
+        "count": ("mu_count", int),
+        "min": ("mu_min", float),
+        "max": ("mu_max", float),
+        "scale": ("mu_scale", str.strip),
+    },
+    "sim": {
+        "max_step": ("max_step", float),
+        "pole_fraction": ("pole_fraction", float),
+    },
+    "output": {"directory": ("out_dir", str.strip)},
+}
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -199,66 +229,30 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _FORMAT:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key not in _FORMAT[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            if cast is bool:
-                lowered = raw.strip().lower()
-                if lowered in ("true", "yes", "on", "1"):
-                    return True
-                if lowered in ("false", "no", "off", "0"):
-                    return False
-                raise ValueError(f"not a boolean: {raw!r}")
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
-
-    defaults = RunConfig()
+    values, params = {}, {}
+    for section, keys in _FORMAT.items():
+        for key, (name, parse) in keys.items():
+            if not parser.has_option(section, key):
+                continue
+            try:
+                value = parse(parser.get(section, key))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            if name.startswith("params."):
+                params[name.removeprefix("params.")] = value
+            else:
+                values[name] = value
     try:
-        params = ModelParams(
-            mass=get("model", "mass", float, defaults.params.mass),
-            arm_length=get("model", "arm_length", float, defaults.params.arm_length),
-            gravity=get("model", "gravity", float, defaults.params.gravity),
-        )
-        pairs = defaults.pairs
-        if parser.has_option("controllers", "pairs"):
-            pairs = _parse_pairs(parser.get("controllers", "pairs"))
-            if not pairs:
-                raise ConfigError("controller pair list is empty")
-        return RunConfig(
-            params=params,
-            pairs=pairs,
-            horizon=get("plan", "horizon", float, defaults.horizon),
-            segments=get("plan", "segments", int, defaults.segments),
-            y0=get("plan", "y0", float, defaults.y0),
-            v0=get("plan", "v0", float, defaults.v0),
-            yf=get("plan", "yf", float, defaults.yf),
-            y_min=get("plan", "y_min", float, defaults.y_min),
-            y_max=get("plan", "y_max", float, defaults.y_max),
-            enforce_initial_accel_zero=get(
-                "plan", "enforce_initial_accel_zero", bool,
-                defaults.enforce_initial_accel_zero,
-            ),
-            mu_count=get("mu_grid", "count", int, defaults.mu_count),
-            mu_min=get("mu_grid", "min", float, defaults.mu_min),
-            mu_max=get("mu_grid", "max", float, defaults.mu_max),
-            mu_scale=get("mu_grid", "scale", str, defaults.mu_scale).strip(),
-            max_step=get("sim", "max_step", float, defaults.max_step),
-            pole_fraction=get("sim", "pole_fraction", float, defaults.pole_fraction),
-            out_dir=get("output", "directory", str, defaults.out_dir).strip(),
-        )
+        model = ModelParams(**params)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
+    return RunConfig(params=model, **values)
 
 
 def _pair_slug(pair: EigenvaluePair) -> str:
@@ -291,15 +285,14 @@ def _parse_pair_flag(raw: str, config: RunConfig, parser) -> EigenvaluePair:
         parser.error(str(exc))
     if len(candidates) != 1:
         parser.error(f"--pair expects one 'slow,fast' pair, got {raw!r}")
-    found = config.find_pair(candidates[0])
-    if found is None:
+    if candidates[0] not in config.pairs:
         configured = "; ".join(
             f"{p.lambda_slow:g},{p.lambda_fast:g}" for p in config.pairs
         )
         parser.error(
             f"pair {raw!r} is not in the configured set ({configured})"
         )
-    return found
+    return candidates[0]
 
 
 def cmd_plan(config: RunConfig, out_dir: Path, mu: float, pair: EigenvaluePair) -> int:

@@ -5,6 +5,7 @@ diagnostics are observable without spawning interpreters; only the
 import check needs a fresh one.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -63,6 +64,9 @@ class TestConfigLoading:
         assert config == RunConfig()
         assert len(config.pairs) == 4
         assert config.segments == 60
+        assert hashlib.sha256(config.canonical_text().encode()).hexdigest() == (
+            "83d880f9de8f32b29cfa7c6dfee2f1172663f618a21df60bf18910446c4273dc"
+        )
 
     def test_round_trips_every_field(self, tmp_path):
         path = write_config(
@@ -116,6 +120,29 @@ class TestConfigLoading:
         template = config.problem_template()
         assert template.y_bounds == (0.2, 4.5)
         assert template.enforce_initial_accel_zero
+        assert config.canonical_text() == dedent(
+            """\
+            model.mass = 0.6
+            model.arm_length = 0.1
+            model.gravity = 9.8
+            controllers.pairs = -5.0,-50.0; -7.0,-70.0
+            plan.horizon = 2.0
+            plan.segments = 80
+            plan.y0 = 0.5
+            plan.v0 = -1.0
+            plan.yf = 4.0
+            plan.y_min = 0.2
+            plan.y_max = 4.5
+            plan.enforce_initial_accel_zero = True
+            mu_grid.count = 5
+            mu_grid.min = 1.0
+            mu_grid.max = 100.0
+            mu_grid.scale = linear
+            sim.max_step = 0.0005
+            sim.pole_fraction = 0.1
+            output.directory = artifacts
+            """
+        )
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path, "[plot]\ncolor = red\n")
@@ -166,6 +193,17 @@ class TestRunConfigValidation:
             {"mu_min": 10.0, "mu_max": 1.0},
             {"max_step": 0.0},
             {"pole_fraction": 0.0},
+            # Pairs whose file labels collide would overwrite each other.
+            {"pairs": (EigenvaluePair(lambda_slow=-10.0, lambda_fast=-100.0),) * 2},
+            {
+                "pairs": (
+                    EigenvaluePair(lambda_slow=-10.0, lambda_fast=-100.0),
+                    EigenvaluePair(lambda_slow=-10.0000001, lambda_fast=-100.0),
+                )
+            },
+            # Grids the sweep would reject: {0, 0, ...} and {0, 5, 5, 5}.
+            {"mu_scale": "linear", "mu_min": 0.0},
+            {"mu_count": 3, "mu_min": 5.0, "mu_max": 5.0},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
