@@ -8,7 +8,6 @@ from .collocation_planner import (
     solve,
 )
 from .error_estimator import (
-    ErrorSeries,
     VelocityProfile,
     error_discrete_limit_form,
     error_integral_form,
@@ -39,7 +38,6 @@ from .tracking_sim import (
 __all__ = [
     "ControllerSpec",
     "EigenvaluePair",
-    "ErrorSeries",
     "Frontier",
     "FrontierPoint",
     "InfeasibleProblemError",

@@ -97,6 +97,10 @@ class RunConfig:
                     f" share the file label {slug!r}"
                 )
             labels[slug] = pair
+        try:
+            self.problem_template()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def mu_grid(self) -> list[float]:
         """{0} followed by mu_count spaced weights from mu_min to mu_max."""
@@ -377,7 +381,9 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
         # a tenth of a cold start, and one worker never needs it.
         from concurrent.futures import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(max_workers=workers)
+        # Under the fork start method the executor starts all max_workers
+        # processes at the first submit, and a pair has one job per weight.
+        executor = ProcessPoolExecutor(max_workers=min(workers, len(grid)))
     try:
         mapper = executor.map if executor is not None else None
         for pair in config.pairs:
@@ -505,10 +511,7 @@ def main(argv=None) -> int:
             )
             return cmd_stiffness(out_dir, args.frontier, pair)
     except (
-        planner.InfeasibleProblemError,
         planner.PlannerNumericalError,
-        planner.TrajectorySchemaError,
-        frontier_mod.FrontierSchemaError,
         frontier_mod.SweepError,
         sim.SimulationDivergedError,
         OSError,

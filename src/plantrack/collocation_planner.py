@@ -25,12 +25,11 @@ e = L v = v0 L 1 + (L C) a, so Q = diag(2 w) + 2 mu (LC)' W (LC) with
 the trapezoid weights w, and Q is positive definite.
 
 Only mu scales the error term, so a mu sweep shares everything else:
-the grid, Y, the equality rows and the error block (LC)' W (LC) with
-its linear and constant terms.  That design is built once per (grid,
-boundary data, box, lambda) and kept, read-only, in a small
-per-process cache; a point only scales the error block by mu.  The lag
-matrix L is likewise built once per (grid, lambda) and shared with the
-error estimate.
+the grid, C, L, Y, the equality rows and the error block (LC)' W (LC)
+with its linear and constant terms.  That design is built once per
+(grid, boundary data, box, lambda) and kept, read-only, in a small
+per-process cache; a point only scales the error block by mu and
+reads its predicted error through the same L.
 
 A dual active-set loop (Goldfarb and Idnani, Math. Programming 27,
 1983; Nocedal and Wright, Numerical Optimization, 2nd ed., 16.5)
@@ -58,9 +57,8 @@ import numpy as np
 
 from ._artifact_csv import read_rows, write_rows
 from .error_estimator import (
-    ErrorSeries,
     VelocityProfile,
-    error_integral_form,
+    apply_lag,
     lag_response_matrix,
     trapezoid_quadrature,
     trapezoid_weights,
@@ -124,7 +122,7 @@ class PlannedTrajectory:
     the returned solution and active_set_iterations the number of
     working-set solves the dual active-set loop made, the first one (the
     equality rows alone) included; both are None for trajectories read
-    back from disk.
+    back from disk.  predicted_error is e_pred at each knot.
     """
 
     times: np.ndarray
@@ -132,7 +130,7 @@ class PlannedTrajectory:
     v: np.ndarray
     a: np.ndarray
     u: np.ndarray
-    predicted_error: ErrorSeries
+    predicted_error: np.ndarray
     designed_cost: float
     predicted_error_integral: float
     mu: float | None
@@ -170,40 +168,30 @@ class CondensedQP:
     upper: float
 
 
-def _chain_matrix(n: int, dt: float) -> np.ndarray:
-    """Lower-triangular C with v - v0 = C a for the trapezoid chain."""
-    C = np.tri(n)
-    C *= dt
-    C[:, 0] *= 0.5
-    C[np.arange(n), np.arange(n)] *= 0.5
-    C[0, :] = 0.0
-    return C
-
-
 class _Design:
     """The mu-independent part of one condensed design problem.
 
-    The grid and its trapezoid weights, Y, the y offset, the equality
-    rows and, on first use, the error block depend on the grid, the
-    boundary data, the box and lambda only, so one instance serves every
-    mu point of a controller's sweep.  Every array is read-only because
-    the instance is shared.
+    The grid and its trapezoid weights, the chain C (v - v0 = C a, the
+    lag operator at lambda = 0), the lag L at the controller's lambda, Y,
+    the y offset, the equality rows and, on first use, the error block
+    depend on the grid, the boundary data, the box and lambda only, so
+    one instance serves every mu point of a controller's sweep.  Every
+    array is read-only because the instance is shared.
     """
 
     def __init__(self, horizon, segments, y0, v0, yf, lower, upper, pin, lam):
         n = segments + 1
         dt = horizon / segments
-        self.dt = dt
-        self.lam = lam
         self.v0 = v0
         self.times = np.linspace(0.0, horizon, n)
         self.quad = trapezoid_weights(n) * dt
+        self.chain = C = lag_response_matrix(self.times, 0.0)
+        self.lag = lag_response_matrix(self.times, lam)
 
         # Row k of Y is the trapezoid chain over rows 0..k of C: O(n^2),
         # where the equivalent matrix product would be O(n^3).  Built in
         # place because at a thousand knots every fresh n x n array costs
         # as much as the arithmetic.
-        C = _chain_matrix(n, dt)
         y_map = np.zeros((n, n))
         np.add(C[1:], C[:-1], out=y_map[1:])
         y_map *= 0.5 * dt
@@ -233,9 +221,8 @@ class _Design:
         mu > 0 point only: the plain mu = 0 problem never needs the
         O(n^3) product.
         """
-        L = lag_response_matrix(self.times, self.lam)
-        LC = L @ _chain_matrix(self.times.size, self.dt)
-        e_free = self.v0 * L.sum(axis=1)
+        LC = self.lag @ self.chain
+        e_free = self.v0 * self.lag.sum(axis=1)
         weighted = LC.T * self.quad
         P = weighted @ LC
         p = weighted @ e_free
@@ -485,6 +472,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     is attached to the returned trajectory.
     """
     qp = condense(problem)
+    design = _design(problem)
     a, mult, lo_idx, hi_idx, iterations = _solve_box_qp(
         qp, diagonal=problem.mu == 0
     )
@@ -504,9 +492,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     # rounding of their bound.
     y[lo_idx] = qp.lower
     y[hi_idx] = qp.upper
-    predicted = error_integral_form(
-        VelocityProfile(times, v), problem.dominant_lambda
-    )
+    predicted = apply_lag(design.lag, v)
     params = problem.params
     return PlannedTrajectory(
         times=times,
@@ -516,9 +502,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
         u=params.mass * (a + params.gravity),
         predicted_error=predicted,
         designed_cost=trapezoid_quadrature(times, a**2),
-        predicted_error_integral=trapezoid_quadrature(
-            times, predicted.values**2
-        ),
+        predicted_error_integral=trapezoid_quadrature(times, predicted**2),
         mu=problem.mu,
         kkt_residual=residual,
         active_set_iterations=iterations,
@@ -535,7 +519,7 @@ class TrajectorySchemaError(ValueError):
 def write_trajectory_csv(traj: PlannedTrajectory, path) -> None:
     """Write the knot grid as CSV, full double precision."""
     columns = np.column_stack(
-        [traj.times, traj.y, traj.v, traj.a, traj.u, traj.predicted_error.values]
+        [traj.times, traj.y, traj.v, traj.a, traj.u, traj.predicted_error]
     )
     write_rows(path, TRAJECTORY_COLUMNS, columns)
 
@@ -545,17 +529,22 @@ def read_trajectory_csv(path) -> PlannedTrajectory:
 
     The design weight is not part of the on-disk schema, so mu comes
     back as None; cost and error integrals are recomputed from the
-    columns.
+    columns.  The t column must be the uniform grid from 0 that the
+    planner writes.
     """
     data = read_rows(path, TRAJECTORY_COLUMNS, TrajectorySchemaError)
     times, y, v, a, u, e_pred = data.T
+    try:
+        VelocityProfile(times, v)
+    except ValueError as exc:
+        raise TrajectorySchemaError(f"column 't': {exc}") from exc
     return PlannedTrajectory(
         times=times,
         y=y,
         v=v,
         a=a,
         u=u,
-        predicted_error=ErrorSeries(times=times, values=e_pred),
+        predicted_error=e_pred,
         designed_cost=trapezoid_quadrature(times, a**2),
         predicted_error_integral=trapezoid_quadrature(times, e_pred**2),
         mu=None,

@@ -10,12 +10,12 @@ is what the planner penalizes.  This module provides that integral form
 on a uniform knot grid, the two discrete forms used for comparison, and
 the trapezoid quadrature operator shared by the rest of the pipeline.
 
-lam is always the positive decay rate of the equivalent lag.
+lam is the positive decay rate of the equivalent lag; the lag operator
+also takes lam = 0, where it is the plain trapezoid chain.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -88,36 +88,22 @@ class VelocityProfile:
         return np.interp(t, self.times, self.values)
 
 
-@dataclass(frozen=True)
-class ErrorSeries:
-    """Predicted error e(t_k) on the profile's grid; e(0) is 0."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-
 def lag_response_matrix(times: np.ndarray, lam: float) -> np.ndarray:
     """Lower-triangular map L with e = L v on a uniform grid.
 
     Row k is the trapezoid discretization of
     exp(-lam t_k) * integral_0^{t_k} v(tau) exp(+lam tau) dtau, written
     with the exponent exp(-lam (t_k - t_i)) so no large intermediate is
-    formed.  Row 0 is zero (empty integration range).
+    formed.  Row 0 is zero (empty integration range).  lam = 0 gives the
+    trapezoid chain itself, v_k - v_0 = (L a)_k for the rates a.
 
-    The matrix depends on the grid and lam only, and the planner and
-    the estimator both need it at every point of a mu sweep, so it is
-    built once per (grid, lam) and shared: the result is read-only.
+    The planner builds the matrix once per cached design, for its lam
+    and for lam = 0, and shares it across a mu sweep.
     """
     times = np.asarray(times, dtype=float)
-    if lam <= 0:
-        raise ValueError("lam must be a positive decay rate")
+    if lam < 0:
+        raise ValueError("lam must be a nonnegative decay rate")
     dt = _uniform_spacing(times)
-    return _lag_matrix(times.tobytes(), float(lam), dt)
-
-
-@functools.lru_cache(maxsize=8)
-def _lag_matrix(grid: bytes, lam: float, dt: float) -> np.ndarray:
-    times = np.frombuffer(grid)
     n = times.size
     # In place: at a thousand knots each n x n temporary costs as much
     # as the exponentials.  Clamping the gaps above the diagonal to 0
@@ -132,26 +118,29 @@ def _lag_matrix(grid: bytes, lam: float, dt: float) -> np.ndarray:
     L[np.arange(n), np.arange(n)] *= 0.5
     L *= dt
     L[0, :] = 0.0
-    L.flags.writeable = False
     return L
 
 
-def error_integral_form(profile: VelocityProfile, lam: float) -> ErrorSeries:
-    """Predicted error at every knot via the integral (quadrature) form.
+def apply_lag(L: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """e = L v, each knot summed over exactly its causal slice.
 
-    Each knot is summed over exactly its causal slice, so truncating the
-    profile after t_k reproduces e(t_0..t_k) bit for bit; a full matrix
-    product would regroup the trailing zero terms and perturb the last
-    ulp.
+    Truncating v after t_k therefore reproduces e(t_0..t_k) bit for bit;
+    a full matrix product would regroup the trailing zero terms and
+    perturb the last ulp.
     """
-    if profile.times.size < 2:
-        raise ValueError("need at least 2 knots")
-    L = lag_response_matrix(profile.times, lam)
-    values = np.empty(profile.times.size)
-    values[0] = 0.0
-    for k in range(1, profile.times.size):
-        values[k] = np.dot(L[k, : k + 1], profile.values[: k + 1])
-    return ErrorSeries(times=profile.times.copy(), values=values)
+    e = np.empty(values.size)
+    e[0] = 0.0
+    for k in range(1, values.size):
+        e[k] = np.dot(L[k, : k + 1], values[: k + 1])
+    return e
+
+
+def error_integral_form(profile: VelocityProfile, lam: float) -> np.ndarray:
+    """Predicted error e(t_k) at every knot via the integral (quadrature)
+    form; e(0) is 0."""
+    if lam <= 0:
+        raise ValueError("lam must be a positive decay rate")
+    return apply_lag(lag_response_matrix(profile.times, lam), profile.values)
 
 
 def error_discrete_limit_form(profile: VelocityProfile, lam: float, n: int) -> float:

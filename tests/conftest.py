@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plantrack.collocation_planner import PlannedTrajectory
-from plantrack.error_estimator import ErrorSeries, trapezoid_quadrature
+from plantrack.error_estimator import trapezoid_quadrature
 from plantrack.lqr import EigenvaluePair
 from plantrack.model import ModelParams
 
@@ -31,7 +31,7 @@ def make_reference(times, y, v, a, params=None) -> PlannedTrajectory:
         v=v,
         a=a,
         u=params.mass * (a + params.gravity),
-        predicted_error=ErrorSeries(times=times, values=np.zeros_like(y)),
+        predicted_error=np.zeros_like(y),
         designed_cost=trapezoid_quadrature(times, a**2),
         predicted_error_integral=0.0,
         mu=None,

@@ -18,7 +18,7 @@ import pytest
 
 import plantrack
 from conftest import make_reference
-from plantrack import tracking_sim
+from plantrack import collocation_planner, error_estimator, tracking_sim
 from plantrack.cli import ConfigError, RunConfig, load_config, main
 from plantrack.collocation_planner import (
     PlanProblem,
@@ -26,6 +26,7 @@ from plantrack.collocation_planner import (
     solve,
     write_trajectory_csv,
 )
+from plantrack.error_estimator import lag_response_matrix
 from plantrack.frontier import read_frontier_points
 from plantrack.lqr import EigenvaluePair, design_controller
 
@@ -204,6 +205,10 @@ class TestRunConfigValidation:
             # Grids the sweep would reject: {0, 0, ...} and {0, 5, 5, 5}.
             {"mu_scale": "linear", "mu_min": 0.0},
             {"mu_count": 3, "mu_min": 5.0, "mu_max": 5.0},
+            # Plan fields that no design problem accepts.
+            {"segments": 1},
+            {"horizon": 0.0},
+            {"y_min": 5.0},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
@@ -352,6 +357,24 @@ class TestTrackCommand:
         assert "column 3" in err
         assert "'acc'" in err
 
+    def test_grid_not_starting_at_zero_exits_one(self, tmp_path, capsys):
+        plan = tmp_path / "plan"
+        assert main(["plan", "--pair", "-20,-200", "--mu", "100", "--out", str(plan)]) == 0
+        lines = (plan / "trajectory.csv").read_text().splitlines()
+        shifted = [lines[0]]
+        for line in lines[1:]:
+            t, rest = line.split(",", 1)
+            shifted.append(f"{float(t) + 0.5!r},{rest}")
+        path = tmp_path / "shifted.csv"
+        path.write_text("\n".join(shifted) + "\n")
+        out = tmp_path / "x"
+        code = main(["track", str(path), "--pair", "-20,-200", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: column 't': profile must start at t = 0\n"
+        )
+        assert not out.exists()
+
     def test_missing_trajectory_file_exits_one(self, tmp_path, capsys):
         code = main(["track", str(tmp_path / "absent.csv"), "--pair", "-10,-100",
                      "--out", str(tmp_path / "x")])
@@ -405,6 +428,49 @@ class TestSweepCommand:
         ) == 0
         for name in ("frontier_20_200.csv", "spring_20_200.json", "manifest.json"):
             assert (parallel / name).read_bytes() == (out / name).read_bytes()
+
+    def test_pool_has_no_more_workers_than_grid_points(
+        self, sweep_artifacts, tmp_path, monkeypatch
+    ):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for the process pool and runs the jobs inline."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                self.map = map
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        config, out = sweep_artifacts
+        pooled = tmp_path / "pooled"
+        assert main(
+            ["sweep", "--config", config, "--out", str(pooled), "--workers", "1000"]
+        ) == 0
+        assert sizes == [3]
+        assert (pooled / "manifest.json").read_bytes() == (
+            out / "manifest.json"
+        ).read_bytes()
+
+    def test_default_sweep_builds_two_operators_per_design(self, tmp_path, monkeypatch):
+        # Each controller's cached design builds the chain (lambda = 0)
+        # and its lag once; every point reuses both.
+        built = []
+
+        def counting(times, lam):
+            built.append(lam)
+            return lag_response_matrix(times, lam)
+
+        for module in (collocation_planner, error_estimator):
+            monkeypatch.setattr(module, "lag_response_matrix", counting)
+        collocation_planner._cached_design.cache_clear()
+        assert main(["sweep", "--out", str(tmp_path / "out")]) == 0
+        assert sorted(built) == [0.0] * 4 + [10.0, 20.0, 30.0, 50.0]
 
     def test_failures_are_recorded_and_exit_nonzero(self, tmp_path, capsys):
         config = write_config(

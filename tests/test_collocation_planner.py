@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_reference
-from plantrack import collocation_planner, error_estimator
+from plantrack import collocation_planner
 from plantrack.cli import RunConfig
 from plantrack.collocation_planner import (
     KKT_TOLERANCE,
@@ -272,7 +272,7 @@ def test_objective_consistency_with_the_estimator(mu):
         VelocityProfile(traj.times, traj.v), problem.dominant_lambda
     )
     recomputed = trapezoid_quadrature(traj.times, a**2) + mu * trapezoid_quadrature(
-        traj.times, error.values**2
+        traj.times, error**2
     )
     assert recomputed == pytest.approx(solver_objective, rel=1e-9)
     reported = traj.designed_cost + mu * traj.predicted_error_integral
@@ -363,7 +363,7 @@ def test_condensed_solver_matches_the_full_space_kkt(template, lam):
         cost = trapezoid_quadrature(times, a**2)
         assert traj.designed_cost == pytest.approx(cost, rel=1e-10, abs=0)
         error = error_integral_form(VelocityProfile(times, v), lam)
-        predicted = trapezoid_quadrature(times, error.values**2)
+        predicted = trapezoid_quadrature(times, error**2)
         assert traj.predicted_error_integral == pytest.approx(predicted, rel=1e-10, abs=0)
     # The bounded toss really exercises the active set; the default climb
     # never touches the box.
@@ -392,7 +392,6 @@ def test_active_set_iterations_follow_the_working_set_path():
 
 def _clear_design_caches():
     collocation_planner._cached_design.cache_clear()
-    error_estimator._lag_matrix.cache_clear()
 
 
 def _trajectory_bytes(traj):
@@ -403,8 +402,7 @@ def _trajectory_bytes(traj):
         traj.v.tobytes(),
         traj.a.tobytes(),
         traj.u.tobytes(),
-        traj.predicted_error.times.tobytes(),
-        traj.predicted_error.values.tobytes(),
+        traj.predicted_error.tobytes(),
         traj.designed_cost,
         traj.predicted_error_integral,
         traj.mu,
@@ -425,6 +423,16 @@ def lag_matrix_from_scratch(times, lam):
     return L
 
 
+def chain_matrix_from_scratch(n, dt):
+    """Lower-triangular C with v - v0 = C a for the trapezoid chain."""
+    C = np.tri(n)
+    C *= dt
+    C[:, 0] *= 0.5
+    C[np.arange(n), np.arange(n)] *= 0.5
+    C[0, :] = 0.0
+    return C
+
+
 def condense_from_scratch(problem):
     """The condensed QP built from the formulas with no shared state.
 
@@ -435,11 +443,7 @@ def condense_from_scratch(problem):
     dt = problem.horizon / problem.segments
     times = np.linspace(0.0, problem.horizon, n)
     quad = trapezoid_weights(n) * dt
-    C = np.tri(n)
-    C *= dt
-    C[:, 0] *= 0.5
-    C[np.arange(n), np.arange(n)] *= 0.5
-    C[0, :] = 0.0
+    C = chain_matrix_from_scratch(n, dt)
     y_map = np.zeros((n, n))
     np.add(C[1:], C[:-1], out=y_map[1:])
     y_map *= 0.5 * dt
@@ -522,8 +526,9 @@ class TestDesignCache:
             qp.y_offset,
             traj.times,
             design.quad,
+            design.chain,
+            design.lag,
             *design.weighted[:2],
-            lag_response_matrix(qp.times, problem.dominant_lambda),
         ]
         for array in shared:
             with pytest.raises(ValueError):
@@ -531,14 +536,44 @@ class TestDesignCache:
         # The per-point parts stay the caller's own.
         qp.hessian[0, 0] = qp.gradient[0] = 1.0
 
-    def test_lag_matrix_is_built_once_per_grid_and_lambda(self):
-        times = np.linspace(0.0, 1.0, 61)
-        L = lag_response_matrix(times, 20.0)
-        assert L.tobytes() == lag_matrix_from_scratch(times, 20.0).tobytes()
-        assert lag_response_matrix(times.copy(), 20.0) is L
-        assert lag_response_matrix(times, 30.0) is not L
+    def test_lag_matrix_is_built_once_per_design(self, monkeypatch):
+        built = []
+
+        def counting(times, lam):
+            built.append(lam)
+            return lag_response_matrix(times, lam)
+
+        monkeypatch.setattr(collocation_planner, "lag_response_matrix", counting)
+        _clear_design_caches()
+        problem = PlanProblem(v0=2.0, dominant_lambda=20.0)
+        design = collocation_planner._design(problem)
+        assert built == [0.0, 20.0]
+        for mu in (0.0, 1.0, 1e3):
+            point = dataclasses.replace(problem, mu=mu)
+            traj = solve(point)
+            assert collocation_planner._design(point) is design
+            # The reported error is the estimator's, bit for bit.
+            estimate = error_integral_form(VelocityProfile(traj.times, traj.v), 20.0)
+            assert traj.predicted_error.tobytes() == estimate.tobytes()
+        assert built == [0.0, 20.0]
+        times = design.times
+        assert design.lag.tobytes() == lag_matrix_from_scratch(times, 20.0).tobytes()
+        other = collocation_planner._design(
+            dataclasses.replace(problem, dominant_lambda=30.0)
+        )
+        assert other is not design
+        assert built == [0.0, 20.0, 0.0, 30.0]
         with pytest.raises(ValueError):
             lag_response_matrix(np.stack([times, times]), 20.0)
+
+    def test_lag_matrix_at_zero_lambda_is_the_chain(self):
+        for n, horizon in ((61, 1.0), (121, 1.0), (7, 2.5)):
+            times = np.linspace(0.0, horizon, n)
+            dt = horizon / (n - 1)
+            chain = chain_matrix_from_scratch(n, dt)
+            assert lag_response_matrix(times, 0.0).tobytes() == chain.tobytes()
+        with pytest.raises(ValueError):
+            lag_response_matrix(times, -1.0)
 
     @staticmethod
     def assert_condense_is_the_formula(problem):
@@ -564,9 +599,8 @@ class TestDesignCache:
     def test_cache_stays_within_its_size_after_a_large_solve(self):
         for segments in (1500, 40, 41, 42, 43, 44, 45, 46, 47, 48):
             solve(PlanProblem(segments=segments, mu=1.0))
-        for cache in (collocation_planner._cached_design, error_estimator._lag_matrix):
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize
+        info = collocation_planner._cached_design.cache_info()
+        assert info.currsize <= info.maxsize
         _clear_design_caches()  # release the large design for later tests
 
 
@@ -729,7 +763,7 @@ class TestTrajectoryCsv:
         assert np.array_equal(back.v, traj.v)
         assert np.array_equal(back.a, traj.a)
         assert np.array_equal(back.u, traj.u)
-        assert np.array_equal(back.predicted_error.values, traj.predicted_error.values)
+        assert np.array_equal(back.predicted_error, traj.predicted_error)
         assert back.mu is None
         assert back.kkt_residual is None
         assert back.designed_cost == pytest.approx(traj.designed_cost, rel=1e-12)
@@ -766,4 +800,15 @@ class TestTrajectoryCsv:
         path = tmp_path / "ragged.csv"
         path.write_text("t,y,v,a,u,e_pred\n0,0,0,0,0,0,0\n0.5,1,2,3,4,5,6\n")
         with pytest.raises(TrajectorySchemaError, match=r"expected 6 columns, found 7"):
+            read_trajectory_csv(path)
+
+    def test_grid_not_starting_at_zero_is_reported(self, tmp_path):
+        # The simulator's reference lookup counts knots from t = 0.
+        traj = solve(PlanProblem(mu=100.0))
+        shifted = dataclasses.replace(traj, times=traj.times + 0.5)
+        path = tmp_path / "shifted.csv"
+        write_trajectory_csv(shifted, path)
+        with pytest.raises(
+            TrajectorySchemaError, match=r"column 't': profile must start at t = 0"
+        ):
             read_trajectory_csv(path)

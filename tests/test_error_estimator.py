@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from plantrack.error_estimator import (
-    ErrorSeries,
     VelocityProfile,
     error_discrete_limit_form,
     error_integral_form,
@@ -92,13 +91,13 @@ class TestVelocityProfile:
 class TestIntegralForm:
     def test_zero_profile(self):
         series = error_integral_form(uniform_profile(np.zeros(61)), 20.0)
-        assert np.all(series.values == 0.0)
-        assert series.values[0] == 0.0
+        assert np.all(series == 0.0)
+        assert series[0] == 0.0
 
     def test_constant_profile_reaches_steady_lag(self):
         prof = uniform_profile(np.full(201, 5.0))
         series = error_integral_form(prof, 20.0)
-        assert series.values[-1] == pytest.approx(5.0 / 20.0, abs=1e-3)
+        assert series[-1] == pytest.approx(5.0 / 20.0, abs=1e-3)
 
     def test_matches_lag_ode_on_polynomial_profile(self):
         # Trapezoid weighting of the convolution carries a quadrature
@@ -109,7 +108,7 @@ class TestIntegralForm:
         prof = VelocityProfile(t, 15 * t - 15 * t**2)
         series = error_integral_form(prof, 20.0)
         oracle = rk4_lag_at_knots(prof, 20.0)
-        deviation = np.max(np.abs(series.values - oracle))
+        deviation = np.max(np.abs(series - oracle))
         assert deviation < 10.0 * prof.dt**2 * np.max(np.abs(prof.values))
         assert deviation < 2e-3
 
@@ -127,7 +126,7 @@ class TestIntegralForm:
                 series = error_integral_form(prof, lam)
                 oracle = rk4_lag_at_knots(prof, lam)
                 bound = 10.0 * dt**2 * np.max(np.abs(v))
-                assert np.max(np.abs(series.values - oracle)) < bound
+                assert np.max(np.abs(series - oracle)) < bound
 
     def test_linear_in_profile(self):
         rng = np.random.default_rng(21)
@@ -137,9 +136,9 @@ class TestIntegralForm:
         alpha, beta = 1.7, -0.3
         combined = error_integral_form(
             VelocityProfile(t, alpha * v1 + beta * v2), 20.0
-        ).values
-        parts = alpha * error_integral_form(VelocityProfile(t, v1), 20.0).values
-        parts += beta * error_integral_form(VelocityProfile(t, v2), 20.0).values
+        )
+        parts = alpha * error_integral_form(VelocityProfile(t, v1), 20.0)
+        parts += beta * error_integral_form(VelocityProfile(t, v2), 20.0)
         scale = np.max(np.abs(parts))
         assert np.max(np.abs(combined - parts)) <= 1e-12 * max(scale, 1.0)
 
@@ -147,11 +146,11 @@ class TestIntegralForm:
         rng = np.random.default_rng(30)
         t = np.linspace(0.0, 1.0, 61)
         v = rng.normal(size=61)
-        full = error_integral_form(VelocityProfile(t, v), 20.0).values
+        full = error_integral_form(VelocityProfile(t, v), 20.0)
         cut = 40
         truncated = error_integral_form(
             VelocityProfile(t[: cut + 1], v[: cut + 1]), 20.0
-        ).values
+        )
         assert np.array_equal(truncated, full[: cut + 1])
 
     def test_rejects_bad_inputs(self):
@@ -223,7 +222,7 @@ class TestSumDiscretization:
         prof = uniform_profile(np.full(1001, 5.0))
         series = error_integral_form(prof, 20.0)
         value = error_sum_discretization(prof, 20.0, 10**5)
-        assert abs(value - series.values[-1]) < 1e-3
+        assert abs(value - series[-1]) < 1e-3
 
     def test_rejects_bad_inputs(self):
         prof = uniform_profile(np.ones(10))
@@ -232,7 +231,3 @@ class TestSumDiscretization:
         with pytest.raises(ValueError):
             error_sum_discretization(prof, 20.0, -1)
 
-
-def test_error_series_holds_grid():
-    series = ErrorSeries(times=np.array([0.0, 1.0]), values=np.array([0.0, 0.5]))
-    assert series.values[0] == 0.0

@@ -112,7 +112,7 @@ class TestSweep:
         series = error_integral_form(
             VelocityProfile(t, 15.0 * t - 7.5 * t**2), 20.0
         )
-        analytic = trapezoid_quadrature(t, series.values**2)
+        analytic = trapezoid_quadrature(t, series**2)
         assert abs(pt.predicted_error_integral - analytic) < 1e-6
         assert pt.actual_cost > 0.0
         assert pt.actual_error_integral > 0.0
