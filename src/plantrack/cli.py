@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import math
 import re
@@ -80,8 +79,10 @@ class RunConfig:
             raise ConfigError("log mu grid needs mu_min > 0")
         if self.mu_min > self.mu_max:
             raise ConfigError("mu_min must not exceed mu_max")
-        if self.max_step <= 0 or self.pole_fraction <= 0:
+        if not (self.max_step > 0 and self.pole_fraction > 0):
             raise ConfigError("step rule fields must be positive")
+        if not math.isfinite(self.horizon):
+            raise ConfigError("horizon must be finite")
         grid = self.mu_grid()
         if not all(b > a for a, b in zip(grid, grid[1:])):
             raise ConfigError(
@@ -101,6 +102,23 @@ class RunConfig:
             self.problem_template()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # Every point of a pair flies with the same step, so a step rule
+        # no point can use is a config error, found before any planning.
+        knot_spacing = self.horizon / self.segments
+        for pair in self.pairs:
+            step = sim.pole_step(
+                pair.lambda_fast, self.horizon, self.max_step, self.pole_fraction
+            )
+            if step > knot_spacing * (1 + 1e-9):
+                raise ConfigError(
+                    f"pair {_pair_text(pair)}: sim step {step!r} s exceeds"
+                    f" the knot spacing {knot_spacing!r} s"
+                )
+            if abs(pair.lambda_fast) * step > sim.RK4_STABILITY_LIMIT:
+                raise ConfigError(
+                    f"pair {_pair_text(pair)}: sim step {step!r} s is not RK4"
+                    f"-stable (|lambda_fast| * step > {sim.RK4_STABILITY_LIMIT})"
+                )
 
     def mu_grid(self) -> list[float]:
         """{0} followed by mu_count spaced weights from mu_min to mu_max."""
@@ -278,8 +296,16 @@ def _write_json(path: Path, record: dict) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
+def _sha256(data: bytes) -> str:
+    # hashlib loads OpenSSL, megabytes of memory in every cold process,
+    # and only a sweep's manifest needs it.
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _sha256(path.read_bytes())
 
 
 def _parse_pair_flag(raw: str, config: RunConfig, parser) -> EigenvaluePair:
@@ -375,6 +401,23 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     files: dict[str, str] = {}
     failures: dict[str, str] = {}
 
+    controllers = [design_controller(pair, config.params) for pair in config.pairs]
+    # Every design is built here, before any point is planned.  Pool
+    # workers fork from this process and inherit the designs, so each is
+    # built once per sweep, not once per worker, and no worker runs the
+    # eigensolver: its BLAS threads stall for milliseconds per call while
+    # the other workers hold the cores.  A design that fails to build
+    # fails again in its pair's points, which report it.
+    for controller in controllers:
+        try:
+            planner.prepare(
+                replace(
+                    template, mu=grid[-1], dominant_lambda=controller.dominant_lambda
+                )
+            )
+        except planner.PlannerNumericalError:
+            pass
+
     executor = None
     if workers > 1:
         # The pool machinery (multiprocessing, logging, sockets) is about
@@ -386,9 +429,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
         executor = ProcessPoolExecutor(max_workers=min(workers, len(grid)))
     try:
         mapper = executor.map if executor is not None else None
-        for pair in config.pairs:
+        for pair, controller in zip(config.pairs, controllers):
             slug = _pair_slug(pair)
-            controller = design_controller(pair, config.params)
             try:
                 front = frontier_mod.sweep(
                     controller,
@@ -414,9 +456,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
             executor.shutdown()
 
     manifest = {
-        "config_sha256": hashlib.sha256(
-            config.canonical_text().encode()
-        ).hexdigest(),
+        "config_sha256": _sha256(config.canonical_text().encode()),
         "files": files,
         "failures": failures,
     }

@@ -24,12 +24,15 @@ The predicted error enters through the linear lag-response map
 e = L v = v0 L 1 + (L C) a, so Q = diag(2 w) + 2 mu (LC)' W (LC) with
 the trapezoid weights w, and Q is positive definite.
 
-Only mu scales the error term, so a mu sweep shares everything else:
-the grid, C, L, Y, the equality rows and the error block (LC)' W (LC)
-with its linear and constant terms.  That design is built once per
-(grid, boundary data, box, lambda) and kept, read-only, in a small
-per-process cache; a point only scales the error block by mu and
-reads its predicted error through the same L.
+Only mu scales the error term, so a mu sweep shares everything else,
+and most of it is shared more widely still.  The grid, its weights, C
+and Y depend on (segments, horizon) alone; L, the error block
+P = (LC)' W (LC) and its spectral factor on that grid and lambda; the y
+offset, the equality rows and the linear and constant error terms on
+the boundary data and the box as well.  Each level is built once and
+kept, read-only, in a small per-process cache, so the controllers of a
+sweep share one C and one Y, and a point only scales the error block by
+mu and reads its predicted error through the same L.
 
 A dual active-set loop (Goldfarb and Idnani, Math. Programming 27,
 1983; Nocedal and Wright, Numerical Optimization, 2nd ed., 16.5)
@@ -39,13 +42,19 @@ bound to the working set and re-solves, and when a working-set
 multiplier comes back with the wrong sign it stops part way, where the
 first multiplier reaches zero, and drops that row.  Q is positive
 definite and the working sets are small, so every working set is solved
-in the range space: Q^-1 is formed once per point (the reciprocal
-diagonal when mu = 0), and the KKT system of the equality rows and the
-working set reduces to its Schur complement R Q^-1 R', one small
-system, plus one correction against the full KKT residual.  A limit on
-the bound additions guards against rounding loops.  y and v are
-rebuilt from a by the trapezoid recursion, with working-set knots
-pinned exactly to their bound.
+in the range space: the KKT system of the equality rows and the working
+set reduces to its Schur complement R Q^-1 R', one small system, plus
+one correction against the full KKT residual of the explicitly formed
+Q.  Q^-1 is never formed.  At mu = 0 it is the reciprocal diagonal; for
+mu > 0, with D = diag(2 w) and one eigendecomposition per grid and
+lambda, D^-1/2 P D^-1/2 = V diag(s) V', it is applied as
+
+    Q(mu)^-1 x = SV (r * (SV' x)),  SV = D^-1/2 V,  r = 1 / (1 + 2 mu s),
+
+at O(n^2) per column, where a dense inverse would cost O(n^3) per
+point.  A limit on the bound additions guards against rounding loops.
+y and v are rebuilt from a by the trapezoid recursion, with
+working-set knots pinned exactly to their bound.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ import numpy as np
 from ._artifact_csv import read_rows, write_rows
 from .error_estimator import (
     VelocityProfile,
+    _trapezoid,
     apply_lag,
     lag_response_matrix,
     trapezoid_quadrature,
@@ -168,25 +178,26 @@ class CondensedQP:
     upper: float
 
 
-class _Design:
-    """The mu-independent part of one condensed design problem.
+def _read_only(owner) -> None:
+    for array in vars(owner).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
 
-    The grid and its trapezoid weights, the chain C (v - v0 = C a, the
-    lag operator at lambda = 0), the lag L at the controller's lambda, Y,
-    the y offset, the equality rows and, on first use, the error block
-    depend on the grid, the boundary data, the box and lambda only, so
-    one instance serves every mu point of a controller's sweep.  Every
-    array is read-only because the instance is shared.
+
+class _Grid:
+    """The parts of a design fixed by (segments, horizon) alone.
+
+    The knot times, the trapezoid weights, the chain C (v - v0 = C a,
+    the lag operator at lambda = 0) and Y (y - y0 - v0 t = Y a), shared
+    by every controller and every boundary data on the grid.
     """
 
-    def __init__(self, horizon, segments, y0, v0, yf, lower, upper, pin, lam):
+    def __init__(self, segments: int, horizon: float):
         n = segments + 1
         dt = horizon / segments
-        self.v0 = v0
         self.times = np.linspace(0.0, horizon, n)
         self.quad = trapezoid_weights(n) * dt
         self.chain = C = lag_response_matrix(self.times, 0.0)
-        self.lag = lag_response_matrix(self.times, lam)
 
         # Row k of Y is the trapezoid chain over rows 0..k of C: O(n^2),
         # where the equivalent matrix product would be O(n^3).  Built in
@@ -197,9 +208,89 @@ class _Design:
         y_map *= 0.5 * dt
         np.cumsum(y_map, axis=0, out=y_map)
         self.y_map = y_map
+        _read_only(self)
+
+
+class _LagOperator:
+    """The lag L at one lambda on one grid, with what derives from it alone.
+
+    The error block P = (LC)' W (LC) is kept by the first error_terms
+    call and its spectral factor by the first mu > 0 solve, so neither
+    is built for a controller that is only planned at mu = 0.
+    """
+
+    def __init__(self, grid: _Grid, lam: float):
+        self.grid = grid
+        self.lag = lag_response_matrix(grid.times, lam)
+        self.lag.flags.writeable = False
+        self.block: np.ndarray | None = None
+
+    def error_terms(self, v0: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """(P, p, q) with the error term mu (a'Pa + 2 p'a + q).
+
+        P = (LC)' W (LC), p = (LC)' W e_free and q = e_free' W e_free,
+        where e_free = v0 L 1 is the predicted error of a = 0.  LC is an
+        O(n^3) temporary formed once per call; P is kept, so a second
+        boundary data on this grid and lambda pays for LC and p only.
+        """
+        quad = self.grid.quad
+        LC = self.lag @ self.grid.chain
+        weighted = LC.T * quad
+        if self.block is None:
+            block = weighted @ LC
+            block.flags.writeable = False
+            self.block = block
+        e_free = v0 * self.lag.sum(axis=1)
+        p = weighted @ e_free
+        p.flags.writeable = False
+        return self.block, p, float(np.dot(quad, e_free**2))
+
+    @functools.cached_property
+    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
+        """(SV, s) with Q(mu)^-1 = SV diag(1 / (1 + 2 mu s)) SV'.
+
+        With D = diag(2 w), D^-1/2 P D^-1/2 = V diag(s) V' and
+        SV = D^-1/2 V.  P is positive semidefinite, so s is clamped at 0
+        (the computed ones reach -1e-20).
+        """
+        P = self.block if self.block is not None else self.error_terms(0.0)[0]
+        scale = 1.0 / np.sqrt(2.0 * self.grid.quad)
+        scaled = P * scale
+        scaled *= scale[:, None]
+        try:
+            spectrum, vectors = np.linalg.eigh(scaled)
+        except np.linalg.LinAlgError as exc:
+            raise PlannerNumericalError(f"error block factor failed: {exc}") from exc
+        np.maximum(spectrum, 0.0, out=spectrum)
+        vectors *= scale[:, None]
+        vectors.flags.writeable = spectrum.flags.writeable = False
+        return vectors, spectrum
+
+
+class _Design:
+    """The mu-independent part of one condensed design problem.
+
+    The grid arrays (times, quad, chain, y_map) are its grid's and the
+    lag its operator's, shared with every design on the same grid (and
+    lambda); the y offset, the equality rows and, on first use, the
+    error terms depend also on the boundary data and the box.  One
+    instance serves every mu point of a controller's sweep, and every
+    array is read-only because it is shared.
+    """
+
+    def __init__(self, operator: _LagOperator, y0, v0, yf, lower, upper, pin):
+        grid = operator.grid
+        n = grid.times.size
+        self.operator = operator
+        self.v0 = v0
+        self.times = grid.times
+        self.quad = grid.quad
+        self.chain = grid.chain
+        self.y_map = grid.y_map
+        self.lag = operator.lag
         self.y_offset = y0 + v0 * self.times
 
-        rows = [y_map[n - 1]]
+        rows = [self.y_map[n - 1]]
         rhs = [yf - self.y_offset[n - 1]]
         if pin:
             rows.append(np.eye(1, n)[0])
@@ -208,32 +299,46 @@ class _Design:
         self.eq_rhs = np.array(rhs)
         self.lower = lower
         self.upper = upper
-        for array in vars(self).values():
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
+        _read_only(self)
 
     @functools.cached_property
     def weighted(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(P, p, q) with the error term mu (a'Pa + 2 p'a + q).
+        """(P, p, q) of this design's v0 (see _LagOperator.error_terms).
 
-        P = (LC)' W (LC), p = (LC)' W e_free and q = e_free' W e_free,
-        where e_free is the predicted error of a = 0.  Built on the first
-        mu > 0 point only: the plain mu = 0 problem never needs the
-        O(n^3) product.
+        Built on the first mu > 0 point only: the plain mu = 0 problem
+        never needs the O(n^3) products.
         """
-        LC = self.lag @ self.chain
-        e_free = self.v0 * self.lag.sum(axis=1)
-        weighted = LC.T * self.quad
-        P = weighted @ LC
-        p = weighted @ e_free
-        P.flags.writeable = p.flags.writeable = False
-        return P, p, float(np.dot(self.quad, e_free**2))
+        return self.operator.error_terms(self.v0)
+
+    @property
+    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
+        """The shared spectral factor of the error block."""
+        return self.operator.spectral
+
+
+# Horizon and lambda are validated positive, so equal floats have equal
+# bits there and plain float keys are exact.
+@functools.lru_cache(maxsize=8)
+def _cached_grid(segments: int, horizon: float) -> _Grid:
+    return _Grid(segments, horizon)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_operator(segments: int, horizon: float, lam: float) -> _LagOperator:
+    return _LagOperator(_cached_grid(segments, horizon), lam)
 
 
 @functools.lru_cache(maxsize=8)
 def _cached_design(segments: int, pin: bool, data: bytes) -> _Design:
     horizon, y0, v0, yf, lower, upper, lam = np.frombuffer(data).tolist()
-    return _Design(horizon, segments, y0, v0, yf, lower, upper, pin, lam)
+    operator = _cached_operator(segments, horizon, lam)
+    return _Design(operator, y0, v0, yf, lower, upper, pin)
+
+
+def _clear_caches() -> None:
+    """Drop every cached design, operator and grid."""
+    for cache in (_cached_design, _cached_operator, _cached_grid):
+        cache.cache_clear()
 
 
 def _design(problem: PlanProblem) -> _Design:
@@ -254,6 +359,20 @@ def _design(problem: PlanProblem) -> _Design:
     return _cached_design(
         problem.segments, bool(problem.enforce_initial_accel_zero), data.tobytes()
     )
+
+
+def prepare(problem: PlanProblem) -> None:
+    """Build and cache the problem's design ahead of its first solve.
+
+    With mu > 0 that includes the error terms and the spectral factor,
+    so every later point of the design skips them.  A process that
+    prepares the designs of a sweep before it forks pool workers builds
+    each once, not once per worker.
+    """
+    design = _design(problem)
+    if problem.mu > 0:
+        design.weighted
+        design.spectral
 
 
 def condense(problem: PlanProblem) -> CondensedQP:
@@ -287,21 +406,21 @@ def condense(problem: PlanProblem) -> CondensedQP:
     )
 
 
-def _inverse_hessian(hessian: np.ndarray, diagonal: bool):
-    """Q^-1 applied to vectors and to column blocks, formed once.
+def _inverse_hessian(qp: CondensedQP, mu: float, design: _Design):
+    """Q^-1 applied to vectors and to column blocks; Q^-1 is never formed.
 
     Q is diagonal when mu = 0, so its inverse is the reciprocal
-    diagonal and no O(n^3) work is done; otherwise one dense inverse
-    serves every working set of the point.
+    diagonal.  Otherwise the design's spectral factor (SV, s), built
+    on its first mu > 0 point, gives Q^-1 x = SV (r * (SV' x)) with
+    r = 1 / (1 + 2 mu s): O(n^2) per column, and no per-point O(n^3)
+    work.
     """
-    if diagonal:
-        inverse_diagonal = 1.0 / hessian.diagonal()
+    if mu == 0:
+        inverse_diagonal = 1.0 / qp.hessian.diagonal()
         return lambda x: (inverse_diagonal * x.T).T
-    try:
-        inverse = np.linalg.inv(hessian)
-    except np.linalg.LinAlgError as exc:
-        raise PlannerNumericalError(f"Hessian inverse failed: {exc}") from exc
-    return lambda x: inverse @ x
+    vectors, spectrum = design.spectral
+    ratio = 1.0 / (1.0 + 2.0 * mu * spectrum)
+    return lambda x: vectors @ (ratio * (x.T @ vectors)).T
 
 
 def _solve_working_set(qp, apply_inverse, free_optimum, rows, rhs):
@@ -309,9 +428,9 @@ def _solve_working_set(qp, apply_inverse, free_optimum, rows, rhs):
 
     Range-space (Schur complement) solve of [[Q, R'], [R, 0]] [x; nu] =
     [-c; rhs]: with x0 = -Q^-1 c and G = Q^-1 R', (R G) nu = R x0 - rhs
-    and x = x0 - G nu.  One correction against the true KKT residual,
-    through the same G and R G, takes back the accuracy the explicit
-    inverse gives away.
+    and x = x0 - G nu.  One correction against the true KKT residual
+    of the explicitly formed Q, through the same G and R G, takes back
+    the accuracy the factored inverse gives away.
     """
     G = apply_inverse(rows.T)
     schur = rows @ G
@@ -335,10 +454,11 @@ def _solve_working_set(qp, apply_inverse, free_optimum, rows, rhs):
     return target, mult
 
 
-def _solve_box_qp(qp: CondensedQP, diagonal: bool):
+def _solve_box_qp(qp: CondensedQP, apply_inverse):
     """Minimize the condensed QP by a dual active-set loop.
 
-    diagonal says Q is diagonal (mu = 0).  Starts from the optimum of
+    apply_inverse applies Q^-1 (see _inverse_hessian), costing
+    O(n^2 m) per working set of m rows.  Starts from the optimum of
     the equality rows alone, which needs no feasible point, and adds the
     most violated interior bound until none is violated (Goldfarb and
     Idnani, Math. Programming 27, 1983; Nocedal and Wright 16.5).
@@ -356,7 +476,6 @@ def _solve_box_qp(qp: CondensedQP, diagonal: bool):
     """
     n = qp.times.size
     m_base = qp.eq_matrix.shape[0]
-    apply_inverse = _inverse_hessian(qp.hessian, diagonal)
     free_optimum = -apply_inverse(qp.gradient)
     tol = KKT_TOLERANCE / 10.0
     # Working set by knot: -1 lower bound, +1 upper bound, 0 free; a
@@ -474,9 +593,11 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     qp = condense(problem)
     design = _design(problem)
     a, mult, lo_idx, hi_idx, iterations = _solve_box_qp(
-        qp, diagonal=problem.mu == 0
+        qp, _inverse_hessian(qp, problem.mu, design)
     )
     times = qp.times
+    # linspace ends on the horizon exactly, so dt is also the spacing
+    # trapezoid_quadrature would measure, (t[-1] - t[0]) / segments.
     dt = problem.horizon / problem.segments
     v = _trapezoid_chain(problem.v0, a, dt)
     y = _trapezoid_chain(problem.y0, v, dt)
@@ -501,8 +622,8 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
         a=a,
         u=params.mass * (a + params.gravity),
         predicted_error=predicted,
-        designed_cost=trapezoid_quadrature(times, a**2),
-        predicted_error_integral=trapezoid_quadrature(times, predicted**2),
+        designed_cost=_trapezoid(a**2, dt),
+        predicted_error_integral=_trapezoid(predicted**2, dt),
         mu=problem.mu,
         kkt_residual=residual,
         active_set_iterations=iterations,

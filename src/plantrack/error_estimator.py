@@ -44,14 +44,24 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
+def _trapezoid(values: np.ndarray, dt: float) -> float:
+    """Trapezoid integral of samples spaced dt apart, unchecked.
+
+    For grids the caller built itself.  dt must be the spacing
+    trapezoid_quadrature would use, (t[-1] - t[0]) / (n - 1), for the
+    same bits: a grid built as arange(k + 1) * step does not always give
+    back step.
+    """
+    return float(np.dot(trapezoid_weights(values.size), values) * dt)
+
+
 def trapezoid_quadrature(times: np.ndarray, values: np.ndarray) -> float:
     """Integrate samples on a uniform grid with the trapezoid weight row."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.shape != times.shape:
         raise ValueError("times and values must have matching shape")
-    dt = _uniform_spacing(times)
-    return float(np.dot(trapezoid_weights(times.size), values) * dt)
+    return _trapezoid(values, _uniform_spacing(times))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import pytest
 
 import plantrack
 from conftest import make_reference
-from plantrack import collocation_planner, error_estimator, tracking_sim
+from plantrack import collocation_planner, error_estimator, frontier, tracking_sim
 from plantrack.cli import ConfigError, RunConfig, load_config, main
 from plantrack.collocation_planner import (
     PlanProblem,
@@ -194,6 +194,10 @@ class TestRunConfigValidation:
             {"mu_min": 10.0, "mu_max": 1.0},
             {"max_step": 0.0},
             {"pole_fraction": 0.0},
+            # No step can be chosen from these.
+            {"max_step": float("nan")},
+            {"horizon": float("nan")},
+            {"horizon": float("inf")},
             # Pairs whose file labels collide would overwrite each other.
             {"pairs": (EigenvaluePair(lambda_slow=-10.0, lambda_fast=-100.0),) * 2},
             {
@@ -214,6 +218,27 @@ class TestRunConfigValidation:
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            # A 0.02 s step on a 1/60 s knot grid.
+            (dict(max_step=1.0, pole_fraction=10.0), "exceeds the knot spacing"),
+            # 1/167 s at the -500 pole: |lambda| h = 2.99.
+            (dict(segments=10, max_step=0.01, pole_fraction=3.0), "not RK4-stable"),
+        ],
+    )
+    def test_step_rules_are_checked_per_pair(self, kwargs, message):
+        fast = (EigenvaluePair(lambda_slow=-50.0, lambda_fast=-500.0),)
+        with pytest.raises(ConfigError, match=rf"pair -50.0,-500.0: .*{message}"):
+            RunConfig(pairs=fast, **kwargs)
+
+    def test_step_equal_to_the_knot_spacing_is_accepted(self):
+        # |lambda| h = 100 / 60 is inside the RK4 limit.
+        slow = (EigenvaluePair(lambda_slow=-10.0, lambda_fast=-100.0),)
+        config = RunConfig(pairs=slow, max_step=1.0 / 60.0, pole_fraction=100.0)
+        controller = design_controller(config.pairs[0], config.params)
+        assert config.step_for(controller) == 1.0 / 60.0
 
     def test_default_grid_shape(self):
         grid = RunConfig().mu_grid()
@@ -429,6 +454,66 @@ class TestSweepCommand:
         for name in ("frontier_20_200.csv", "spring_20_200.json", "manifest.json"):
             assert (parallel / name).read_bytes() == (out / name).read_bytes()
 
+    def test_bounded_sweep_is_byte_identical_across_reruns_and_workers(self, tmp_path):
+        # A toss the box clamps at every weight, so the spectral factor
+        # serves several working sets per point.  Cold caches, warm
+        # caches and two pool workers building their own designs give
+        # the same bytes.
+        config = write_config(
+            tmp_path,
+            """\
+            [controllers]
+            pairs = -10,-100; -20,-200
+            [plan]
+            segments = 120
+            v0 = 30.0
+            yf = 0.0
+            [mu_grid]
+            count = 3
+            min = 1
+            max = 1e6
+            """,
+        )
+        runs = {}
+        for label, workers in (("cold", "1"), ("warm", "1"), ("pool", "2")):
+            if label != "warm":
+                collocation_planner._clear_caches()
+            out = tmp_path / label
+            assert main(
+                ["sweep", "--config", config, "--out", str(out), "--workers", workers]
+            ) == 0
+            runs[label] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(runs["cold"]) == 5
+        assert runs["warm"] == runs["cold"]
+        assert runs["pool"] == runs["cold"]
+        points = read_frontier_points(tmp_path / "cold" / "frontier_20_200.csv")
+        assert [p.mu for p in points] == [0.0, 1.0, 1e3, 1e6]
+
+    def test_pool_workers_inherit_every_design(self, tmp_path, monkeypatch):
+        # The sweep's own process builds each controller's design, its
+        # eigendecomposition included, before the workers fork; no worker
+        # builds one again.
+        calls = tmp_path / "eigh_calls"
+        calls.touch()
+        eigh = np.linalg.eigh
+
+        def recording(matrix, *args, **kwargs):
+            # Appends survive the fork into pool workers.
+            with calls.open("a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        collocation_planner._clear_caches()
+        config = write_config(
+            tmp_path, REDUCED_SWEEP.replace("-20,-200", "-10,-100; -20,-200")
+        )
+        out = tmp_path / "out"
+        assert main(
+            ["sweep", "--config", config, "--out", str(out), "--workers", "2"]
+        ) == 0
+        assert calls.read_text().split() == [str(os.getpid())] * 2
+
     def test_pool_has_no_more_workers_than_grid_points(
         self, sweep_artifacts, tmp_path, monkeypatch
     ):
@@ -457,9 +542,10 @@ class TestSweepCommand:
             out / "manifest.json"
         ).read_bytes()
 
-    def test_default_sweep_builds_two_operators_per_design(self, tmp_path, monkeypatch):
-        # Each controller's cached design builds the chain (lambda = 0)
-        # and its lag once; every point reuses both.
+    def test_default_sweep_shares_one_chain_across_controllers(self, tmp_path, monkeypatch):
+        # The four controllers share one grid, so the chain (lambda = 0)
+        # is built once; each controller builds its lag once, and every
+        # point reuses both.
         built = []
 
         def counting(times, lam):
@@ -468,9 +554,9 @@ class TestSweepCommand:
 
         for module in (collocation_planner, error_estimator):
             monkeypatch.setattr(module, "lag_response_matrix", counting)
-        collocation_planner._cached_design.cache_clear()
+        collocation_planner._clear_caches()
         assert main(["sweep", "--out", str(tmp_path / "out")]) == 0
-        assert sorted(built) == [0.0] * 4 + [10.0, 20.0, 30.0, 50.0]
+        assert sorted(built) == [0.0, 10.0, 20.0, 30.0, 50.0]
 
     def test_failures_are_recorded_and_exit_nonzero(self, tmp_path, capsys):
         config = write_config(
@@ -487,11 +573,11 @@ class TestSweepCommand:
         assert not (out / "frontier_20_200.csv").exists()
 
     def test_worker_failure_reports_like_a_serial_one(self, tmp_path, capsys):
-        # A step longer than the knot spacing fails every point inside
-        # the process that plans and flies it.
+        # A box that excludes the goal fails every point inside the
+        # process that plans it.
         config = write_config(
             tmp_path,
-            "[controllers]\npairs = -50,-500\n[sim]\nmax_step = 1.0\npole_fraction = 10\n",
+            REDUCED_SWEEP + "\n[plan]\nyf = 6.0\ny_max = 5.5\n",
         )
         runs = []
         for workers in ("1", "2"):
@@ -505,9 +591,46 @@ class TestSweepCommand:
         assert runs[1] == runs[0]
         assert runs[0][:2] == (
             1,
-            "sweep 50_500: sweep failed at mu = 0: "
-            "step must not exceed the knot spacing\n",
+            "sweep 20_200: sweep failed at mu = 0: boundary altitudes y0=0.0, "
+            "yf=6.0 must lie within the bounds [0.0, 5.5]\n",
         )
+
+    def test_step_rule_is_a_config_error_before_any_planning(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A step longer than the knot spacing cannot fly any point of the
+        # pair.  The config is rejected before a point is planned, the
+        # same way under any worker count, and like every config error
+        # it writes no manifest: the run never starts.
+        calls = tmp_path / "solve_calls"
+        calls.touch()
+
+        def counting(problem):
+            # Appends survive the fork into pool workers.
+            with calls.open("a") as handle:
+                handle.write("x")
+            return solve(problem)
+
+        monkeypatch.setattr(frontier, "solve", counting)
+        config = write_config(
+            tmp_path,
+            "[controllers]\npairs = -50,-500\n[sim]\nmax_step = 1.0\npole_fraction = 10\n",
+        )
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            code = main(
+                ["sweep", "--config", config, "--out", str(out), "--workers", workers]
+            )
+            runs.append((code, capsys.readouterr().err))
+            assert not out.exists()
+        assert runs[1] == runs[0]
+        assert runs[0] == (
+            1,
+            "config error: pair -50.0,-500.0: sim step 0.02 s exceeds the knot "
+            "spacing 0.016666666666666666 s\n",
+        )
+        assert calls.read_text() == ""
 
 
 class TestStiffnessCommand:
@@ -572,12 +695,13 @@ class TestStiffnessCommand:
 
 
 @pytest.mark.parametrize(
-    "module", ["scipy", "concurrent.futures.process", "multiprocessing"]
+    "module", ["scipy", "concurrent.futures.process", "multiprocessing", "hashlib"]
 )
 def test_cli_import_does_not_load(module):
-    # scipy is a test-only dependency, and the process pool is needed
-    # only by a sweep with more than one worker; each costs every cold
-    # process its import time.
+    # scipy is a test-only dependency, the process pool is needed only
+    # by a sweep with more than one worker, and hashlib (OpenSSL, about
+    # 4 MB resident) only by a sweep's manifest; each costs every cold
+    # process its import time or memory.
     package_root = str(Path(plantrack.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -370,6 +370,72 @@ def test_condensed_solver_matches_the_full_space_kkt(template, lam):
     assert (pinned > 0) == (template is _BOUNDED_TEMPLATE)
 
 
+# Largest column error of the spectral apply against a dense solve over
+# the default and bounded designs below: 7.4e-13 relative (3.2e-13 on
+# the bounded toss); a dense inverse measured 4.0e-13 and 1.4e-13.
+SPECTRAL_APPLY_RTOL = 1e-11
+
+
+@pytest.mark.parametrize("template", [_DEFAULT_TEMPLATE, _BOUNDED_TEMPLATE], ids=["default", "bounded"])
+@pytest.mark.parametrize("lam", [10.0, 20.0, 30.0, 50.0])
+def test_spectral_apply_matches_a_dense_solve(template, lam):
+    problem = dataclasses.replace(template, dominant_lambda=lam)
+    design = collocation_planner._design(problem)
+    for mu in RunConfig().mu_grid()[1:]:
+        qp = condense(dataclasses.replace(problem, mu=mu))
+        # The columns a working-set solve applies Q^-1 to: the equality
+        # rows and box rows along the grid.
+        columns = np.column_stack([qp.eq_matrix.T, qp.y_map[1:-1:7].T])
+        apply_inverse = collocation_planner._inverse_hessian(qp, mu, design)
+        expected = np.linalg.solve(qp.hessian, columns)
+        error = np.max(np.abs(apply_inverse(columns) - expected), axis=0)
+        assert np.all(error <= SPECTRAL_APPLY_RTOL * np.max(np.abs(expected), axis=0)), mu
+    vectors, spectrum = design.spectral
+    assert spectrum.min() >= 0.0
+    for array in (vectors, spectrum):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_one_eigendecomposition_per_controller_sweep(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Q^-1 must not be formed")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    _clear_design_caches()
+    grid = RunConfig().mu_grid()
+    solve(dataclasses.replace(_BOUNDED_TEMPLATE, mu=0.0))
+    assert calls == []
+    total = sum(
+        solve(dataclasses.replace(_BOUNDED_TEMPLATE, mu=mu)).active_set_iterations
+        for mu in grid
+    )
+    assert total > len(grid)  # several working sets per point share it
+    assert calls == [(121, 121)]
+    # Another box and start on the same grid and lambda share the factor.
+    solve(PlanProblem(segments=120, v0=-3.0, y_bounds=(-1.0, 5.0), mu=10.0))
+    assert calls == [(121, 121)]
+
+
+def test_failed_factorization_is_a_planner_error(monkeypatch):
+    def failing(matrix, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    _clear_design_caches()
+    with pytest.raises(PlannerNumericalError, match="did not converge"):
+        solve(PlanProblem(mu=1.0))
+    _clear_design_caches()
+
+
 def test_active_set_iterations_follow_the_working_set_path():
     # One working-set solve per default point (the equality optimum is
     # inside the box); the bounded toss takes 171 over its 62 points.
@@ -391,7 +457,7 @@ def test_active_set_iterations_follow_the_working_set_path():
 
 
 def _clear_design_caches():
-    collocation_planner._cached_design.cache_clear()
+    collocation_planner._clear_caches()
 
 
 def _trajectory_bytes(traj):
@@ -562,9 +628,31 @@ class TestDesignCache:
             dataclasses.replace(problem, dominant_lambda=30.0)
         )
         assert other is not design
-        assert built == [0.0, 20.0, 0.0, 30.0]
+        # Another lambda is another lag on the same grid and chain.
+        assert built == [0.0, 20.0, 30.0]
         with pytest.raises(ValueError):
             lag_response_matrix(np.stack([times, times]), 20.0)
+
+    def test_controllers_share_the_grid_arrays(self):
+        _clear_design_caches()
+        problems = [
+            dataclasses.replace(_BOUNDED_TEMPLATE, mu=1.0, v0=v0, dominant_lambda=lam)
+            for v0 in (30.0, -5.0)
+            for lam in (10.0, 20.0)
+        ]
+        designs = [collocation_planner._design(problem) for problem in problems]
+        for design in designs[1:]:
+            for name in ("times", "quad", "chain", "y_map"):
+                assert getattr(design, name) is getattr(designs[0], name), name
+        # The lag, the error block and its factor follow lambda, not the
+        # boundary data; the linear error term follows v0.
+        assert designs[1].lag is not designs[0].lag
+        assert designs[2].lag is designs[0].lag
+        assert designs[2].weighted[0] is designs[0].weighted[0]
+        assert designs[2].weighted[1].tobytes() != designs[0].weighted[1].tobytes()
+        assert designs[2].spectral[0] is designs[0].spectral[0]
+        for problem in problems:
+            self.assert_condense_is_the_formula(problem)
 
     def test_lag_matrix_at_zero_lambda_is_the_chain(self):
         for n, horizon in ((61, 1.0), (121, 1.0), (7, 2.5)):
@@ -651,7 +739,7 @@ def test_every_problem_is_certified_or_rejected(problem):
     assert traj.y.max() <= upper + 1e-9
 
 
-# 27 of the DRAWS draws below fall in the complementarity class; the
+# 26 of the DRAWS draws below fall in the complementarity class; the
 # bound leaves room for rounding differences between BLAS builds.
 DRAWS = 1000
 COMPLEMENTARITY_REJECTIONS = 30
@@ -746,9 +834,25 @@ class TestDesignedCostOperation:
         traj = make_reference(times, times.copy(), np.ones(61), np.zeros(61))
         assert traj.designed_cost == 0.0
 
-    def test_matches_the_solver_field(self):
-        traj = solve(PlanProblem(mu=100.0))
-        assert trapezoid_quadrature(traj.times, traj.a**2) == traj.designed_cost
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            PlanProblem(mu=100.0),
+            dataclasses.replace(_BOUNDED_TEMPLATE, mu=1e3),
+            PlanProblem(horizon=0.7, segments=37, yf=2.0, mu=10.0),
+        ],
+        ids=["default", "bounded", "short-horizon"],
+    )
+    def test_matches_the_solver_field(self, problem):
+        # solve integrates on its own grid without re-validating it; the
+        # scores keep the validating quadrature's bits.
+        traj = solve(problem)
+        for score, integrand in (
+            (traj.designed_cost, traj.a**2),
+            (traj.predicted_error_integral, traj.predicted_error**2),
+        ):
+            expected = trapezoid_quadrature(traj.times, integrand)
+            assert np.float64(score).tobytes() == np.float64(expected).tobytes()
 
 
 class TestTrajectoryCsv:

@@ -16,6 +16,7 @@ import pytest
 from conftest import constant_reference, make_reference
 from plantrack.cli import RunConfig
 from plantrack.collocation_planner import PlanProblem, solve
+from plantrack.error_estimator import trapezoid_quadrature
 from plantrack.lqr import EigenvaluePair, control_law, design_controller
 from plantrack.tracking_sim import (
     TRACKING_COLUMNS,
@@ -254,10 +255,27 @@ class TestScoring:
             SimConfig(step=select_step(mid_controller, traj.horizon),
                       reference=traj, controller=mid_controller)
         )
-        from plantrack.error_estimator import trapezoid_quadrature
-
         altitude_only = trapezoid_quadrature(result.times, result.y_ddot**2)
         assert result.actual_cost >= altitude_only
+
+
+@pytest.mark.parametrize("step", [1e-3, 0.00970873786407767])
+def test_scores_are_the_validating_quadrature_bit_for_bit(slow_controller, step):
+    # The scores skip the grid check but not its spacing: 103 steps of
+    # 0.00970873786407767 s end where (t[-1] - t[0]) / 103 is not the
+    # step's bits.
+    traj = solve(PlanProblem(mu=100.0))
+    result = simulate(SimConfig(step=step, reference=traj, controller=slow_controller))
+    times = result.times
+    spacing_is_step = (times[-1] - times[0]) / (times.size - 1) == step
+    assert spacing_is_step == (step == 1e-3)
+    effort = result.x_ddot**2 + result.y_ddot**2 + result.q_ddot**2
+    for score, integrand in (
+        (result.actual_cost, effort),
+        (result.actual_error_integral, result.error**2),
+    ):
+        expected = trapezoid_quadrature(times, integrand)
+        assert np.float64(score).tobytes() == np.float64(expected).tobytes()
 
 
 def test_divergence_is_reported_with_its_time(slow_controller):
