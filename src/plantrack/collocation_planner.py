@@ -214,9 +214,9 @@ class _Grid:
 class _LagOperator:
     """The lag L at one lambda on one grid, with what derives from it alone.
 
-    The error block P = (LC)' W (LC) is kept by the first error_terms
-    call and its spectral factor by the first mu > 0 solve, so neither
-    is built for a controller that is only planned at mu = 0.
+    The error block P = (LC)' W (LC) and its spectral factor are built
+    on first use (the first mu > 0 point, or prepare), so neither is
+    built for a controller that is only planned at mu = 0.
     """
 
     def __init__(self, grid: _Grid, lam: float):

@@ -376,7 +376,9 @@ def test_condensed_solver_matches_the_full_space_kkt(template, lam):
 SPECTRAL_APPLY_RTOL = 1e-11
 
 
-@pytest.mark.parametrize("template", [_DEFAULT_TEMPLATE, _BOUNDED_TEMPLATE], ids=["default", "bounded"])
+@pytest.mark.parametrize(
+    "template", [_DEFAULT_TEMPLATE, _BOUNDED_TEMPLATE], ids=["default", "bounded"]
+)
 @pytest.mark.parametrize("lam", [10.0, 20.0, 30.0, 50.0])
 def test_spectral_apply_matches_a_dense_solve(template, lam):
     problem = dataclasses.replace(template, dominant_lambda=lam)
