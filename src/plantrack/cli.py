@@ -102,23 +102,6 @@ class RunConfig:
             self.problem_template()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # Every point of a pair flies with the same step, so a step rule
-        # no point can use is a config error, found before any planning.
-        knot_spacing = self.horizon / self.segments
-        for pair in self.pairs:
-            step = sim.pole_step(
-                pair.lambda_fast, self.horizon, self.max_step, self.pole_fraction
-            )
-            if step > knot_spacing * (1 + 1e-9):
-                raise ConfigError(
-                    f"pair {_pair_text(pair)}: sim step {step!r} s exceeds"
-                    f" the knot spacing {knot_spacing!r} s"
-                )
-            if abs(pair.lambda_fast) * step > sim.RK4_STABILITY_LIMIT:
-                raise ConfigError(
-                    f"pair {_pair_text(pair)}: sim step {step!r} s is not RK4"
-                    f"-stable (|lambda_fast| * step > {sim.RK4_STABILITY_LIMIT})"
-                )
 
     def mu_grid(self) -> list[float]:
         """{0} followed by mu_count spaced weights from mu_min to mu_max."""
@@ -153,6 +136,24 @@ class RunConfig:
             max_step=self.max_step,
             pole_fraction=self.pole_fraction,
         )
+
+    def step_rule_error(self, controller) -> str | None:
+        """Why no point of the controller can be flown, or None.
+
+        Every point of a pair flies with the same step, so a step longer
+        than the knot spacing or outside RK4's stability interval fails
+        the whole pair; a sweep checks it before anything is planned.
+        """
+        step = self.step_for(controller)
+        knot_spacing = self.horizon / self.segments
+        if step > knot_spacing * (1 + 1e-9):
+            return f"sim step {step!r} s exceeds the knot spacing {knot_spacing!r} s"
+        if abs(controller.pair.lambda_fast) * step > sim.RK4_STABILITY_LIMIT:
+            return (
+                f"sim step {step!r} s is not RK4-stable"
+                f" (|lambda_fast| * step > {sim.RK4_STABILITY_LIMIT})"
+            )
+        return None
 
     def canonical_text(self) -> str:
         """Stable rendering used for the config checksum: one
@@ -401,14 +402,25 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     files: dict[str, str] = {}
     failures: dict[str, str] = {}
 
-    controllers = [design_controller(pair, config.params) for pair in config.pairs]
-    # Every design is built here, before any point is planned.  Pool
-    # workers fork from this process and inherit the designs, so each is
-    # built once per sweep, not once per worker, and no worker runs the
+    controllers = {}
+    for pair in config.pairs:
+        controller = design_controller(pair, config.params)
+        error = config.step_rule_error(controller)
+        if error is None:
+            controllers[pair] = controller
+        else:
+            failures[_pair_slug(pair)] = error
+
+    # The designs are built here, before any point is planned.  Pool
+    # workers fork from this process and inherit them, so each is built
+    # once per sweep, not once per worker, and no worker runs the
     # eigensolver: its BLAS threads stall for milliseconds per call while
-    # the other workers hold the cores.  A design that fails to build
-    # fails again in its pair's points, which report it.
-    for controller in controllers:
+    # the other workers hold the cores.  Only as many as the planner's
+    # caches hold are built ahead, so none is evicted before its pair
+    # runs; the pairs past them build their own, in each worker.  A
+    # design that fails to build fails again in its pair's points, which
+    # report it.
+    for controller in list(controllers.values())[: planner.DESIGN_CACHE_SIZE]:
         try:
             planner.prepare(
                 replace(
@@ -429,7 +441,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
         executor = ProcessPoolExecutor(max_workers=min(workers, len(grid)))
     try:
         mapper = executor.map if executor is not None else None
-        for pair, controller in zip(config.pairs, controllers):
+        for pair, controller in controllers.items():
             slug = _pair_slug(pair)
             try:
                 front = frontier_mod.sweep(

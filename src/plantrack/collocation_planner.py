@@ -270,12 +270,11 @@ class _LagOperator:
 class _Design:
     """The mu-independent part of one condensed design problem.
 
-    The grid arrays (times, quad, chain, y_map) are its grid's and the
-    lag its operator's, shared with every design on the same grid (and
-    lambda); the y offset, the equality rows and, on first use, the
-    error terms depend also on the boundary data and the box.  One
-    instance serves every mu point of a controller's sweep, and every
-    array is read-only because it is shared.
+    The y offset, the equality rows and, on first use, the error terms
+    of one boundary data and box, on top of the operator (and through
+    it the grid) it shares with every design on the same grid and
+    lambda.  One instance serves every mu point of a controller's sweep,
+    and every array is read-only because it is shared.
     """
 
     def __init__(self, operator: _LagOperator, y0, v0, yf, lower, upper, pin):
@@ -283,14 +282,9 @@ class _Design:
         n = grid.times.size
         self.operator = operator
         self.v0 = v0
-        self.times = grid.times
-        self.quad = grid.quad
-        self.chain = grid.chain
-        self.y_map = grid.y_map
-        self.lag = operator.lag
-        self.y_offset = y0 + v0 * self.times
+        self.y_offset = y0 + v0 * grid.times
 
-        rows = [self.y_map[n - 1]]
+        rows = [grid.y_map[n - 1]]
         rhs = [yf - self.y_offset[n - 1]]
         if pin:
             rows.append(np.eye(1, n)[0])
@@ -310,25 +304,25 @@ class _Design:
         """
         return self.operator.error_terms(self.v0)
 
-    @property
-    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        """The shared spectral factor of the error block."""
-        return self.operator.spectral
+
+# Designs held per process, and so the most controllers a sweep can
+# build ahead of its points (cli.cmd_sweep) without evicting one.
+DESIGN_CACHE_SIZE = 8
 
 
 # Horizon and lambda are validated positive, so equal floats have equal
 # bits there and plain float keys are exact.
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _cached_grid(segments: int, horizon: float) -> _Grid:
     return _Grid(segments, horizon)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _cached_operator(segments: int, horizon: float, lam: float) -> _LagOperator:
     return _LagOperator(_cached_grid(segments, horizon), lam)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _cached_design(segments: int, pin: bool, data: bytes) -> _Design:
     horizon, y0, v0, yf, lower, upper, lam = np.frombuffer(data).tolist()
     operator = _cached_operator(segments, horizon, lam)
@@ -372,7 +366,7 @@ def prepare(problem: PlanProblem) -> None:
     design = _design(problem)
     if problem.mu > 0:
         design.weighted
-        design.spectral
+        design.operator.spectral
 
 
 def condense(problem: PlanProblem) -> CondensedQP:
@@ -384,8 +378,9 @@ def condense(problem: PlanProblem) -> CondensedQP:
             f"must lie within the bounds [{lo}, {hi}]"
         )
     design = _design(problem)
-    hessian = np.diag(2.0 * design.quad)
-    gradient = np.zeros(design.times.size)
+    grid = design.operator.grid
+    hessian = np.diag(2.0 * grid.quad)
+    gradient = np.zeros(grid.times.size)
     constant = 0.0
     if problem.mu > 0:
         P, p, q = design.weighted
@@ -393,24 +388,24 @@ def condense(problem: PlanProblem) -> CondensedQP:
         gradient = 2.0 * problem.mu * p
         constant = problem.mu * q
     return CondensedQP(
-        times=design.times,
+        times=grid.times,
         hessian=hessian,
         gradient=gradient,
         constant=constant,
         eq_matrix=design.eq_matrix,
         eq_rhs=design.eq_rhs,
-        y_map=design.y_map,
+        y_map=grid.y_map,
         y_offset=design.y_offset,
         lower=design.lower,
         upper=design.upper,
     )
 
 
-def _inverse_hessian(qp: CondensedQP, mu: float, design: _Design):
+def _inverse_hessian(qp: CondensedQP, mu: float, operator: _LagOperator):
     """Q^-1 applied to vectors and to column blocks; Q^-1 is never formed.
 
     Q is diagonal when mu = 0, so its inverse is the reciprocal
-    diagonal.  Otherwise the design's spectral factor (SV, s), built
+    diagonal.  Otherwise the operator's spectral factor (SV, s), built
     on its first mu > 0 point, gives Q^-1 x = SV (r * (SV' x)) with
     r = 1 / (1 + 2 mu s): O(n^2) per column, and no per-point O(n^3)
     work.
@@ -418,7 +413,7 @@ def _inverse_hessian(qp: CondensedQP, mu: float, design: _Design):
     if mu == 0:
         inverse_diagonal = 1.0 / qp.hessian.diagonal()
         return lambda x: (inverse_diagonal * x.T).T
-    vectors, spectrum = design.spectral
+    vectors, spectrum = operator.spectral
     ratio = 1.0 / (1.0 + 2.0 * mu * spectrum)
     return lambda x: vectors @ (ratio * (x.T @ vectors)).T
 
@@ -593,7 +588,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     qp = condense(problem)
     design = _design(problem)
     a, mult, lo_idx, hi_idx, iterations = _solve_box_qp(
-        qp, _inverse_hessian(qp, problem.mu, design)
+        qp, _inverse_hessian(qp, problem.mu, design.operator)
     )
     times = qp.times
     # linspace ends on the horizon exactly, so dt is also the spacing
@@ -613,7 +608,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     # rounding of their bound.
     y[lo_idx] = qp.lower
     y[hi_idx] = qp.upper
-    predicted = apply_lag(design.lag, v)
+    predicted = apply_lag(design.operator.lag, v)
     params = problem.params
     return PlannedTrajectory(
         times=times,

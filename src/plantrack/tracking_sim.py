@@ -80,14 +80,7 @@ def select_step(
     The raw step is then snapped down so an integer number of steps
     lands on the horizon exactly.
     """
-    return pole_step(controller.pair.lambda_fast, horizon, max_step, pole_fraction)
-
-
-def pole_step(
-    lambda_fast: float, horizon: float, max_step: float, pole_fraction: float
-) -> float:
-    """select_step's rule from the fast pole alone, before any gains exist."""
-    raw = min(max_step, pole_fraction / abs(lambda_fast))
+    raw = min(max_step, pole_fraction / abs(controller.pair.lambda_fast))
     steps = max(1, math.ceil(horizon / raw - 1e-9))
     return horizon / steps
 

@@ -229,9 +229,11 @@ class TestRunConfigValidation:
         ],
     )
     def test_step_rules_are_checked_per_pair(self, kwargs, message):
-        fast = (EigenvaluePair(lambda_slow=-50.0, lambda_fast=-500.0),)
-        with pytest.raises(ConfigError, match=rf"pair -50.0,-500.0: .*{message}"):
-            RunConfig(pairs=fast, **kwargs)
+        # The config loads; the sweep fails the pair (see TestSweepCommand).
+        fast = EigenvaluePair(lambda_slow=-50.0, lambda_fast=-500.0)
+        config = RunConfig(pairs=(fast,), **kwargs)
+        assert message in config.step_rule_error(design_controller(fast, config.params))
+        assert RunConfig().step_rule_error(design_controller(fast, config.params)) is None
 
     def test_step_equal_to_the_knot_spacing_is_accepted(self):
         # |lambda| h = 100 / 60 is inside the RK4 limit.
@@ -239,6 +241,7 @@ class TestRunConfigValidation:
         config = RunConfig(pairs=slow, max_step=1.0 / 60.0, pole_fraction=100.0)
         controller = design_controller(config.pairs[0], config.params)
         assert config.step_for(controller) == 1.0 / 60.0
+        assert config.step_rule_error(controller) is None
 
     def test_default_grid_shape(self):
         grid = RunConfig().mu_grid()
@@ -595,15 +598,14 @@ class TestSweepCommand:
             "yf=6.0 must lie within the bounds [0.0, 5.5]\n",
         )
 
-    def test_step_rule_is_a_config_error_before_any_planning(
+    def test_step_rule_fails_its_pair_before_any_planning(
         self, tmp_path, capsys, monkeypatch
     ):
-        # A step longer than the knot spacing cannot fly any point of the
-        # pair.  The config is rejected before a point is planned, the
-        # same way under any worker count, and like every config error
-        # it writes no manifest: the run never starts.
+        # A 0.02 s step is longer than the 1/60 s knot spacing, so no
+        # point of -1,-10 can be flown.  The pair is failed before a point
+        # is planned, the same way under any worker count, and recorded
+        # in the manifest like any failed pair; the other pair runs.
         calls = tmp_path / "solve_calls"
-        calls.touch()
 
         def counting(problem):
             # Appends survive the fork into pool workers.
@@ -614,23 +616,50 @@ class TestSweepCommand:
         monkeypatch.setattr(frontier, "solve", counting)
         config = write_config(
             tmp_path,
-            "[controllers]\npairs = -50,-500\n[sim]\nmax_step = 1.0\npole_fraction = 10\n",
+            REDUCED_SWEEP.replace("-20,-200", "-1,-10; -20,-200")
+            + "\n[sim]\nmax_step = 0.02\n",
         )
         runs = []
         for workers in ("1", "2"):
+            calls.write_text("")
             out = tmp_path / f"workers{workers}"
             code = main(
                 ["sweep", "--config", config, "--out", str(out), "--workers", workers]
             )
-            runs.append((code, capsys.readouterr().err))
-            assert not out.exists()
+            # Only -20,-200's three points are planned.
+            assert calls.read_text() == "xxx"
+            manifest = (out / "manifest.json").read_bytes()
+            runs.append((code, capsys.readouterr().err, manifest))
         assert runs[1] == runs[0]
-        assert runs[0] == (
-            1,
-            "config error: pair -50.0,-500.0: sim step 0.02 s exceeds the knot "
-            "spacing 0.016666666666666666 s\n",
-        )
-        assert calls.read_text() == ""
+        message = "sim step 0.02 s exceeds the knot spacing 0.016666666666666666 s"
+        assert runs[0][:2] == (1, f"sweep 1_10: {message}\n")
+        manifest = json.loads(runs[0][2])
+        assert manifest["failures"] == {"1_10": message}
+        assert sorted(manifest["files"]) == ["frontier_20_200.csv", "spring_20_200.json"]
+
+    def test_sweep_builds_each_design_once_past_the_cache_size(
+        self, tmp_path, monkeypatch
+    ):
+        # One pair more than the planner caches: the designs built ahead
+        # of the points must not be evicted before their pairs run, and
+        # the last pair builds its own.
+        assert collocation_planner.DESIGN_CACHE_SIZE == 8
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        collocation_planner._clear_caches()
+        pairs = "; ".join(f"-{slow},-{10 * slow}" for slow in range(10, 19))
+        config = write_config(tmp_path, REDUCED_SWEEP.replace("-20,-200", pairs))
+        out = tmp_path / "out"
+        assert main(
+            ["sweep", "--config", config, "--out", str(out), "--workers", "1"]
+        ) == 0
+        assert calls == [(61, 61)] * 9
 
 
 class TestStiffnessCommand:

@@ -388,11 +388,11 @@ def test_spectral_apply_matches_a_dense_solve(template, lam):
         # The columns a working-set solve applies Q^-1 to: the equality
         # rows and box rows along the grid.
         columns = np.column_stack([qp.eq_matrix.T, qp.y_map[1:-1:7].T])
-        apply_inverse = collocation_planner._inverse_hessian(qp, mu, design)
+        apply_inverse = collocation_planner._inverse_hessian(qp, mu, design.operator)
         expected = np.linalg.solve(qp.hessian, columns)
         error = np.max(np.abs(apply_inverse(columns) - expected), axis=0)
         assert np.all(error <= SPECTRAL_APPLY_RTOL * np.max(np.abs(expected), axis=0)), mu
-    vectors, spectrum = design.spectral
+    vectors, spectrum = design.operator.spectral
     assert spectrum.min() >= 0.0
     for array in (vectors, spectrum):
         with pytest.raises(ValueError):
@@ -593,9 +593,9 @@ class TestDesignCache:
             qp.y_map,
             qp.y_offset,
             traj.times,
-            design.quad,
-            design.chain,
-            design.lag,
+            design.operator.grid.quad,
+            design.operator.grid.chain,
+            design.operator.lag,
             *design.weighted[:2],
         ]
         for array in shared:
@@ -624,8 +624,8 @@ class TestDesignCache:
             estimate = error_integral_form(VelocityProfile(traj.times, traj.v), 20.0)
             assert traj.predicted_error.tobytes() == estimate.tobytes()
         assert built == [0.0, 20.0]
-        times = design.times
-        assert design.lag.tobytes() == lag_matrix_from_scratch(times, 20.0).tobytes()
+        times = design.operator.grid.times
+        assert design.operator.lag.tobytes() == lag_matrix_from_scratch(times, 20.0).tobytes()
         other = collocation_planner._design(
             dataclasses.replace(problem, dominant_lambda=30.0)
         )
@@ -643,16 +643,18 @@ class TestDesignCache:
             for lam in (10.0, 20.0)
         ]
         designs = [collocation_planner._design(problem) for problem in problems]
-        for design in designs[1:]:
+        operators = [design.operator for design in designs]
+        grids = [operator.grid for operator in operators]
+        for grid in grids[1:]:
             for name in ("times", "quad", "chain", "y_map"):
-                assert getattr(design, name) is getattr(designs[0], name), name
+                assert getattr(grid, name) is getattr(grids[0], name), name
         # The lag, the error block and its factor follow lambda, not the
         # boundary data; the linear error term follows v0.
-        assert designs[1].lag is not designs[0].lag
-        assert designs[2].lag is designs[0].lag
+        assert operators[1].lag is not operators[0].lag
+        assert operators[2] is operators[0]
         assert designs[2].weighted[0] is designs[0].weighted[0]
         assert designs[2].weighted[1].tobytes() != designs[0].weighted[1].tobytes()
-        assert designs[2].spectral[0] is designs[0].spectral[0]
+        assert operators[2].spectral[0] is operators[0].spectral[0]
         for problem in problems:
             self.assert_condense_is_the_formula(problem)
 

@@ -1,11 +1,11 @@
 """Write the benchmark record BENCH_<label>.json.
 
-    python3 tools/bench_record.py --label <label> [--checkout DIR] [--seed N] [--seconds S]
+    python3 tools/bench_record.py --label <label> [--checkout DIR]
 
 Runs the benchmark command that BENCHMARK.json declares (perfbench) in
 the checkout DIR, by default this one, once per declared workload with
 --trace 0 (end-to-end metrics) and once with --trace 1 (per-layer
-metrics).  The record goes to BENCH_<label>.json at the root of this
+metrics), at seed 0 for the declared run_seconds.  The record goes to BENCH_<label>.json at the root of this
 checkout: per workload and trace setting, perfbench's environment line
 (commit, versions, CPU) and its closing result object
 {"correct", "attempted", "failed", "metrics"}.  Benchmarking a second
@@ -24,9 +24,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_workload(checkout: Path, command: list[str], workload: str, seed: int,
+def run_workload(checkout: Path, command: list[str], workload: str,
                  seconds: float, trace: int) -> dict:
-    args = command + ["--workload", workload, "--seed", str(seed),
+    args = command + ["--workload", workload, "--seed", "0",
                       "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True,
                           timeout=60 + 20 * seconds)
@@ -43,19 +43,17 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="checkout to benchmark (default: this one)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    record = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
-              "workloads": {}}
+    seconds = declared["run_seconds"]
+    record = {"label": args.label, "seed": 0, "seconds": seconds, "workloads": {}}
     for workload in (w["name"] for w in declared["workloads"]):
         runs = {}
         for trace in (0, 1):
             runs[f"trace{trace}"] = run_workload(
                 args.checkout.resolve(), declared["command"], workload,
-                args.seed, args.seconds, trace)
+                seconds, trace)
             result = runs[f"trace{trace}"]["result"]
             print(f"{workload} trace={trace}: correct={result['correct']} "
                   f"failed={result['failed']}/{result['attempted']}", file=sys.stderr)
