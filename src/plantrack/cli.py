@@ -81,14 +81,14 @@ class RunConfig:
             raise ConfigError("mu_min must not exceed mu_max")
         if not (self.max_step > 0 and self.pole_fraction > 0):
             raise ConfigError("step rule fields must be positive")
-        if not math.isfinite(self.horizon):
-            raise ConfigError("horizon must be finite")
         grid = self.mu_grid()
         if not all(b > a for a, b in zip(grid, grid[1:])):
             raise ConfigError(
                 "mu grid must be strictly ascending: mu_min > 0, and"
                 " mu_min < mu_max when count > 1"
             )
+        if not math.isfinite(grid[-1]):
+            raise ConfigError("mu grid must be finite")
         labels: dict[str, EigenvaluePair] = {}
         for pair in self.pairs:
             slug = _pair_slug(pair)
@@ -411,34 +411,27 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
         else:
             failures[_pair_slug(pair)] = error
 
-    # The designs are built here, before any point is planned.  Pool
-    # workers fork from this process and inherit them, so each is built
-    # once per sweep, not once per worker, and no worker runs the
-    # eigensolver: its BLAS threads stall for milliseconds per call while
-    # the other workers hold the cores.  Only as many as the planner's
-    # caches hold are built ahead, so none is evicted before its pair
-    # runs; the pairs past them build their own, in each worker.  A
-    # design that fails to build fails again in its pair's points, which
-    # report it.
-    for controller in list(controllers.values())[: planner.DESIGN_CACHE_SIZE]:
-        try:
-            planner.prepare(
-                replace(
-                    template, mu=grid[-1], dominant_lambda=controller.dominant_lambda
-                )
-            )
-        except planner.PlannerNumericalError:
-            pass
+    # Pool workers fork from this process and inherit the designs built
+    # here, so none runs the eigensolver, whose BLAS threads stall for
+    # milliseconds per call while the other workers hold the cores.
+    planner.prepare(
+        replace(template, dominant_lambda=c.dominant_lambda)
+        for c in controllers.values()
+    )
 
     executor = None
+    pair_errors = (frontier_mod.SweepError,)
     if workers > 1:
         # The pool machinery (multiprocessing, logging, sockets) is about
         # a tenth of a cold start, and one worker never needs it.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         # Under the fork start method the executor starts all max_workers
         # processes at the first submit, and a pair has one job per weight.
         executor = ProcessPoolExecutor(max_workers=min(workers, len(grid)))
+        # A worker that dies breaks the pool: its pair and every later
+        # one fail with the pool's message.
+        pair_errors += (BrokenExecutor,)
     try:
         mapper = executor.map if executor is not None else None
         for pair, controller in controllers.items():
@@ -451,7 +444,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
                     step=config.step_for(controller),
                     mapper=mapper,
                 )
-            except frontier_mod.SweepError as exc:
+            except pair_errors as exc:
                 failures[slug] = str(exc)
                 continue
             frontier_name = f"frontier_{slug}.csv"

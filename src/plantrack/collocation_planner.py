@@ -24,15 +24,14 @@ The predicted error enters through the linear lag-response map
 e = L v = v0 L 1 + (L C) a, so Q = diag(2 w) + 2 mu (LC)' W (LC) with
 the trapezoid weights w, and Q is positive definite.
 
-Only mu scales the error term, so a mu sweep shares everything else,
-and most of it is shared more widely still.  The grid, its weights, C
-and Y depend on (segments, horizon) alone; L, the error block
-P = (LC)' W (LC) and its spectral factor on that grid and lambda; the y
-offset, the equality rows and the linear and constant error terms on
-the boundary data and the box as well.  Each level is built once and
-kept, read-only, in a small per-process cache, so the controllers of a
-sweep share one C and one Y, and a point only scales the error block by
-mu and reads its predicted error through the same L.
+Only mu scales the error term, so a mu sweep shares everything else.
+The grid, its weights, C and Y depend on (segments, horizon) alone and
+are shared by every controller; L, the y offset, the equality rows,
+the error terms and the error block's spectral factor form one design
+per controller (lambda, boundary data and box).  Both are built once
+and kept, read-only, in a small per-process cache, so a point only
+scales the error terms by mu and reads its predicted error through its
+design's L.
 
 A dual active-set loop (Goldfarb and Idnani, Math. Programming 27,
 1983; Nocedal and Wright, Numerical Optimization, 2nd ed., 16.5)
@@ -46,8 +45,8 @@ in the range space: the KKT system of the equality rows and the working
 set reduces to its Schur complement R Q^-1 R', one small system, plus
 one correction against the full KKT residual of the explicitly formed
 Q.  Q^-1 is never formed.  At mu = 0 it is the reciprocal diagonal; for
-mu > 0, with D = diag(2 w) and one eigendecomposition per grid and
-lambda, D^-1/2 P D^-1/2 = V diag(s) V', it is applied as
+mu > 0, with D = diag(2 w) and one eigendecomposition per design,
+D^-1/2 P D^-1/2 = V diag(s) V', it is applied as
 
     Q(mu)^-1 x = SV (r * (SV' x)),  SV = D^-1/2 V,  r = 1 / (1 + 2 mu s),
 
@@ -60,6 +59,8 @@ working-set knots pinned exactly to their bound.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,11 @@ class PlanProblem:
     enforce_initial_accel_zero: bool = False
 
     def __post_init__(self):
+        for name in ("horizon", "y0", "v0", "yf", "mu", "dominant_lambda"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(map(math.isfinite, self.y_bounds)):
+            raise ValueError("y_bounds must be finite")
         if self.segments < 2:
             raise ValueError("need at least 2 segments")
         if self.horizon <= 0:
@@ -211,76 +217,21 @@ class _Grid:
         _read_only(self)
 
 
-class _LagOperator:
-    """The lag L at one lambda on one grid, with what derives from it alone.
-
-    The error block P = (LC)' W (LC) and its spectral factor are built
-    on first use (the first mu > 0 point, or prepare), so neither is
-    built for a controller that is only planned at mu = 0.
-    """
-
-    def __init__(self, grid: _Grid, lam: float):
-        self.grid = grid
-        self.lag = lag_response_matrix(grid.times, lam)
-        self.lag.flags.writeable = False
-        self.block: np.ndarray | None = None
-
-    def error_terms(self, v0: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """(P, p, q) with the error term mu (a'Pa + 2 p'a + q).
-
-        P = (LC)' W (LC), p = (LC)' W e_free and q = e_free' W e_free,
-        where e_free = v0 L 1 is the predicted error of a = 0.  LC is an
-        O(n^3) temporary formed once per call; P is kept, so a second
-        boundary data on this grid and lambda pays for LC and p only.
-        """
-        quad = self.grid.quad
-        LC = self.lag @ self.grid.chain
-        weighted = LC.T * quad
-        if self.block is None:
-            block = weighted @ LC
-            block.flags.writeable = False
-            self.block = block
-        e_free = v0 * self.lag.sum(axis=1)
-        p = weighted @ e_free
-        p.flags.writeable = False
-        return self.block, p, float(np.dot(quad, e_free**2))
-
-    @functools.cached_property
-    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        """(SV, s) with Q(mu)^-1 = SV diag(1 / (1 + 2 mu s)) SV'.
-
-        With D = diag(2 w), D^-1/2 P D^-1/2 = V diag(s) V' and
-        SV = D^-1/2 V.  P is positive semidefinite, so s is clamped at 0
-        (the computed ones reach -1e-20).
-        """
-        P = self.block if self.block is not None else self.error_terms(0.0)[0]
-        scale = 1.0 / np.sqrt(2.0 * self.grid.quad)
-        scaled = P * scale
-        scaled *= scale[:, None]
-        try:
-            spectrum, vectors = np.linalg.eigh(scaled)
-        except np.linalg.LinAlgError as exc:
-            raise PlannerNumericalError(f"error block factor failed: {exc}") from exc
-        np.maximum(spectrum, 0.0, out=spectrum)
-        vectors *= scale[:, None]
-        vectors.flags.writeable = spectrum.flags.writeable = False
-        return vectors, spectrum
-
-
 class _Design:
     """The mu-independent part of one condensed design problem.
 
-    The y offset, the equality rows and, on first use, the error terms
-    of one boundary data and box, on top of the operator (and through
-    it the grid) it shares with every design on the same grid and
-    lambda.  One instance serves every mu point of a controller's sweep,
-    and every array is read-only because it is shared.
+    The lag L, the y offset and the equality rows of one lambda,
+    boundary data and box on the shared grid.  The error terms and their
+    spectral factor are built on first use (the first mu > 0 point, or
+    prepare), so a design planned only at mu = 0 builds neither.  One
+    instance serves every mu point of a controller's sweep, and every
+    array is read-only because it is shared.
     """
 
-    def __init__(self, operator: _LagOperator, y0, v0, yf, lower, upper, pin):
-        grid = operator.grid
+    def __init__(self, grid: _Grid, lam, y0, v0, yf, lower, upper, pin):
         n = grid.times.size
-        self.operator = operator
+        self.grid = grid
+        self.lag = lag_response_matrix(grid.times, lam)
         self.v0 = v0
         self.y_offset = y0 + v0 * grid.times
 
@@ -297,41 +248,64 @@ class _Design:
 
     @functools.cached_property
     def weighted(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(P, p, q) of this design's v0 (see _LagOperator.error_terms).
+        """(P, p, q) with the error term mu (a'Pa + 2 p'a + q).
 
-        Built on the first mu > 0 point only: the plain mu = 0 problem
-        never needs the O(n^3) products.
+        P = (LC)' W (LC), p = (LC)' W e_free and q = e_free' W e_free,
+        where e_free = v0 L 1 is the predicted error of a = 0.  LC is an
+        O(n^3) temporary formed once.
         """
-        return self.operator.error_terms(self.v0)
+        quad = self.grid.quad
+        LC = self.lag @ self.grid.chain
+        weighted = LC.T * quad
+        block = weighted @ LC
+        e_free = self.v0 * self.lag.sum(axis=1)
+        p = weighted @ e_free
+        block.flags.writeable = p.flags.writeable = False
+        return block, p, float(np.dot(quad, e_free**2))
+
+    @functools.cached_property
+    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
+        """(SV, s) with Q(mu)^-1 = SV diag(1 / (1 + 2 mu s)) SV'.
+
+        With D = diag(2 w), D^-1/2 P D^-1/2 = V diag(s) V' and
+        SV = D^-1/2 V.  P is positive semidefinite, so s is clamped at 0
+        (the computed ones reach -1e-20).
+        """
+        scale = 1.0 / np.sqrt(2.0 * self.grid.quad)
+        scaled = self.weighted[0] * scale
+        scaled *= scale[:, None]
+        try:
+            spectrum, vectors = np.linalg.eigh(scaled)
+        except np.linalg.LinAlgError as exc:
+            raise PlannerNumericalError(f"error block factor failed: {exc}") from exc
+        np.maximum(spectrum, 0.0, out=spectrum)
+        vectors *= scale[:, None]
+        vectors.flags.writeable = spectrum.flags.writeable = False
+        return vectors, spectrum
 
 
-# Designs held per process, and so the most controllers a sweep can
-# build ahead of its points (cli.cmd_sweep) without evicting one.
-DESIGN_CACHE_SIZE = 8
+# Designs held per process, and so the most a sweep builds ahead of its
+# points (prepare) without evicting one.
+_DESIGN_CACHE_SIZE = 8
 
 
 # Horizon and lambda are validated positive, so equal floats have equal
 # bits there and plain float keys are exact.
-@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _cached_grid(segments: int, horizon: float) -> _Grid:
     return _Grid(segments, horizon)
 
 
-@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
-def _cached_operator(segments: int, horizon: float, lam: float) -> _LagOperator:
-    return _LagOperator(_cached_grid(segments, horizon), lam)
-
-
-@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _cached_design(segments: int, pin: bool, data: bytes) -> _Design:
     horizon, y0, v0, yf, lower, upper, lam = np.frombuffer(data).tolist()
-    operator = _cached_operator(segments, horizon, lam)
-    return _Design(operator, y0, v0, yf, lower, upper, pin)
+    grid = _cached_grid(segments, horizon)
+    return _Design(grid, lam, y0, v0, yf, lower, upper, pin)
 
 
 def _clear_caches() -> None:
-    """Drop every cached design, operator and grid."""
-    for cache in (_cached_design, _cached_operator, _cached_grid):
+    """Drop every cached design and grid."""
+    for cache in (_cached_design, _cached_grid):
         cache.cache_clear()
 
 
@@ -355,18 +329,22 @@ def _design(problem: PlanProblem) -> _Design:
     )
 
 
-def prepare(problem: PlanProblem) -> None:
-    """Build and cache the problem's design ahead of its first solve.
+def prepare(problems) -> None:
+    """Build and cache the designs of a sweep's problems ahead of its points.
 
-    With mu > 0 that includes the error terms and the spectral factor,
-    so every later point of the design skips them.  A process that
-    prepares the designs of a sweep before it forks pool workers builds
-    each once, not once per worker.
+    Each design is built with its error terms and spectral factor, so no
+    point of the sweep builds them, and a process that prepares a sweep
+    before it forks pool workers builds each design once, not once per
+    worker.  At most as many designs as the cache holds are built, so
+    none is evicted before its points run; later problems build theirs
+    at their first solve.  A design whose factor fails is left for its
+    points to report.
     """
-    design = _design(problem)
-    if problem.mu > 0:
-        design.weighted
-        design.operator.spectral
+    for problem in itertools.islice(problems, _DESIGN_CACHE_SIZE):
+        try:
+            _design(problem).spectral
+        except PlannerNumericalError:
+            pass
 
 
 def condense(problem: PlanProblem) -> CondensedQP:
@@ -378,15 +356,19 @@ def condense(problem: PlanProblem) -> CondensedQP:
             f"must lie within the bounds [{lo}, {hi}]"
         )
     design = _design(problem)
-    grid = design.operator.grid
+    grid = design.grid
     hessian = np.diag(2.0 * grid.quad)
     gradient = np.zeros(grid.times.size)
     constant = 0.0
     if problem.mu > 0:
         P, p, q = design.weighted
-        hessian += 2.0 * problem.mu * P
-        gradient = 2.0 * problem.mu * p
+        # A finite mu can still overflow the terms (1e308 does).
+        with np.errstate(over="ignore", invalid="ignore"):
+            hessian += 2.0 * problem.mu * P
+            gradient = 2.0 * problem.mu * p
         constant = problem.mu * q
+        if not all(np.isfinite(term).all() for term in (hessian, gradient, constant)):
+            raise PlannerNumericalError(f"mu = {problem.mu!r} overflows the design terms")
     return CondensedQP(
         times=grid.times,
         hessian=hessian,
@@ -401,11 +383,11 @@ def condense(problem: PlanProblem) -> CondensedQP:
     )
 
 
-def _inverse_hessian(qp: CondensedQP, mu: float, operator: _LagOperator):
+def _inverse_hessian(qp: CondensedQP, mu: float, design: _Design):
     """Q^-1 applied to vectors and to column blocks; Q^-1 is never formed.
 
     Q is diagonal when mu = 0, so its inverse is the reciprocal
-    diagonal.  Otherwise the operator's spectral factor (SV, s), built
+    diagonal.  Otherwise the design's spectral factor (SV, s), built
     on its first mu > 0 point, gives Q^-1 x = SV (r * (SV' x)) with
     r = 1 / (1 + 2 mu s): O(n^2) per column, and no per-point O(n^3)
     work.
@@ -413,7 +395,7 @@ def _inverse_hessian(qp: CondensedQP, mu: float, operator: _LagOperator):
     if mu == 0:
         inverse_diagonal = 1.0 / qp.hessian.diagonal()
         return lambda x: (inverse_diagonal * x.T).T
-    vectors, spectrum = operator.spectral
+    vectors, spectrum = design.spectral
     ratio = 1.0 / (1.0 + 2.0 * mu * spectrum)
     return lambda x: vectors @ (ratio * (x.T @ vectors)).T
 
@@ -588,7 +570,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     qp = condense(problem)
     design = _design(problem)
     a, mult, lo_idx, hi_idx, iterations = _solve_box_qp(
-        qp, _inverse_hessian(qp, problem.mu, design.operator)
+        qp, _inverse_hessian(qp, problem.mu, design)
     )
     times = qp.times
     # linspace ends on the horizon exactly, so dt is also the spacing
@@ -608,7 +590,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     # rounding of their bound.
     y[lo_idx] = qp.lower
     y[hi_idx] = qp.upper
-    predicted = apply_lag(design.operator.lag, v)
+    predicted = apply_lag(design.lag, v)
     params = problem.params
     return PlannedTrajectory(
         times=times,

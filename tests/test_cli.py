@@ -209,6 +209,9 @@ class TestRunConfigValidation:
             # Grids the sweep would reject: {0, 0, ...} and {0, 5, 5, 5}.
             {"mu_scale": "linear", "mu_min": 0.0},
             {"mu_count": 3, "mu_min": 5.0, "mu_max": 5.0},
+            # An ascending grid with a weight no design problem accepts:
+            # {0, 0.1, inf}.
+            {"mu_count": 2, "mu_max": float("inf")},
             # Plan fields that no design problem accepts.
             {"segments": 1},
             {"horizon": 0.0},
@@ -301,6 +304,32 @@ class TestPlanCommand:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mu,message",
+        [
+            ("nan", "mu must be finite"),
+            ("inf", "mu must be finite"),
+            # Finite, but 2 mu P overflows.
+            ("1e308", "mu = 1e+308 overflows the design terms"),
+        ],
+    )
+    def test_unusable_weight_exits_without_files(self, mu, message, tmp_path, capsys):
+        out = tmp_path / "never"
+        code = main(["plan", "--pair", "-20,-200", "--mu", mu, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_non_finite_plan_field_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, "[plan]\nv0 = nan\n")
+        out = tmp_path / "never"
+        code = main(
+            ["plan", "--config", config, "--pair", "-20,-200", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "config error: v0 must be finite\n"
         assert not out.exists()
 
     def test_unknown_pair_is_a_usage_error(self, tmp_path):
@@ -547,8 +576,8 @@ class TestSweepCommand:
 
     def test_default_sweep_shares_one_chain_across_controllers(self, tmp_path, monkeypatch):
         # The four controllers share one grid, so the chain (lambda = 0)
-        # is built once; each controller builds its lag once, and every
-        # point reuses both.
+        # is built once; each controller builds one design and its lag
+        # once, and every point reuses both.
         built = []
 
         def counting(times, lam):
@@ -560,6 +589,9 @@ class TestSweepCommand:
         collocation_planner._clear_caches()
         assert main(["sweep", "--out", str(tmp_path / "out")]) == 0
         assert sorted(built) == [0.0, 10.0, 20.0, 30.0, 50.0]
+        # Each cache miss constructs one grid or design.
+        assert collocation_planner._cached_grid.cache_info().misses == 1
+        assert collocation_planner._cached_design.cache_info().misses == 4
 
     def test_failures_are_recorded_and_exit_nonzero(self, tmp_path, capsys):
         config = write_config(
@@ -597,6 +629,71 @@ class TestSweepCommand:
             "sweep 20_200: sweep failed at mu = 0: boundary altitudes y0=0.0, "
             "yf=6.0 must lie within the bounds [0.0, 5.5]\n",
         )
+
+    def test_dead_pool_worker_fails_its_pairs_in_the_manifest(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A worker that exits abruptly breaks the pool: its pair and every
+        # later one are recorded as failures, not raised as a traceback.
+        parent = os.getpid()
+
+        def dying(problem):
+            if os.getpid() != parent:
+                os._exit(3)
+            return solve(problem)
+
+        monkeypatch.setattr(frontier, "solve", dying)
+        config = write_config(
+            tmp_path, REDUCED_SWEEP.replace("-20,-200", "-10,-100; -20,-200")
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["sweep", "--config", config, "--out", str(out), "--workers", "2"]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["sweep 10_100", "sweep 20_200"]
+        assert "terminated abruptly" in lines[0]
+        assert "pool is not usable anymore" in lines[1]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["failures"]) == ["10_100", "20_200"]
+        assert manifest["files"] == {}
+
+    def test_failed_build_ahead_is_reported_by_every_pair(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The factor fails ahead of the points, in the sweep's own
+        # process, and again at each pair's first mu > 0 point, which
+        # reports it the same way under either worker count.
+        def failing(matrix, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        config = write_config(
+            tmp_path,
+            REDUCED_SWEEP.replace("-20,-200", "-10,-100; -20,-200")
+            .replace("min = 100", "min = 1"),
+        )
+        runs = []
+        for workers in ("1", "2"):
+            collocation_planner._clear_caches()
+            out = tmp_path / f"workers{workers}"
+            code = main(
+                ["sweep", "--config", config, "--out", str(out), "--workers", workers]
+            )
+            runs.append(
+                (code, capsys.readouterr().err, (out / "manifest.json").read_bytes())
+            )
+        collocation_planner._clear_caches()
+        assert runs[1] == runs[0]
+        message = (
+            "sweep failed at mu = 1: error block factor failed: "
+            "Eigenvalues did not converge"
+        )
+        assert runs[0][:2] == (1, f"sweep 10_100: {message}\nsweep 20_200: {message}\n")
+        manifest = json.loads(runs[0][2])
+        assert manifest["failures"] == {"10_100": message, "20_200": message}
+        assert manifest["files"] == {}
 
     def test_step_rule_fails_its_pair_before_any_planning(
         self, tmp_path, capsys, monkeypatch
@@ -643,7 +740,7 @@ class TestSweepCommand:
         # One pair more than the planner caches: the designs built ahead
         # of the points must not be evicted before their pairs run, and
         # the last pair builds its own.
-        assert collocation_planner.DESIGN_CACHE_SIZE == 8
+        size = collocation_planner._DESIGN_CACHE_SIZE
         calls = []
         eigh = np.linalg.eigh
 
@@ -653,13 +750,13 @@ class TestSweepCommand:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         collocation_planner._clear_caches()
-        pairs = "; ".join(f"-{slow},-{10 * slow}" for slow in range(10, 19))
+        pairs = "; ".join(f"-{slow},-{10 * slow}" for slow in range(10, 11 + size))
         config = write_config(tmp_path, REDUCED_SWEEP.replace("-20,-200", pairs))
         out = tmp_path / "out"
         assert main(
             ["sweep", "--config", config, "--out", str(out), "--workers", "1"]
         ) == 0
-        assert calls == [(61, 61)] * 9
+        assert calls == [(61, 61)] * (size + 1)
 
 
 class TestStiffnessCommand:

@@ -56,6 +56,16 @@ class TestProblemValidation:
             {"dominant_lambda": -20.0},
             {"y_bounds": (5.0, 5.0)},
             {"y_bounds": (6.0, 1.0)},
+            # Non-finite design inputs.
+            {"horizon": float("inf")},
+            {"y0": float("nan")},
+            {"v0": float("inf")},
+            {"yf": float("nan")},
+            {"y_bounds": (0.0, float("inf"))},
+            {"y_bounds": (float("-inf"), 5.0)},
+            {"mu": float("nan")},
+            {"mu": float("inf")},
+            {"dominant_lambda": float("inf")},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
@@ -388,11 +398,11 @@ def test_spectral_apply_matches_a_dense_solve(template, lam):
         # The columns a working-set solve applies Q^-1 to: the equality
         # rows and box rows along the grid.
         columns = np.column_stack([qp.eq_matrix.T, qp.y_map[1:-1:7].T])
-        apply_inverse = collocation_planner._inverse_hessian(qp, mu, design.operator)
+        apply_inverse = collocation_planner._inverse_hessian(qp, mu, design)
         expected = np.linalg.solve(qp.hessian, columns)
         error = np.max(np.abs(apply_inverse(columns) - expected), axis=0)
         assert np.all(error <= SPECTRAL_APPLY_RTOL * np.max(np.abs(expected), axis=0)), mu
-    vectors, spectrum = design.operator.spectral
+    vectors, spectrum = design.spectral
     assert spectrum.min() >= 0.0
     for array in (vectors, spectrum):
         with pytest.raises(ValueError):
@@ -422,9 +432,10 @@ def test_one_eigendecomposition_per_controller_sweep(monkeypatch):
     )
     assert total > len(grid)  # several working sets per point share it
     assert calls == [(121, 121)]
-    # Another box and start on the same grid and lambda share the factor.
+    # Another box and start on the same grid and lambda is another
+    # design, with a factor of its own.
     solve(PlanProblem(segments=120, v0=-3.0, y_bounds=(-1.0, 5.0), mu=10.0))
-    assert calls == [(121, 121)]
+    assert calls == [(121, 121)] * 2
 
 
 def test_failed_factorization_is_a_planner_error(monkeypatch):
@@ -593,10 +604,11 @@ class TestDesignCache:
             qp.y_map,
             qp.y_offset,
             traj.times,
-            design.operator.grid.quad,
-            design.operator.grid.chain,
-            design.operator.lag,
+            design.grid.quad,
+            design.grid.chain,
+            design.lag,
             *design.weighted[:2],
+            *design.spectral,
         ]
         for array in shared:
             with pytest.raises(ValueError):
@@ -624,8 +636,8 @@ class TestDesignCache:
             estimate = error_integral_form(VelocityProfile(traj.times, traj.v), 20.0)
             assert traj.predicted_error.tobytes() == estimate.tobytes()
         assert built == [0.0, 20.0]
-        times = design.operator.grid.times
-        assert design.operator.lag.tobytes() == lag_matrix_from_scratch(times, 20.0).tobytes()
+        times = design.grid.times
+        assert design.lag.tobytes() == lag_matrix_from_scratch(times, 20.0).tobytes()
         other = collocation_planner._design(
             dataclasses.replace(problem, dominant_lambda=30.0)
         )
@@ -643,18 +655,16 @@ class TestDesignCache:
             for lam in (10.0, 20.0)
         ]
         designs = [collocation_planner._design(problem) for problem in problems]
-        operators = [design.operator for design in designs]
-        grids = [operator.grid for operator in operators]
+        grids = [design.grid for design in designs]
         for grid in grids[1:]:
             for name in ("times", "quad", "chain", "y_map"):
                 assert getattr(grid, name) is getattr(grids[0], name), name
         # The lag, the error block and its factor follow lambda, not the
         # boundary data; the linear error term follows v0.
-        assert operators[1].lag is not operators[0].lag
-        assert operators[2] is operators[0]
-        assert designs[2].weighted[0] is designs[0].weighted[0]
+        assert designs[1].lag.tobytes() != designs[0].lag.tobytes()
+        assert designs[2].weighted[0].tobytes() == designs[0].weighted[0].tobytes()
         assert designs[2].weighted[1].tobytes() != designs[0].weighted[1].tobytes()
-        assert operators[2].spectral[0] is operators[0].spectral[0]
+        assert designs[2].spectral[0].tobytes() == designs[0].spectral[0].tobytes()
         for problem in problems:
             self.assert_condense_is_the_formula(problem)
 
