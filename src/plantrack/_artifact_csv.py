@@ -1,7 +1,8 @@
 """The CSV artifact format shared by the trajectory, tracking and frontier files.
 
-A header row names the columns; every data row holds one float per
-column written with 17 significant digits, which round-trips a double.
+A header row names the columns; every data row holds one finite float
+per column written with 17 significant digits, which round-trips a
+double.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ def write_rows(path, columns: tuple[str, ...], rows) -> None:
 
 def read_rows(path, columns: tuple[str, ...], schema_error) -> np.ndarray:
     """The data rows as a 2-D array; a header or width other than
-    ``columns`` raises ``schema_error`` naming the first mismatch."""
+    ``columns``, no data row or a non-finite cell raises ``schema_error``
+    naming the first mismatch."""
     with open(path, newline="") as handle:
         header = handle.readline().strip()
         names = tuple(part.strip() for part in header.split(","))
@@ -30,7 +32,17 @@ def read_rows(path, columns: tuple[str, ...], schema_error) -> np.ndarray:
                         f"column {position}: expected {expected!r}, found {found!r}"
                     )
             raise schema_error(f"unexpected extra columns {names[len(columns):]!r}")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        lines = handle.readlines()
+    if not any(line.strip() for line in lines):
+        raise schema_error("no data rows after the header")
+    data = np.loadtxt(lines, delimiter=",", ndmin=2)
     if data.shape[1] != len(columns):
         raise schema_error(f"expected {len(columns)} columns, found {data.shape[1]}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise schema_error(
+            f"row {row + 1}, column {columns[col]!r}: {float(data[row, col])!r}"
+            " is not finite"
+        )
     return data

@@ -137,24 +137,6 @@ class RunConfig:
             pole_fraction=self.pole_fraction,
         )
 
-    def step_rule_error(self, controller) -> str | None:
-        """Why no point of the controller can be flown, or None.
-
-        Every point of a pair flies with the same step, so a step longer
-        than the knot spacing or outside RK4's stability interval fails
-        the whole pair; a sweep checks it before anything is planned.
-        """
-        step = self.step_for(controller)
-        knot_spacing = self.horizon / self.segments
-        if step > knot_spacing * (1 + 1e-9):
-            return f"sim step {step!r} s exceeds the knot spacing {knot_spacing!r} s"
-        if abs(controller.pair.lambda_fast) * step > sim.RK4_STABILITY_LIMIT:
-            return (
-                f"sim step {step!r} s is not RK4-stable"
-                f" (|lambda_fast| * step > {sim.RK4_STABILITY_LIMIT})"
-            )
-        return None
-
     def canonical_text(self) -> str:
         """Stable rendering used for the config checksum: one
         `section.key = value` line per key of the INI format, in its order."""
@@ -294,7 +276,9 @@ def _json_float(value: float):
 
 
 def _write_json(path: Path, record: dict) -> None:
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    # No record may carry NaN or Infinity, which JSON does not define.
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _sha256(data: bytes) -> str:
@@ -353,6 +337,8 @@ def cmd_track(
     pair: EigenvaluePair,
     mu: float | None,
 ) -> int:
+    if mu is not None and not 0 <= mu < math.inf:
+        raise ValueError("mu must be finite and nonnegative")
     traj = planner.read_trajectory_csv(trajectory_path)
     controller = design_controller(pair, config.params)
     step = sim.select_step(
@@ -402,25 +388,18 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     files: dict[str, str] = {}
     failures: dict[str, str] = {}
 
-    controllers = {}
-    for pair in config.pairs:
-        controller = design_controller(pair, config.params)
-        error = config.step_rule_error(controller)
-        if error is None:
-            controllers[pair] = controller
-        else:
-            failures[_pair_slug(pair)] = error
+    controllers = [design_controller(pair, config.params) for pair in config.pairs]
 
     # Pool workers fork from this process and inherit the designs built
     # here, so none runs the eigensolver, whose BLAS threads stall for
     # milliseconds per call while the other workers hold the cores.
     planner.prepare(
-        replace(template, dominant_lambda=c.dominant_lambda)
-        for c in controllers.values()
+        replace(template, dominant_lambda=c.dominant_lambda) for c in controllers
     )
 
     executor = None
-    pair_errors = (frontier_mod.SweepError,)
+    # An RK4-unstable step (select_step's ValueError) fails only its pair.
+    pair_errors = (ValueError, frontier_mod.SweepError)
     if workers > 1:
         # The pool machinery (multiprocessing, logging, sockets) is about
         # a tenth of a cold start, and one worker never needs it.
@@ -434,8 +413,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
         pair_errors += (BrokenExecutor,)
     try:
         mapper = executor.map if executor is not None else None
-        for pair, controller in controllers.items():
-            slug = _pair_slug(pair)
+        for controller in controllers:
+            slug = _pair_slug(controller.pair)
             try:
                 front = frontier_mod.sweep(
                     controller,
@@ -452,7 +431,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
             frontier_mod.write_frontier_csv(front, out_dir / frontier_name)
             _write_json(
                 out_dir / spring_name,
-                _spring_record(pair, frontier_mod.spring_fit(front)),
+                _spring_record(controller.pair, frontier_mod.spring_fit(front)),
             )
             files[frontier_name] = _sha256_file(out_dir / frontier_name)
             files[spring_name] = _sha256_file(out_dir / spring_name)

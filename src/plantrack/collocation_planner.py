@@ -409,19 +409,22 @@ def _solve_working_set(qp, apply_inverse, free_optimum, rows, rhs):
     of the explicitly formed Q, through the same G and R G, takes back
     the accuracy the factored inverse gives away.
     """
-    G = apply_inverse(rows.T)
-    schur = rows @ G
-    try:
-        mult = np.linalg.solve(schur, rows @ free_optimum - rhs)
-        target = free_optimum - G @ mult
-        stationarity = qp.hessian @ target + qp.gradient + rows.T @ mult
-        feasibility = rows @ target - rhs
-        correction = -apply_inverse(stationarity)
-        delta = np.linalg.solve(schur, rows @ correction + feasibility)
-    except np.linalg.LinAlgError as exc:
-        raise PlannerNumericalError(f"KKT solve failed: {exc}") from exc
-    target = target + correction - G @ delta
-    mult = mult + delta
+    # Terms that overflow (a very large mu) fail the finite check below
+    # as one error, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = apply_inverse(rows.T)
+        schur = rows @ G
+        try:
+            mult = np.linalg.solve(schur, rows @ free_optimum - rhs)
+            target = free_optimum - G @ mult
+            stationarity = qp.hessian @ target + qp.gradient + rows.T @ mult
+            feasibility = rows @ target - rhs
+            correction = -apply_inverse(stationarity)
+            delta = np.linalg.solve(schur, rows @ correction + feasibility)
+        except np.linalg.LinAlgError as exc:
+            raise PlannerNumericalError(f"KKT solve failed: {exc}") from exc
+        target = target + correction - G @ delta
+        mult = mult + delta
     if not (np.all(np.isfinite(target)) and np.all(np.isfinite(mult))):
         nv, m = G.shape
         raise PlannerNumericalError(

@@ -78,11 +78,18 @@ def select_step(
     """Fixed RK4 step for a controller: min(max_step, fraction / |fast pole|).
 
     The raw step is then snapped down so an integer number of steps
-    lands on the horizon exactly.
+    lands on the horizon exactly.  An RK4-unstable step raises
+    ValueError here; ``SimConfig`` still accepts one.
     """
     raw = min(max_step, pole_fraction / abs(controller.pair.lambda_fast))
     steps = max(1, math.ceil(horizon / raw - 1e-9))
-    return horizon / steps
+    step = horizon / steps
+    if abs(controller.pair.lambda_fast) * step > RK4_STABILITY_LIMIT:
+        raise ValueError(
+            f"sim step {step!r} s is not RK4-stable"
+            f" (|lambda_fast| * step > {RK4_STABILITY_LIMIT})"
+        )
+    return step
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,11 @@ class SimConfig:
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.step > self.reference.knot_spacing * (1 + 1e-9):
-            raise ValueError("step must not exceed the knot spacing")
+        spacing = self.reference.knot_spacing
+        if self.step > spacing * (1 + 1e-9):
+            raise ValueError(
+                f"sim step {self.step!r} s exceeds the knot spacing {spacing!r} s"
+            )
         ratio = self.reference.horizon / self.step
         if abs(ratio - round(ratio)) > 1e-6:
             raise ValueError("step must divide the reference horizon")

@@ -222,30 +222,6 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
-    @pytest.mark.parametrize(
-        "kwargs,message",
-        [
-            # A 0.02 s step on a 1/60 s knot grid.
-            (dict(max_step=1.0, pole_fraction=10.0), "exceeds the knot spacing"),
-            # 1/167 s at the -500 pole: |lambda| h = 2.99.
-            (dict(segments=10, max_step=0.01, pole_fraction=3.0), "not RK4-stable"),
-        ],
-    )
-    def test_step_rules_are_checked_per_pair(self, kwargs, message):
-        # The config loads; the sweep fails the pair (see TestSweepCommand).
-        fast = EigenvaluePair(lambda_slow=-50.0, lambda_fast=-500.0)
-        config = RunConfig(pairs=(fast,), **kwargs)
-        assert message in config.step_rule_error(design_controller(fast, config.params))
-        assert RunConfig().step_rule_error(design_controller(fast, config.params)) is None
-
-    def test_step_equal_to_the_knot_spacing_is_accepted(self):
-        # |lambda| h = 100 / 60 is inside the RK4 limit.
-        slow = (EigenvaluePair(lambda_slow=-10.0, lambda_fast=-100.0),)
-        config = RunConfig(pairs=slow, max_step=1.0 / 60.0, pole_fraction=100.0)
-        controller = design_controller(config.pairs[0], config.params)
-        assert config.step_for(controller) == 1.0 / 60.0
-        assert config.step_rule_error(controller) is None
-
     def test_default_grid_shape(self):
         grid = RunConfig().mu_grid()
         assert len(grid) == 31
@@ -307,17 +283,26 @@ class TestPlanCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "mu,message",
+        "pair,mu,message",
         [
-            ("nan", "mu must be finite"),
-            ("inf", "mu must be finite"),
+            ("-20,-200", "nan", "mu must be finite"),
+            ("-20,-200", "inf", "mu must be finite"),
             # Finite, but 2 mu P overflows.
-            ("1e308", "mu = 1e+308 overflows the design terms"),
+            ("-20,-200", "1e308", "mu = 1e+308 overflows the design terms"),
+            # The design terms are finite; the working-set solve overflows.
+            (
+                "-10,-100",
+                "1e300",
+                "KKT solve produced non-finite values; the system is singular"
+                " (size 62, equality rows 1)",
+            ),
         ],
     )
-    def test_unusable_weight_exits_without_files(self, mu, message, tmp_path, capsys):
+    def test_unusable_weight_exits_without_files(
+        self, pair, mu, message, tmp_path, capsys
+    ):
         out = tmp_path / "never"
-        code = main(["plan", "--pair", "-20,-200", "--mu", mu, "--out", str(out)])
+        code = main(["plan", "--pair", pair, "--mu", mu, "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
@@ -430,6 +415,84 @@ class TestTrackCommand:
         assert capsys.readouterr().err == (
             "error: column 't': profile must start at t = 0\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row,column,value,message",
+        [
+            (None, None, None, "no data rows after the header"),
+            (5, 3, "inf", "row 5, column 'a': inf is not finite"),
+            (9, 1, "nan", "row 9, column 'y': nan is not finite"),
+        ],
+    )
+    def test_unusable_trajectory_exits_without_files(
+        self, row, column, value, message, tmp_path, capsys
+    ):
+        plan = tmp_path / "plan"
+        assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
+        lines = (plan / "trajectory.csv").read_text().splitlines()
+        if row is None:
+            lines = lines[:1]
+        else:
+            fields = lines[row].split(",")
+            fields[column] = value
+            lines[row] = ",".join(fields)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "never"
+        code = main(["track", str(path), "--pair", "-10,-100", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-5"])
+    def test_unusable_weight_exits_without_files(self, mu, tmp_path, capsys):
+        plan = tmp_path / "plan"
+        assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
+        out = tmp_path / "never"
+        code = main(
+            ["track", str(plan / "trajectory.csv"), "--pair", "-10,-100",
+             "--mu", mu, "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: mu must be finite and nonnegative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pair,sim,message",
+        [
+            # 1/167 s at the -500 pole: |lambda| h = 2.99.
+            (
+                "-50,-500",
+                "max_step = 0.016\npole_fraction = 3.0",
+                "sim step 0.005988023952095809 s is not RK4-stable"
+                " (|lambda_fast| * step > 2.78)",
+            ),
+            # A 0.02 s step on a 1/60 s knot grid.
+            (
+                "-1,-10",
+                "max_step = 0.02",
+                "sim step 0.02 s exceeds the knot spacing 0.016666666666666666 s",
+            ),
+        ],
+    )
+    def test_step_rule_exits_without_files(
+        self, pair, sim, message, tmp_path, capsys
+    ):
+        config = write_config(
+            tmp_path, f"[controllers]\npairs = {pair}\n[sim]\n{sim}\n"
+        )
+        plan = tmp_path / "plan"
+        assert main(
+            ["plan", "--config", config, "--pair", pair, "--out", str(plan)]
+        ) == 0
+        out = tmp_path / "never"
+        code = main(
+            ["track", str(plan / "trajectory.csv"), "--config", config,
+             "--pair", pair, "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_missing_trajectory_file_exits_one(self, tmp_path, capsys):
@@ -695,44 +758,53 @@ class TestSweepCommand:
         assert manifest["failures"] == {"10_100": message, "20_200": message}
         assert manifest["files"] == {}
 
-    def test_step_rule_fails_its_pair_before_any_planning(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "pairs,sim,failed,ran,message",
+        [
+            # 1/167 s at the -500 pole: |lambda| h = 2.99.  No point of
+            # the pair is planned.
+            (
+                "-10,-100; -50,-500",
+                "max_step = 0.016\npole_fraction = 3.0",
+                "50_500",
+                "10_100",
+                "sim step 0.005988023952095809 s is not RK4-stable"
+                " (|lambda_fast| * step > 2.78)",
+            ),
+            # A 0.02 s step on the 1/60 s knot grid: the pair's first
+            # point is planned and cannot be flown.
+            (
+                "-1,-10; -20,-200",
+                "max_step = 0.02",
+                "1_10",
+                "20_200",
+                "sweep failed at mu = 0: "
+                "sim step 0.02 s exceeds the knot spacing 0.016666666666666666 s",
+            ),
+        ],
+    )
+    def test_step_rule_fails_only_its_pair(
+        self, pairs, sim, failed, ran, message, tmp_path, capsys
     ):
-        # A 0.02 s step is longer than the 1/60 s knot spacing, so no
-        # point of -1,-10 can be flown.  The pair is failed before a point
-        # is planned, the same way under any worker count, and recorded
-        # in the manifest like any failed pair; the other pair runs.
-        calls = tmp_path / "solve_calls"
-
-        def counting(problem):
-            # Appends survive the fork into pool workers.
-            with calls.open("a") as handle:
-                handle.write("x")
-            return solve(problem)
-
-        monkeypatch.setattr(frontier, "solve", counting)
+        # Recorded in the manifest like any failed pair, the same way under
+        # any worker count; the other pair runs.
         config = write_config(
             tmp_path,
-            REDUCED_SWEEP.replace("-20,-200", "-1,-10; -20,-200")
-            + "\n[sim]\nmax_step = 0.02\n",
+            REDUCED_SWEEP.replace("-20,-200", pairs) + f"\n[sim]\n{sim}\n",
         )
         runs = []
         for workers in ("1", "2"):
-            calls.write_text("")
             out = tmp_path / f"workers{workers}"
             code = main(
                 ["sweep", "--config", config, "--out", str(out), "--workers", workers]
             )
-            # Only -20,-200's three points are planned.
-            assert calls.read_text() == "xxx"
             manifest = (out / "manifest.json").read_bytes()
             runs.append((code, capsys.readouterr().err, manifest))
         assert runs[1] == runs[0]
-        message = "sim step 0.02 s exceeds the knot spacing 0.016666666666666666 s"
-        assert runs[0][:2] == (1, f"sweep 1_10: {message}\n")
+        assert runs[0][:2] == (1, f"sweep {failed}: {message}\n")
         manifest = json.loads(runs[0][2])
-        assert manifest["failures"] == {"1_10": message}
-        assert sorted(manifest["files"]) == ["frontier_20_200.csv", "spring_20_200.json"]
+        assert manifest["failures"] == {failed: message}
+        assert sorted(manifest["files"]) == [f"frontier_{ran}.csv", f"spring_{ran}.json"]
 
     def test_sweep_builds_each_design_once_past_the_cache_size(
         self, tmp_path, monkeypatch
@@ -804,6 +876,16 @@ class TestStiffnessCommand:
         assert code == 1
         assert "column 1" in capsys.readouterr().err
 
+    def test_header_only_frontier_exits_without_files(self, tmp_path, capsys):
+        from plantrack.frontier import FRONTIER_COLUMNS
+
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(FRONTIER_COLUMNS) + "\n")
+        out = tmp_path / "never"
+        assert main(["stiffness", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no data rows after the header\n"
+        assert not out.exists()
+
     def test_decimal_pair_slug(self, tmp_path):
         from plantrack.frontier import FRONTIER_COLUMNS
 
@@ -818,6 +900,16 @@ class TestStiffnessCommand:
              "--config", config, "--out", str(out)]
         ) == 0
         assert (out / "spring_12p5_125.json").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_json_records_reject_nan_and_infinity(value, tmp_path):
+    from plantrack.cli import _write_json
+
+    path = tmp_path / "record.json"
+    with pytest.raises(ValueError):
+        _write_json(path, {"x": value})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,24 @@ class TestSelectStep:
             slow_controller, 1.0, max_step=1e-2, pole_fraction=0.5
         ) == pytest.approx(5e-3, rel=1e-12)
 
+    def test_rejects_an_rk4_unstable_step(self, fast_controller):
+        # 1/167 s at the -500 pole: |lambda| h = 2.99.
+        with pytest.raises(ValueError) as err:
+            select_step(fast_controller, 1.0, max_step=0.01, pole_fraction=3.0)
+        assert str(err.value) == (
+            "sim step 0.005988023952095809 s is not RK4-stable"
+            " (|lambda_fast| * step > 2.78)"
+        )
+
+    def test_step_equal_to_the_knot_spacing_is_accepted(self, slow_controller):
+        # |lambda| h = 100 / 60 is inside the RK4 limit.
+        step = select_step(
+            slow_controller, 1.0, max_step=1.0 / 60.0, pole_fraction=100.0
+        )
+        assert step == 1.0 / 60.0
+        ref = constant_reference(0.0, 1.0, knots=61)
+        SimConfig(step=step, reference=ref, controller=slow_controller)
+
 
 class TestSimConfigValidation:
     def test_nonpositive_step_rejected(self, slow_controller):
@@ -81,8 +99,11 @@ class TestSimConfigValidation:
 
     def test_step_above_knot_spacing_rejected(self, slow_controller):
         ref = constant_reference(0.0, 1.0, knots=61)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             SimConfig(step=0.1, reference=ref, controller=slow_controller)
+        assert str(err.value) == (
+            f"sim step 0.1 s exceeds the knot spacing {ref.knot_spacing!r} s"
+        )
 
     def test_non_dividing_step_rejected(self, slow_controller):
         ref = constant_reference(0.0, 1.0, knots=3)
