@@ -16,12 +16,11 @@ from .error_estimator import (
     trapezoid_quadrature,
 )
 from .frontier import (
-    Frontier,
     FrontierPoint,
     SpringFit,
     best_compromise,
     frontier_gap,
-    spring_fit,
+    spring_fit_from_points,
     sweep,
 )
 from .lqr import ControllerSpec, EigenvaluePair, control_law, design_controller
@@ -38,7 +37,6 @@ from .tracking_sim import (
 __all__ = [
     "ControllerSpec",
     "EigenvaluePair",
-    "Frontier",
     "FrontierPoint",
     "InfeasibleProblemError",
     "ModelParams",
@@ -63,7 +61,7 @@ __all__ = [
     "simulate",
     "simulate_planar",
     "solve",
-    "spring_fit",
+    "spring_fit_from_points",
     "sweep",
     "trapezoid_quadrature",
 ]

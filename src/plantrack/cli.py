@@ -79,8 +79,8 @@ class RunConfig:
             raise ConfigError("log mu grid needs mu_min > 0")
         if self.mu_min > self.mu_max:
             raise ConfigError("mu_min must not exceed mu_max")
-        if not (self.max_step > 0 and self.pole_fraction > 0):
-            raise ConfigError("step rule fields must be positive")
+        if not (0 < self.max_step < math.inf and 0 < self.pole_fraction < math.inf):
+            raise ConfigError("step rule fields must be positive and finite")
         grid = self.mu_grid()
         if not all(b > a for a, b in zip(grid, grid[1:])):
             raise ConfigError(
@@ -398,7 +398,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     )
 
     executor = None
-    # An RK4-unstable step (select_step's ValueError) fails only its pair.
+    # An RK4-unstable step (select_step's ValueError) or a spring fit that
+    # fails (spring_fit_from_points's ValueError) fails only its pair.
     pair_errors = (ValueError, frontier_mod.SweepError)
     if workers > 1:
         # The pool machinery (multiprocessing, logging, sockets) is about
@@ -412,27 +413,23 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
         # one fail with the pool's message.
         pair_errors += (BrokenExecutor,)
     try:
-        mapper = executor.map if executor is not None else None
+        mapper = executor.map if executor is not None else map
         for controller in controllers:
             slug = _pair_slug(controller.pair)
             try:
-                front = frontier_mod.sweep(
-                    controller,
-                    grid,
-                    template,
-                    step=config.step_for(controller),
-                    mapper=mapper,
+                points = frontier_mod.sweep(
+                    controller, grid, template, config.step_for(controller), mapper
+                )
+                spring = _spring_record(
+                    controller.pair, frontier_mod.spring_fit_from_points(points)
                 )
             except pair_errors as exc:
                 failures[slug] = str(exc)
                 continue
             frontier_name = f"frontier_{slug}.csv"
             spring_name = f"spring_{slug}.json"
-            frontier_mod.write_frontier_csv(front, out_dir / frontier_name)
-            _write_json(
-                out_dir / spring_name,
-                _spring_record(controller.pair, frontier_mod.spring_fit(front)),
-            )
+            frontier_mod.write_frontier_csv(points, out_dir / frontier_name)
+            _write_json(out_dir / spring_name, spring)
             files[frontier_name] = _sha256_file(out_dir / frontier_name)
             files[spring_name] = _sha256_file(out_dir / spring_name)
     finally:

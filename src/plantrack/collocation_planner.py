@@ -639,6 +639,15 @@ def read_trajectory_csv(path) -> PlannedTrajectory:
         VelocityProfile(times, v)
     except ValueError as exc:
         raise TrajectorySchemaError(f"column 't': {exc}") from exc
+    # Finite cells can still overflow once squared (1e200 does).
+    with np.errstate(over="ignore"):
+        designed_cost = trapezoid_quadrature(times, a**2)
+        predicted_error_integral = trapezoid_quadrature(times, e_pred**2)
+    for name, integral in (("a", designed_cost), ("e_pred", predicted_error_integral)):
+        if not math.isfinite(integral):
+            raise TrajectorySchemaError(
+                f"column {name!r}: the integral of its square is not finite"
+            )
     return PlannedTrajectory(
         times=times,
         y=y,
@@ -646,8 +655,8 @@ def read_trajectory_csv(path) -> PlannedTrajectory:
         a=a,
         u=u,
         predicted_error=e_pred,
-        designed_cost=trapezoid_quadrature(times, a**2),
-        predicted_error_integral=trapezoid_quadrature(times, e_pred**2),
+        designed_cost=designed_cost,
+        predicted_error_integral=predicted_error_integral,
         mu=None,
         kkt_residual=None,
     )

@@ -1,4 +1,4 @@
-"""Frontier sweep over the design weight mu and its spring-model fit.
+"""The frontier sweep over the design weight mu and its spring-model fit.
 
 For one controller, re-solving the design problem over a grid of mu
 values traces the design Pareto frontier (designed cost vs predicted
@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from ._artifact_csv import read_rows, write_rows
 from .collocation_planner import PlanProblem, solve
 from .lqr import ControllerSpec
-from .tracking_sim import SimConfig, select_step, simulate
+from .tracking_sim import SimConfig, simulate
 
 
 class SweepError(RuntimeError):
@@ -59,17 +60,6 @@ class FrontierPoint:
         )
         if not all(math.isfinite(s) and s >= 0 for s in scalars):
             raise ValueError("frontier point scalars must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class Frontier:
-    controller: ControllerSpec
-    points: tuple[FrontierPoint, ...]
-
-    def __post_init__(self):
-        mus = [p.mu for p in self.points]
-        if any(b <= a for a, b in zip(mus, mus[1:])):
-            raise ValueError("points must be ordered by strictly ascending mu")
 
 
 @dataclass(frozen=True)
@@ -120,23 +110,19 @@ def evaluate_point(
         raise SweepError(mu, exc) from exc
 
 
-def _evaluate_star(job) -> FrontierPoint:
-    return evaluate_point(*job)
-
-
 def sweep(
     controller: ControllerSpec,
     mu_grid,
     problem_template: PlanProblem,
-    step: float | None = None,
-    mapper=None,
-) -> Frontier:
-    """Build the frontier for one controller over an ascending mu grid.
+    step: float,
+    mapper=map,
+) -> tuple[FrontierPoint, ...]:
+    """The frontier points of one controller over an ascending mu grid.
 
     The grid must start at 0 (the unweighted head point).  `mapper` is
     a map-compatible callable; passing an executor's map runs the per-mu
-    jobs concurrently, and since the reduction preserves grid order the
-    result does not depend on the worker count.
+    jobs concurrently, and since map keeps grid order the result does
+    not depend on the worker count.
     """
     grid = [float(mu) for mu in mu_grid]
     if not grid:
@@ -145,62 +131,56 @@ def sweep(
         raise ValueError("mu grid must start at 0")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("mu grid must be strictly ascending")
-    if step is None:
-        step = select_step(controller, problem_template.horizon)
-    jobs = [
-        (controller, mu, problem_template, step, index)
-        for index, mu in enumerate(grid)
-    ]
-    run = mapper if mapper is not None else map
-    points = tuple(run(_evaluate_star, jobs))
-    return Frontier(controller=controller, points=points)
+    # One job per mu: the five evaluate_point arguments, column by column.
+    columns = (
+        repeat(controller), grid, repeat(problem_template), repeat(step), range(len(grid))
+    )
+    return tuple(mapper(evaluate_point, *columns))
 
 
-def best_compromise(frontier: Frontier) -> FrontierPoint:
-    """Point with the least actual cost; ties go to the smaller mu."""
-    if not frontier.points:
+def best_compromise(points) -> FrontierPoint:
+    """Point with the least actual cost; ties go to the earlier point."""
+    if not points:
         raise ValueError("frontier is empty")
-    best = frontier.points[0]
-    for point in frontier.points[1:]:
+    best = points[0]
+    for point in points[1:]:
         if point.actual_cost < best.actual_cost:
             best = point
     return best
 
 
-def frontier_gap(frontier: Frontier) -> float:
+def frontier_gap(points) -> float:
     """Mean absolute gap between actual and designed cost."""
-    if not frontier.points:
+    if not points:
         raise ValueError("frontier is empty")
-    return float(
-        np.mean([abs(p.actual_cost - p.designed_cost) for p in frontier.points])
-    )
+    return float(np.mean([abs(p.actual_cost - p.designed_cost) for p in points]))
 
 
 def spring_constant(a: float, b: float) -> float:
-    """Stiffness of the neck geometry: k = 1 / (4a (1 - (1+(a/b)^2)^(-1/2)))."""
+    """Stiffness of the neck geometry: k = 1 / (4a (1 - (1+(a/b)^2)^(-1/2))).
+
+    Evaluated in the equal form k = h (h + b/a) / (4a), h = sqrt(1+(b/a)^2),
+    which keeps its digits when a << b, where 1 - (...) cancels.
+    """
     if a < 0 or b <= 0:
         raise ValueError("need a >= 0 and b > 0")
     if a == 0.0:
         return math.inf
-    return 1.0 / (4.0 * a * (1.0 - (1.0 + (a / b) ** 2) ** -0.5))
+    q = b / a
+    h = math.hypot(1.0, q)
+    return h * (h + q) / (4.0 * a)
 
 
 def spring_fit_from_points(points) -> SpringFit:
     """Fit the spring model from frontier points (first one at mu = 0)."""
-    points = list(points)
     if not points or points[0].mu != 0.0:
         raise ValueError("spring fit needs the mu = 0 head point first")
     head = points[0].actual_cost
     if head <= 0:
         raise ValueError("head actual cost must be positive")
-    floor = min(p.actual_cost for p in points)
-    a = head - floor
+    a = head - best_compromise(points).actual_cost
     b = head / 2.0
     return SpringFit(a=a, b=b, k=spring_constant(a, b), neck_found=a > 0.0)
-
-
-def spring_fit(frontier: Frontier) -> SpringFit:
-    return spring_fit_from_points(frontier.points)
 
 
 FRONTIER_COLUMNS = (
@@ -213,10 +193,10 @@ FRONTIER_COLUMNS = (
 
 
 class FrontierSchemaError(ValueError):
-    """Frontier CSV does not match the expected column layout."""
+    """The frontier CSV does not match the expected column layout."""
 
 
-def write_frontier_csv(frontier: Frontier, path) -> None:
+def write_frontier_csv(points, path) -> None:
     rows = (
         (
             p.mu,
@@ -225,7 +205,7 @@ def write_frontier_csv(frontier: Frontier, path) -> None:
             p.actual_cost,
             p.actual_error_integral,
         )
-        for p in frontier.points
+        for p in points
     )
     write_rows(path, FRONTIER_COLUMNS, rows)
 

@@ -81,6 +81,9 @@ def select_step(
     lands on the horizon exactly.  An RK4-unstable step raises
     ValueError here; ``SimConfig`` still accepts one.
     """
+    for name, value in (("max_step", max_step), ("pole_fraction", pole_fraction)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     raw = min(max_step, pole_fraction / abs(controller.pair.lambda_fast))
     steps = max(1, math.ceil(horizon / raw - 1e-9))
     step = horizon / steps

@@ -25,7 +25,12 @@ from plantrack.error_estimator import (
     error_discrete_limit_form,
     error_integral_form,
 )
-from plantrack.frontier import best_compromise, frontier_gap, spring_fit, sweep
+from plantrack.frontier import (
+    best_compromise,
+    frontier_gap,
+    spring_fit_from_points,
+    sweep,
+)
 from plantrack.lqr import design_controller
 
 
@@ -47,9 +52,7 @@ def default_sweeps(config):
     result = {}
     for pair in config.pairs:
         controller = design_controller(pair, config.params)
-        result[pair] = sweep(
-            controller, grid, template, step=config.step_for(controller)
-        )
+        result[pair] = sweep(controller, grid, template, config.step_for(controller))
     return result
 
 
@@ -162,8 +165,7 @@ def test_criterion_04_constant_reference_settles(config, paper_pairs):
 
 def test_criterion_05_design_frontier_is_monotone(default_sweeps):
     ok = True
-    for frontier in default_sweeps.values():
-        pts = frontier.points
+    for pts in default_sweeps.values():
         ok = ok and all(
             b.designed_cost >= a.designed_cost - 1e-9 for a, b in zip(pts, pts[1:])
         )
@@ -177,9 +179,9 @@ def test_criterion_05_design_frontier_is_monotone(default_sweeps):
 def test_criterion_06_neck_beats_the_head(default_sweeps):
     drops = {}
     ok = True
-    for pair, frontier in default_sweeps.items():
-        head = frontier.points[0]
-        best = best_compromise(frontier)
+    for pair, points in default_sweeps.items():
+        head = points[0]
+        best = best_compromise(points)
         drops[pair.lambda_slow] = head.actual_cost - best.actual_cost
         ok = ok and best.mu > 0.0 and best.actual_cost < head.actual_cost
     summary = ", ".join(f"{int(-k)}: {v:.3f}" for k, v in drops.items())
@@ -193,7 +195,7 @@ def test_criterion_07_gap_shrinks_with_faster_poles(default_sweeps):
 
 
 def test_criterion_08_stiffness_grows_with_faster_poles(default_sweeps):
-    ks = [spring_fit(f).k for f in default_sweeps.values()]
+    ks = [spring_fit_from_points(f).k for f in default_sweeps.values()]
     ok = all(math.isfinite(k) for k in ks) and all(
         b > a for a, b in zip(ks, ks[1:])
     )

@@ -196,6 +196,8 @@ class TestRunConfigValidation:
             {"pole_fraction": 0.0},
             # No step can be chosen from these.
             {"max_step": float("nan")},
+            {"max_step": float("inf")},
+            {"pole_fraction": float("inf")},
             {"horizon": float("nan")},
             {"horizon": float("inf")},
             # Pairs whose file labels collide would overwrite each other.
@@ -423,6 +425,8 @@ class TestTrackCommand:
             (None, None, None, "no data rows after the header"),
             (5, 3, "inf", "row 5, column 'a': inf is not finite"),
             (9, 1, "nan", "row 9, column 'y': nan is not finite"),
+            # Finite, but its square overflows the designed cost.
+            (5, 3, "1e200", "column 'a': the integral of its square is not finite"),
         ],
     )
     def test_unusable_trajectory_exits_without_files(
@@ -806,6 +810,29 @@ class TestSweepCommand:
         assert manifest["failures"] == {failed: message}
         assert sorted(manifest["files"]) == [f"frontier_{ran}.csv", f"spring_{ran}.json"]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_spring_fit_fails_only_its_pair(self, workers, tmp_path, capsys):
+        # A zero climb plans and flies, but its head actual cost is 0, so
+        # the spring cannot be fitted: no file of the pair is written, the
+        # next pair still runs, and the manifest records both.
+        config = write_config(
+            tmp_path,
+            REDUCED_SWEEP.replace("-20,-200", "-10,-100; -20,-200")
+            + "\n[plan]\nyf = 0.0\n",
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["sweep", "--config", config, "--out", str(out), "--workers", workers]
+        )
+        message = "head actual cost must be positive"
+        assert (code, capsys.readouterr().err) == (
+            1, f"sweep 10_100: {message}\nsweep 20_200: {message}\n"
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == {"10_100": message, "20_200": message}
+        assert manifest["files"] == {}
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+
     def test_sweep_builds_each_design_once_past_the_cache_size(
         self, tmp_path, monkeypatch
     ):
@@ -868,6 +895,23 @@ class TestStiffnessCommand:
         assert record["k"] is None
         assert record["neck_found"] is False
         assert record["a"] == 0.0
+
+    def test_shallow_neck_keeps_its_stiffness(self, tmp_path):
+        # A floor 1e-7 below a head of 64: 1 - (1 + (a/b)^2)^(-1/2)
+        # cancels to 0 here, and k = b^2 / (2 a^3) to 1e-15.
+        from plantrack.frontier import FRONTIER_COLUMNS
+
+        floor = 64.0 - 1e-7
+        path = tmp_path / "shallow.csv"
+        path.write_text(
+            ",".join(FRONTIER_COLUMNS) + f"\n0,75,1,64,1\n10,76,0.5,{floor!r},1\n"
+        )
+        out = tmp_path / "out"
+        assert main(["stiffness", str(path), "--out", str(out)]) == 0
+        record = json.loads((out / "spring.json").read_text())
+        a = 64.0 - floor
+        assert record["a"] == a
+        assert record["k"] == pytest.approx(32.0**2 / (2.0 * a**3), rel=1e-11)
 
     def test_schema_error_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,4 @@
-"""Frontier sweep, best-compromise, spring fit, and CSV schema tests."""
+"""Tests of the frontier sweep, best compromise, spring fit and CSV schema."""
 
 import dataclasses
 import math
@@ -19,7 +19,6 @@ from plantrack.error_estimator import (
 )
 from plantrack.frontier import (
     FRONTIER_COLUMNS,
-    Frontier,
     FrontierPoint,
     FrontierSchemaError,
     SpringFit,
@@ -29,7 +28,6 @@ from plantrack.frontier import (
     frontier_gap,
     read_frontier_points,
     spring_constant,
-    spring_fit,
     spring_fit_from_points,
     sweep,
     write_frontier_csv,
@@ -37,6 +35,9 @@ from plantrack.frontier import (
 from plantrack.lqr import EigenvaluePair, design_controller
 from plantrack.model import ModelParams
 from plantrack.tracking_sim import SimulationDivergedError
+
+# The sim step that select_step picks for the -200 pole on a 1 s horizon.
+STEP = 1e-3
 
 
 @pytest.fixture
@@ -73,36 +74,26 @@ class TestFrontierPointValidation:
         with pytest.raises(ValueError):
             FrontierPoint(**kwargs)
 
-    def test_ordering_enforced(self, controller):
-        with pytest.raises(ValueError):
-            Frontier(controller=controller,
-                     points=(point(1.0, 5.0), point(0.5, 6.0)))
-        with pytest.raises(ValueError):
-            Frontier(controller=controller,
-                     points=(point(1.0, 5.0), point(1.0, 6.0)))
-
 
 class TestSweepGridValidation:
     def test_empty_grid(self, controller):
         with pytest.raises(ValueError):
-            sweep(controller, [], PlanProblem())
+            sweep(controller, [], PlanProblem(), STEP)
 
     def test_grid_must_start_at_zero(self, controller):
         with pytest.raises(ValueError):
-            sweep(controller, [0.1, 1.0], PlanProblem())
+            sweep(controller, [0.1, 1.0], PlanProblem(), STEP)
 
     def test_grid_must_ascend(self, controller):
         with pytest.raises(ValueError):
-            sweep(controller, [0.0, 2.0, 1.0], PlanProblem())
+            sweep(controller, [0.0, 2.0, 1.0], PlanProblem(), STEP)
 
 
 class TestSweep:
     def test_single_point_on_refined_grid(self, controller):
-        frontier = sweep(
-            controller, [0.0], PlanProblem(segments=1500), step=5e-4
-        )
-        assert len(frontier.points) == 1
-        pt = frontier.points[0]
+        points = sweep(controller, [0.0], PlanProblem(segments=1500), 5e-4)
+        assert len(points) == 1
+        pt = points[0]
         assert pt.mu == 0.0
         assert pt.trajectory_id == 0
         assert abs(pt.designed_cost - 75.0) < 1e-3
@@ -118,31 +109,29 @@ class TestSweep:
         assert pt.actual_error_integral > 0.0
 
     def test_points_follow_the_grid(self, controller):
-        frontier = sweep(controller, [0.0, 1e3], PlanProblem())
-        assert [p.mu for p in frontier.points] == [0.0, 1e3]
-        assert [p.trajectory_id for p in frontier.points] == [0, 1]
-        first, second = frontier.points
+        points = sweep(controller, [0.0, 1e3], PlanProblem(), STEP)
+        assert [p.mu for p in points] == [0.0, 1e3]
+        assert [p.trajectory_id for p in points] == [0, 1]
+        first, second = points
         assert second.designed_cost >= first.designed_cost - 1e-9
         assert second.predicted_error_integral <= first.predicted_error_integral + 1e-9
 
     def test_sweep_is_reproducible(self, controller):
         grid = [0.0, 1e3]
-        again = [sweep(controller, grid, PlanProblem()).points for _ in range(2)]
+        again = [sweep(controller, grid, PlanProblem(), STEP) for _ in range(2)]
         assert again[0] == again[1]
 
     def test_worker_map_matches_serial(self, controller):
         grid = [0.0, 1e3]
-        serial = sweep(controller, grid, PlanProblem()).points
+        serial = sweep(controller, grid, PlanProblem(), STEP)
         with ProcessPoolExecutor(max_workers=2) as pool:
-            parallel = sweep(
-                controller, grid, PlanProblem(), mapper=pool.map
-            ).points
+            parallel = sweep(controller, grid, PlanProblem(), STEP, mapper=pool.map)
         assert parallel == serial
 
     def test_failure_identifies_the_weight(self, controller):
         bad_template = PlanProblem(yf=6.0, y_bounds=(0.0, 5.5))
         with pytest.raises(SweepError) as err:
-            sweep(controller, [0.0, 1.0], bad_template)
+            sweep(controller, [0.0, 1.0], bad_template, STEP)
         assert err.value.mu == 0.0
         assert "mu = 0" in str(err.value)
 
@@ -167,7 +156,7 @@ class TestSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SweepError) as err:
-                evaluate_point(controller, 5.0, PlanProblem(), 1e-3, 0)
+                evaluate_point(controller, 5.0, PlanProblem(), STEP, 0)
         assert err.value.mu == 5.0
         assert isinstance(err.value.__cause__, SimulationDivergedError)
 
@@ -179,63 +168,50 @@ class TestSweep:
             lambda config: dataclasses.replace(real(config), actual_cost=math.inf),
         )
         with pytest.raises(SweepError) as err:
-            evaluate_point(controller, 5.0, PlanProblem(), 1e-3, 0)
+            evaluate_point(controller, 5.0, PlanProblem(), STEP, 0)
         assert err.value.mu == 5.0
         assert isinstance(err.value.__cause__, ValueError)
 
     def test_actual_cost_dips_then_rises(self, controller):
         # The pseudo frontier is not monotone in mu: a weighted point
         # beats the unweighted head, and extreme weighting overshoots.
-        frontier = sweep(controller, [0.0, 2000.0, 1e6], PlanProblem())
-        actual = [p.actual_cost for p in frontier.points]
+        points = sweep(controller, [0.0, 2000.0, 1e6], PlanProblem(), STEP)
+        actual = [p.actual_cost for p in points]
         assert actual[1] < actual[0]
         assert actual[2] > actual[1]
-        best = best_compromise(frontier)
+        best = best_compromise(points)
         assert best.mu == 2000.0
 
 
 class TestBestCompromise:
-    def test_argmin(self, controller):
-        frontier = Frontier(
-            controller=controller,
-            points=(point(0.0, 80.0, trajectory_id=0),
-                    point(1.0, 78.0, trajectory_id=1),
-                    point(2.0, 79.0, trajectory_id=2)),
-        )
-        assert best_compromise(frontier).mu == 1.0
+    def test_argmin(self):
+        points = (point(0.0, 80.0, trajectory_id=0),
+                  point(1.0, 78.0, trajectory_id=1),
+                  point(2.0, 79.0, trajectory_id=2))
+        assert best_compromise(points).mu == 1.0
 
-    def test_tie_goes_to_smaller_mu(self, controller):
-        frontier = Frontier(
-            controller=controller,
-            points=(point(0.0, 80.0), point(1.0, 78.0), point(2.0, 78.0)),
-        )
-        assert best_compromise(frontier).mu == 1.0
+    def test_tie_goes_to_smaller_mu(self):
+        points = (point(0.0, 80.0), point(1.0, 78.0), point(2.0, 78.0))
+        assert best_compromise(points).mu == 1.0
 
-    def test_single_point(self, controller):
-        frontier = Frontier(controller=controller, points=(point(0.0, 80.0),))
-        assert best_compromise(frontier).mu == 0.0
+    def test_single_point(self):
+        assert best_compromise((point(0.0, 80.0),)).mu == 0.0
 
-    def test_empty_frontier_rejected(self, controller):
+    def test_empty_frontier_rejected(self):
         with pytest.raises(ValueError):
-            best_compromise(Frontier(controller=controller, points=()))
+            best_compromise(())
 
 
 class TestFrontierGap:
-    def test_perfect_tracking_gives_zero(self, controller):
-        frontier = Frontier(
-            controller=controller,
-            points=(point(0.0, 100.0, designed=100.0),
-                    point(1.0, 50.0, designed=50.0)),
-        )
-        assert frontier_gap(frontier) == 0.0
+    def test_perfect_tracking_gives_zero(self):
+        points = (point(0.0, 100.0, designed=100.0),
+                  point(1.0, 50.0, designed=50.0))
+        assert frontier_gap(points) == 0.0
 
-    def test_mean_absolute_gap(self, controller):
-        frontier = Frontier(
-            controller=controller,
-            points=(point(0.0, 104.0, designed=100.0),
-                    point(1.0, 94.0, designed=100.0)),
-        )
-        assert frontier_gap(frontier) == pytest.approx(5.0, rel=1e-12)
+    def test_mean_absolute_gap(self):
+        points = (point(0.0, 104.0, designed=100.0),
+                  point(1.0, 94.0, designed=100.0))
+        assert frontier_gap(points) == pytest.approx(5.0, rel=1e-12)
 
 
 class TestSpringModel:
@@ -251,6 +227,14 @@ class TestSpringModel:
         b = 1.0
         for a in (1e-2, 1e-3, 1e-4):
             assert spring_constant(a / 2.0, b) > 4.0 * spring_constant(a, b)
+
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-8, 1e-10])
+    def test_small_neck_keeps_its_digits(self, ratio):
+        # k = b^2 / (2 a^3) (1 + 3/4 (a/b)^2 + ...), so the leading term
+        # is exact to 1e-12 here; 1 - (1 + (a/b)^2)^(-1/2) cancels.
+        b = 32.0
+        a = ratio * b
+        assert spring_constant(a, b) == pytest.approx(b**2 / (2.0 * a**3), rel=1e-11)
 
     def test_no_neck_is_a_sentinel_not_an_error(self):
         assert spring_constant(0.0, 3.0) == math.inf
@@ -281,24 +265,21 @@ class TestSpringModel:
             spring_fit_from_points([point(0.0, 0.0)])
 
     def test_fit_of_a_swept_frontier(self, controller):
-        frontier = sweep(controller, [0.0, 2000.0], PlanProblem())
-        fit = spring_fit(frontier)
-        head = frontier.points[0].actual_cost
+        points = sweep(controller, [0.0, 2000.0], PlanProblem(), STEP)
+        fit = spring_fit_from_points(points)
+        head = points[0].actual_cost
         assert fit.b == head / 2.0
-        assert fit.a == pytest.approx(
-            head - min(p.actual_cost for p in frontier.points), rel=1e-12
-        )
+        assert fit.a == head - min(p.actual_cost for p in points)
         assert fit.neck_found
         assert fit.k > 0.0
 
 
 class TestFrontierCsv:
     def test_round_trip(self, tmp_path, controller):
-        frontier = sweep(controller, [0.0, 1e3], PlanProblem())
+        points = sweep(controller, [0.0, 1e3], PlanProblem(), STEP)
         path = tmp_path / "frontier.csv"
-        write_frontier_csv(frontier, path)
-        back = read_frontier_points(path)
-        assert back == list(frontier.points)
+        write_frontier_csv(points, path)
+        assert tuple(read_frontier_points(path)) == points
 
     def test_header_is_the_contract(self):
         assert FRONTIER_COLUMNS == (

@@ -8,6 +8,8 @@ six-state ``simulate_planar`` is its bit-for-bit reference.
 """
 
 import dataclasses
+import math
+import re
 import warnings
 
 import numpy as np
@@ -80,6 +82,15 @@ class TestSelectStep:
             "sim step 0.005988023952095809 s is not RK4-stable"
             " (|lambda_fast| * step > 2.78)"
         )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["max_step", "pole_fraction"])
+    def test_rejects_a_rule_field_that_is_not_positive_and_finite(
+        self, slow_controller, field, bad
+    ):
+        message = f"{field} must be positive and finite, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            select_step(slow_controller, 1.0, **{field: bad})
 
     def test_step_equal_to_the_knot_spacing_is_accepted(self, slow_controller):
         # |lambda| h = 100 / 60 is inside the RK4 limit.

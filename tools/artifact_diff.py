@@ -1,0 +1,140 @@
+"""Compare the artifacts of this checkout with those of another one.
+
+    python3 tools/artifact_diff.py --parent DIR
+
+Runs one fixed command set with this checkout's ``src`` and again with
+DIR's, each in its own temporary directory, with
+``PYTHONPATH=<checkout>/src`` and ``PYTHONDONTWRITEBYTECODE=1``:
+
+- ``sweep`` on the built-in config and on the bounded_sweep INI
+  (``perfbench/workloads.py bounded_sweep 0``), each under
+  ``--workers 1`` and ``--workers 2``;
+- ``plan`` and ``track`` for the four default pairs at mu = 0, 3.5
+  and 1e3;
+- ``stiffness`` on each pair's frontier from the one-worker default
+  sweep.
+
+Exit codes, stdout, stderr and every file written are compared byte for
+byte.  For a file that differs, the largest relative difference between
+its numbers is printed, or that its other text differs.  Exits 0 only
+when everything is identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PAIRS = ("-10,-100", "-20,-200", "-30,-300", "-50,-500")
+MUS = ("0", "3.5", "1e3")
+BOUNDED_INI = "bounded.ini"
+
+# A decimal number standing alone: not part of a word such as a checksum.
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def commands() -> list[list[str]]:
+    """The plantrack argument lists, run in order in one directory."""
+    runs = []
+    for workers in ("1", "2"):
+        runs.append(["sweep", "--out", f"default_w{workers}", "--workers", workers])
+        runs.append(["sweep", "--config", BOUNDED_INI, "--out", f"bounded_w{workers}",
+                     "--workers", workers])
+    for pair in PAIRS:
+        slug = pair.replace("-", "").replace(",", "_")
+        for mu in MUS:
+            plan, track = f"plan_{slug}_{mu}", f"track_{slug}_{mu}"
+            runs.append(["plan", "--pair", pair, "--mu", mu, "--out", plan])
+            runs.append(["track", f"{plan}/trajectory.csv", "--pair", pair,
+                         "--mu", mu, "--out", track])
+        runs.append(["stiffness", f"default_w1/frontier_{slug}.csv", "--pair", pair,
+                     "--out", "stiffness"])
+    return runs
+
+
+def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
+    """Run every command against ``checkout``'s src inside ``work``."""
+    (work / BOUNDED_INI).write_text(bounded_ini)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    results = []
+    for args in commands():
+        proc = subprocess.run([sys.executable, "-m", "plantrack", *args], cwd=work,
+                              env=env, capture_output=True, timeout=600)
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    return results
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def numeric_difference(old: bytes, new: bytes) -> float | None:
+    """Largest relative difference between the two texts' numbers, or None
+    when the texts differ other than in their numbers."""
+    old_text, new_text = old.decode(errors="replace"), new.decode(errors="replace")
+    if _NUMBER.sub("#", old_text) != _NUMBER.sub("#", new_text):
+        return None
+    largest = 0.0
+    for x, y in zip(map(float, _NUMBER.findall(old_text)),
+                    map(float, _NUMBER.findall(new_text))):
+        if x != y:
+            scale = max(abs(x), abs(y))
+            largest = max(largest, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    return largest
+
+
+def describe(old: bytes, new: bytes) -> str:
+    difference = numeric_difference(old, new)
+    if difference is None:
+        return "text other than numbers differs"
+    return f"largest relative numeric difference {difference:.3g}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout to compare against, such as a clone of the parent commit")
+    args = parser.parse_args(argv)
+
+    bounded_ini = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "workloads.py"), "bounded_sweep", "0"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as here_dir:
+        parent_work, here_work = Path(parent_dir), Path(here_dir)
+        parent_runs = run_all(args.parent.resolve(), parent_work, bounded_ini)
+        here_runs = run_all(ROOT, here_work, bounded_ini)
+        parent_files, here_files = files_under(parent_work), files_under(here_work)
+
+    differences = []
+    for argv_, old, new in zip(commands(), parent_runs, here_runs):
+        label = "plantrack " + " ".join(argv_)
+        for name, x, y in zip(("exit code", "stdout", "stderr"), old, new):
+            if x != y:
+                detail = f"{x} -> {y}" if name == "exit code" else describe(x, y)
+                differences.append(f"{label}: {name} differs ({detail})")
+    for name in sorted(parent_files.keys() | here_files.keys()):
+        if name not in here_files or name not in parent_files:
+            where = "parent" if name in parent_files else "this checkout"
+            differences.append(f"{name}: written only by {where}")
+        elif parent_files[name] != here_files[name]:
+            differences.append(f"{name}: {describe(parent_files[name], here_files[name])}")
+
+    for line in differences:
+        print(line)
+    print(f"{len(commands())} commands, {len(here_files)} files:"
+          f" {len(differences)} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
