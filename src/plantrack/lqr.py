@@ -17,7 +17,11 @@ from .model import ModelParams
 
 @dataclass(frozen=True)
 class EigenvaluePair:
-    """Prescribed closed-loop poles, both real and strictly negative."""
+    """Prescribed closed-loop poles, real, strictly negative and distinct.
+
+    A repeated pair is rejected: the estimator needs a distinct real
+    dominant pole.
+    """
 
     lambda_fast: float
     lambda_slow: float
@@ -29,6 +33,8 @@ class EigenvaluePair:
             raise ValueError("both eigenvalues must be strictly negative")
         if abs(self.lambda_slow) > abs(self.lambda_fast):
             raise ValueError("lambda_slow must not exceed lambda_fast in magnitude")
+        if self.lambda_fast == self.lambda_slow:
+            raise ValueError("repeated eigenvalue pair is not supported")
 
     @classmethod
     def from_poles(cls, first: float, second: float) -> "EigenvaluePair":
@@ -72,11 +78,8 @@ def design_controller(pair: EigenvaluePair, params: ModelParams) -> ControllerSp
     """Place the closed-loop poles of the altitude double integrator.
 
     The characteristic polynomial s^2 + (k2/M) s + k1/M must equal
-    (s - l1)(s - l2), so k1 = M l1 l2 and k2 = -M (l1 + l2).  A repeated
-    pair is rejected: the estimator needs a distinct real dominant pole.
+    (s - l1)(s - l2), so k1 = M l1 l2 and k2 = -M (l1 + l2).
     """
-    if pair.lambda_fast == pair.lambda_slow:
-        raise ValueError("repeated eigenvalue pair is not supported")
     l1, l2 = pair.lambda_slow, pair.lambda_fast
     k1 = params.mass * l1 * l2
     k2 = -params.mass * (l1 + l2)

@@ -23,7 +23,12 @@ six-state one.
 
 ``simulate_planar`` integrates all six rigid-body states and is the
 reference the altitude path is tested against (bit for bit), and the
-model behind the check that the sweep's flights stay vertical.
+model behind the check that the sweep's flights stay vertical.  It
+steps the six states as one sequence through one RK4 update, the
+expression ``simulate`` writes out for (y, y_dot), so the lateral and
+attitude states run the code the altitude channels check.  Both
+simulators score a flight and build its ``TrackingResult`` in
+``_result``.
 
 Scoring follows the planner's quadrature: actual cost is the trapezoid
 integral of the squared body accelerations, actual error the integral
@@ -103,8 +108,8 @@ class SimConfig:
     params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step!r}")
         spacing = self.reference.knot_spacing
         if self.step > spacing * (1 + 1e-9):
             raise ValueError(
@@ -198,6 +203,22 @@ def _score(times, x_ddot, y_ddot, q_ddot, error) -> tuple[float, float]:
     return _trapezoid(effort, dt), _trapezoid(miss, dt)
 
 
+def _result(times, channels) -> TrackingResult:
+    """Score one flight and assemble its record.
+
+    ``channels`` are the per-step arrays of ``TrackingResult`` from x to
+    q_ddot, in field order.
+    """
+    x, y, q, x_dot, y_dot, q_dot, u1, u2, y_ref, x_ddot, y_ddot, q_ddot = channels
+    error = y_ref - y
+    cost, error_integral = _score(times, x_ddot, y_ddot, q_ddot, error)
+    return TrackingResult(
+        times=times, x=x, y=y, q=q, x_dot=x_dot, y_dot=y_dot, q_dot=q_dot,
+        u1=u1, u2=u2, y_ref=y_ref, x_ddot=x_ddot, y_ddot=y_ddot, q_ddot=q_ddot,
+        error=error, actual_cost=cost, actual_error_integral=error_integral,
+    )
+
+
 def simulate(config: SimConfig) -> TrackingResult:
     """Run the closed loop from the trimmed initial state on (y, y_dot).
 
@@ -253,26 +274,11 @@ def simulate(config: SimConfig) -> TrackingResult:
     thrust = control_law(spec, y, y_dot, y_ref, params)
     u1 = 0.5 * thrust
     u2 = 0.5 * thrust
-    x_ddot, y_ddot, q_ddot = nonlinear_derivative(0.0, u1, u2, params)
-    error = y_ref - y
-    cost, error_integral = _score(times, x_ddot, y_ddot, q_ddot, error)
-    return TrackingResult(
-        times=times,
-        x=np.zeros_like(y),
-        y=y,
-        q=np.zeros_like(y),
-        x_dot=np.zeros_like(y),
-        y_dot=y_dot,
-        q_dot=np.zeros_like(y),
-        u1=u1,
-        u2=u2,
-        y_ref=y_ref,
-        x_ddot=x_ddot,
-        y_ddot=y_ddot,
-        q_ddot=q_ddot,
-        error=error,
-        actual_cost=cost,
-        actual_error_integral=error_integral,
+    x, q, x_dot, q_dot = np.zeros((4, y.size))
+    return _result(
+        times,
+        (x, y, q, x_dot, y_dot, q_dot, u1, u2, y_ref,
+         *nonlinear_derivative(0.0, u1, u2, params)),
     )
 
 
@@ -299,7 +305,9 @@ def simulate_planar(config: SimConfig) -> TrackingResult:
         diff = mass * arm * qdd_cmd
         u1 = 0.5 * (thrust - diff)
         u2 = 0.5 * (thrust + diff)
-        return (xd, yd, qd, *nonlinear_derivative(q, u1, u2, params), u1, u2, y_ref)
+        accelerations = nonlinear_derivative(q, u1, u2, params)
+        # The state derivative, and the channels the record keeps of it.
+        return (xd, yd, qd, *accelerations), (u1, u2, y_ref, *accelerations)
 
     step = config.step
     half = 0.5 * step
@@ -308,60 +316,22 @@ def simulate_planar(config: SimConfig) -> TrackingResult:
     times, references = _stage_references(config)
     steps = times.size - 1
     start, middle, end = (row.tolist() for row in references)
-    hist = np.empty((steps + 1, 13))
 
-    x = y = q = xd = yd = qd = 0.0
+    rows = []
+    state = [0.0] * 6
     for i in range(steps + 1):
-        t = i * step
-        d = stage(start[i], x, y, q, xd, yd, qd)
-        hist[i] = (t, x, y, q, xd, yd, qd, d[6], d[7], d[8], d[3], d[4], d[5])
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(q)):
-            raise SimulationDivergedError(t)
+        k1, channels = stage(start[i], *state)
+        rows.append((*state, *channels))
+        if not all(map(math.isfinite, state[:3])):
+            raise SimulationDivergedError(i * step)
         if i == steps:
             break
-        a1 = d[:6]
-        a2 = stage(
-            middle[i],
-            x + half * a1[0], y + half * a1[1], q + half * a1[2],
-            xd + half * a1[3], yd + half * a1[4], qd + half * a1[5],
-        )[:6]
-        a3 = stage(
-            middle[i],
-            x + half * a2[0], y + half * a2[1], q + half * a2[2],
-            xd + half * a2[3], yd + half * a2[4], qd + half * a2[5],
-        )[:6]
-        a4 = stage(
-            end[i],
-            x + step * a3[0], y + step * a3[1], q + step * a3[2],
-            xd + step * a3[3], yd + step * a3[4], qd + step * a3[5],
-        )[:6]
-        x += sixth * (a1[0] + 2.0 * (a2[0] + a3[0]) + a4[0])
-        y += sixth * (a1[1] + 2.0 * (a2[1] + a3[1]) + a4[1])
-        q += sixth * (a1[2] + 2.0 * (a2[2] + a3[2]) + a4[2])
-        xd += sixth * (a1[3] + 2.0 * (a2[3] + a3[3]) + a4[3])
-        yd += sixth * (a1[4] + 2.0 * (a2[4] + a3[4]) + a4[4])
-        qd += sixth * (a1[5] + 2.0 * (a2[5] + a3[5]) + a4[5])
-
-    error = hist[:, 9] - hist[:, 2]
-    cost, error_integral = _score(times, hist[:, 10], hist[:, 11], hist[:, 12], error)
-    return TrackingResult(
-        times=times,
-        x=hist[:, 1],
-        y=hist[:, 2],
-        q=hist[:, 3],
-        x_dot=hist[:, 4],
-        y_dot=hist[:, 5],
-        q_dot=hist[:, 6],
-        u1=hist[:, 7],
-        u2=hist[:, 8],
-        y_ref=hist[:, 9],
-        x_ddot=hist[:, 10],
-        y_ddot=hist[:, 11],
-        q_ddot=hist[:, 12],
-        error=error,
-        actual_cost=cost,
-        actual_error_integral=error_integral,
-    )
+        k2, _ = stage(middle[i], *[s + half * k for s, k in zip(state, k1)])
+        k3, _ = stage(middle[i], *[s + half * k for s, k in zip(state, k2)])
+        k4, _ = stage(end[i], *[s + step * k for s, k in zip(state, k3)])
+        state = [s + sixth * (a + 2.0 * (b + c) + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    return _result(times, np.array(rows).T)
 
 
 TRACKING_COLUMNS = (

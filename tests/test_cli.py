@@ -167,6 +167,14 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=r"not 'slow,fast'"):
             load_config(path)
 
+    def test_repeated_pair_rejected(self, tmp_path):
+        path = write_config(tmp_path, "[controllers]\npairs = -10,-10; -20,-200\n")
+        with pytest.raises(
+            ConfigError,
+            match=r"^\[controllers\] pairs: pair '-10,-10': repeated eigenvalue pair",
+        ):
+            load_config(path)
+
     def test_empty_pair_list_rejected(self, tmp_path):
         path = write_config(tmp_path, "[controllers]\npairs =\n")
         with pytest.raises(ConfigError, match=r"pair list is empty"):
@@ -378,6 +386,33 @@ class TestTrackCommand:
 
         rows = (out / "tracking.csv").read_text().splitlines()
         assert len(rows) == 1 + result.times.size
+
+    def test_step_divides_the_trajectory_horizon(self, tmp_path, params):
+        # RunConfig.step_for would take the config's 1 s horizon and give
+        # 1e-3 s, which does not divide 0.7005 s.
+        config = write_config(tmp_path, "[plan]\nhorizon = 0.7005\n")
+        plan = tmp_path / "plan"
+        assert main(["plan", "--config", config, "--pair", "-20,-200",
+                     "--out", str(plan)]) == 0
+        out = tmp_path / "run"
+        assert main(["track", str(plan / "trajectory.csv"), "--pair", "-20,-200",
+                     "--out", str(out)]) == 0
+        score = json.loads((out / "score.json").read_text())
+
+        controller = design_controller(
+            EigenvaluePair(lambda_slow=-20.0, lambda_fast=-200.0), params
+        )
+        step = tracking_sim.select_step(controller, 0.7005)
+        assert step == 0.000999286733238231
+        result = tracking_sim.simulate(
+            tracking_sim.SimConfig(
+                step=step,
+                reference=read_trajectory_csv(plan / "trajectory.csv"),
+                controller=controller,
+            )
+        )
+        assert score["actual_cost"] == result.actual_cost
+        assert score["actual_error_integral"] == result.actual_error_integral
 
     def test_zero_reference_scores_zero(self, tmp_path):
         times = np.linspace(0.0, 1.0, 61)

@@ -64,9 +64,9 @@ def test_pole_placement_round_trip(params, paper_pairs):
         assert eigs.real == pytest.approx(requested, rel=1e-9)
 
 
-def test_repeated_pair_rejected(params):
-    with pytest.raises(ValueError):
-        design_controller(EigenvaluePair(lambda_fast=-1.0, lambda_slow=-1.0), params)
+def test_repeated_pair_rejected():
+    with pytest.raises(ValueError, match="^repeated eigenvalue pair is not supported$"):
+        EigenvaluePair(lambda_fast=-1.0, lambda_slow=-1.0)
 
 
 def test_dominant_lambda_is_slow_pole_magnitude(params, paper_pairs):

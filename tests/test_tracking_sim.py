@@ -103,9 +103,11 @@ class TestSelectStep:
 
 
 class TestSimConfigValidation:
-    def test_nonpositive_step_rejected(self, slow_controller):
-        with pytest.raises(ValueError):
-            SimConfig(step=0.0, reference=constant_reference(0.0, 1.0),
+    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+    def test_nonpositive_step_rejected(self, slow_controller, step):
+        message = f"step must be positive and finite, got {step!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimConfig(step=step, reference=constant_reference(0.0, 1.0),
                       controller=slow_controller)
 
     def test_step_above_knot_spacing_rejected(self, slow_controller):

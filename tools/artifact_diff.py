@@ -6,9 +6,12 @@ Runs one fixed command set with this checkout's ``src`` and again with
 DIR's, each in its own temporary directory, with
 ``PYTHONPATH=<checkout>/src`` and ``PYTHONDONTWRITEBYTECODE=1``:
 
-- ``sweep`` on the built-in config and on the bounded_sweep INI
-  (``perfbench/workloads.py bounded_sweep 0``), each under
-  ``--workers 1`` and ``--workers 2``;
+- ``sweep`` on the built-in config, on the bounded_sweep INI
+  (``perfbench/workloads.py bounded_sweep 0``) and on a failing INI
+  whose second pair (-50,-500) breaks the RK4 step rule, each under
+  ``--workers 1`` and ``--workers 2``; the failing sweep exits 1 and
+  writes the first pair's files and a manifest with a ``failures``
+  entry;
 - ``plan`` and ``track`` for the four default pairs at mu = 0, 3.5
   and 1e3;
 - ``stiffness`` on each pair's frontier from the one-worker default
@@ -36,6 +39,19 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = ("-10,-100", "-20,-200", "-30,-300", "-50,-500")
 MUS = ("0", "3.5", "1e3")
 BOUNDED_INI = "bounded.ini"
+FAILING_INI = "failing.ini"
+# -50,-500 gets the step 1/167 s, where |lambda_fast| h = 2.99 > 2.78.
+FAILING_SWEEP = """\
+[controllers]
+pairs = -10,-100; -50,-500
+
+[sim]
+max_step = 0.016
+pole_fraction = 3.0
+
+[mu_grid]
+count = 3
+"""
 
 # A decimal number standing alone: not part of a word such as a checksum.
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
@@ -47,6 +63,8 @@ def commands() -> list[list[str]]:
     for workers in ("1", "2"):
         runs.append(["sweep", "--out", f"default_w{workers}", "--workers", workers])
         runs.append(["sweep", "--config", BOUNDED_INI, "--out", f"bounded_w{workers}",
+                     "--workers", workers])
+        runs.append(["sweep", "--config", FAILING_INI, "--out", f"failing_w{workers}",
                      "--workers", workers])
     for pair in PAIRS:
         slug = pair.replace("-", "").replace(",", "_")
@@ -63,6 +81,7 @@ def commands() -> list[list[str]]:
 def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
     """Run every command against ``checkout``'s src inside ``work``."""
     (work / BOUNDED_INI).write_text(bounded_ini)
+    (work / FAILING_INI).write_text(FAILING_SWEEP)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     results = []
     for args in commands():
