@@ -7,19 +7,11 @@ from .collocation_planner import (
     PlanProblem,
     solve,
 )
-from .error_estimator import (
-    VelocityProfile,
-    error_discrete_limit_form,
-    error_integral_form,
-    error_sum_discretization,
-    lag_response_matrix,
-    trapezoid_quadrature,
-)
+from .error_estimator import lag_response_matrix, trapezoid_quadrature
 from .frontier import (
     FrontierPoint,
     SpringFit,
     best_compromise,
-    frontier_gap,
     spring_fit_from_points,
     sweep,
 )
@@ -31,7 +23,6 @@ from .tracking_sim import (
     reference_lookup,
     select_step,
     simulate,
-    simulate_planar,
 )
 
 __all__ = [
@@ -46,20 +37,14 @@ __all__ = [
     "SimConfig",
     "SpringFit",
     "TrackingResult",
-    "VelocityProfile",
     "best_compromise",
     "control_law",
     "design_controller",
-    "error_discrete_limit_form",
-    "error_integral_form",
-    "error_sum_discretization",
-    "frontier_gap",
     "lag_response_matrix",
     "nonlinear_derivative",
     "reference_lookup",
     "select_step",
     "simulate",
-    "simulate_planar",
     "solve",
     "spring_fit_from_points",
     "sweep",

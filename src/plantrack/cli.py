@@ -129,10 +129,11 @@ class RunConfig:
             enforce_initial_accel_zero=self.enforce_initial_accel_zero,
         )
 
-    def step_for(self, controller) -> float:
+    def step_for(self, controller, horizon: float | None = None) -> float:
+        """RK4 step for a controller over ``horizon`` (default: the config's)."""
         return sim.select_step(
             controller,
-            self.horizon,
+            self.horizon if horizon is None else horizon,
             max_step=self.max_step,
             pole_fraction=self.pole_fraction,
         )
@@ -341,15 +342,9 @@ def cmd_track(
         raise ValueError("mu must be finite and nonnegative")
     traj = planner.read_trajectory_csv(trajectory_path)
     controller = design_controller(pair, config.params)
-    step = sim.select_step(
-        controller,
-        traj.horizon,
-        max_step=config.max_step,
-        pole_fraction=config.pole_fraction,
-    )
     result = sim.simulate(
         sim.SimConfig(
-            step=step,
+            step=config.step_for(controller, traj.horizon),
             reference=traj,
             controller=controller,
             params=config.params,

@@ -67,8 +67,8 @@ import numpy as np
 
 from ._artifact_csv import read_rows, write_rows
 from .error_estimator import (
-    VelocityProfile,
     _trapezoid,
+    _uniform_spacing,
     apply_lag,
     lag_response_matrix,
     trapezoid_quadrature,
@@ -635,8 +635,10 @@ def read_trajectory_csv(path) -> PlannedTrajectory:
     """
     data = read_rows(path, TRAJECTORY_COLUMNS, TrajectorySchemaError)
     times, y, v, a, u, e_pred = data.T
+    if times[0] != 0.0:
+        raise TrajectorySchemaError("column 't': profile must start at t = 0")
     try:
-        VelocityProfile(times, v)
+        _uniform_spacing(times)
     except ValueError as exc:
         raise TrajectorySchemaError(f"column 't': {exc}") from exc
     # Finite cells can still overflow once squared (1e200 does).

@@ -7,17 +7,16 @@ dominant pole the loop behaves like the first-order lag
 
 whose solution e(t) = exp(-lam t) * integral(v_ref(tau) exp(+lam tau))
 is what the planner penalizes.  This module provides that integral form
-on a uniform knot grid, the two discrete forms used for comparison, and
-the trapezoid quadrature operator shared by the rest of the pipeline.
+on a uniform knot grid as a matrix, ``lag_response_matrix``, applied by
+``apply_lag``, and the trapezoid quadrature shared by the rest of the
+pipeline.  The finite-n forms whose limit it is, and the checked
+velocity profile they take, are test oracles in ``tests/oracles.py``.
 
 lam is the positive decay rate of the equivalent lag; the lag operator
 also takes lam = 0, where it is the plain trapezoid chain.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,40 +61,6 @@ def trapezoid_quadrature(times: np.ndarray, values: np.ndarray) -> float:
     if values.shape != times.shape:
         raise ValueError("times and values must have matching shape")
     return _trapezoid(values, _uniform_spacing(times))
-
-
-@dataclass(frozen=True)
-class VelocityProfile:
-    """Reference velocity sampled on a uniform grid starting at t = 0.
-
-    Between knots the profile is the piecewise-linear interpolant; the
-    finite-n forms sample it off-grid that way.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.shape != values.shape:
-            raise ValueError("times and values must have matching shape")
-        if times.size and times[0] != 0.0:
-            raise ValueError("profile must start at t = 0")
-        _uniform_spacing(times)
-
-    @property
-    def dt(self) -> float:
-        return _uniform_spacing(self.times)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    def sample(self, t: np.ndarray) -> np.ndarray:
-        return np.interp(t, self.times, self.values)
 
 
 def lag_response_matrix(times: np.ndarray, lam: float) -> np.ndarray:
@@ -143,49 +108,3 @@ def apply_lag(L: np.ndarray, values: np.ndarray) -> np.ndarray:
     for k in range(1, values.size):
         e[k] = np.dot(L[k, : k + 1], values[: k + 1])
     return e
-
-
-def error_integral_form(profile: VelocityProfile, lam: float) -> np.ndarray:
-    """Predicted error e(t_k) at every knot via the integral (quadrature)
-    form; e(0) is 0."""
-    if lam <= 0:
-        raise ValueError("lam must be a positive decay rate")
-    return apply_lag(lag_response_matrix(profile.times, lam), profile.values)
-
-
-def error_discrete_limit_form(profile: VelocityProfile, lam: float, n: int) -> float:
-    """Finite-n estimate of the error at the profile's final time.
-
-    e(t, n) = (t/n) * sum_{i=1..n} v_ref((t/n) i) * (1 - p)^(n+1-i)
-    with p = 1 - exp(-lam t / n).  The sum converges to the integral
-    form as n grows.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be a positive decay rate")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    t = profile.horizon
-    step = t / n
-    p = -math.expm1(-lam * step)
-    i = np.arange(1, n + 1)
-    samples = profile.sample(step * i)
-    weights = (1.0 - p) ** (n + 1.0 - i)
-    return float(step * np.dot(samples, weights))
-
-
-def error_sum_discretization(profile: VelocityProfile, lam: float, n: int) -> float:
-    """Riemann-sum discretization of the integral form at the final time.
-
-    e(t, n) = exp(-lam t) * sum_{i=1..n} v_ref((t/n) i) exp(+lam (t/n) i) (t/n),
-    evaluated with combined exponents.  Kept for comparison with the
-    finite-n form above; the two agree only in the n -> infinity limit.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be a positive decay rate")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    t = profile.horizon
-    step = t / n
-    tau = step * np.arange(1, n + 1)
-    samples = profile.sample(tau)
-    return float(step * np.dot(samples, np.exp(-lam * (t - tau))))

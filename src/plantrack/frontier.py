@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 
-import numpy as np
-
 from ._artifact_csv import read_rows, write_rows
 from .collocation_planner import PlanProblem, solve
 from .lqr import ControllerSpec
@@ -147,13 +145,6 @@ def best_compromise(points) -> FrontierPoint:
         if point.actual_cost < best.actual_cost:
             best = point
     return best
-
-
-def frontier_gap(points) -> float:
-    """Mean absolute gap between actual and designed cost."""
-    if not points:
-        raise ValueError("frontier is empty")
-    return float(np.mean([abs(p.actual_cost - p.designed_cost) for p in points]))
 
 
 def spring_constant(a: float, b: float) -> float:

@@ -2,33 +2,28 @@
 
 The vehicle is ``model.nonlinear_derivative`` and the altitude loop is
 ``lqr.control_law`` on the interpolated reference position only (no
-feed-forward); this module adds the lateral and attitude loops, PD laws
-with zero references.  Integration is fixed-step RK4, with the
-controller evaluated at every stage; the reference at the three stage
-times of every step (t, t + h/2, t + h) comes from one vectorised cubic
-Hermite lookup before the loop starts.
+feed-forward).  Integration is fixed-step RK4, with the controller
+evaluated at every stage; the reference at the three stage times of
+every step (t, t + h/2, t + h) comes from one vectorised cubic Hermite
+lookup before the loop starts.
 
 ``simulate`` integrates the altitude states (y, y_dot) only, and that is
 exact, not an approximation.  The vehicle starts at x = x_dot = q =
 q_dot = 0 and the lateral reference is zero; nothing in ``SimConfig``
-can change either.  Every lateral and attitude derivative is then an
-IEEE zero, the rotor pair splits the thrust evenly (u1 = u2 =
+can change either.  The lateral and attitude loops (PD laws with zero
+references) then stay dormant: every lateral and attitude derivative is
+an IEEE zero, the rotor pair splits the thrust evenly (u1 = u2 =
 thrust / 2, u1 + u2 == thrust), and y_ddot = thrust / M - g in the same
 order of operations as the full model.  Its RK4 loop writes that
 altitude law out inline, the one copy of the physics outside ``model``
 and ``lqr``; the thrust and the accelerations it reports are rebuilt
 from the state history by ``control_law`` and ``nonlinear_derivative``
-after the loop.  The two-state RK4 produces the same bits as the
-six-state one.
+after the loop.
 
-``simulate_planar`` integrates all six rigid-body states and is the
-reference the altitude path is tested against (bit for bit), and the
-model behind the check that the sweep's flights stay vertical.  It
-steps the six states as one sequence through one RK4 update, the
-expression ``simulate`` writes out for (y, y_dot), so the lateral and
-attitude states run the code the altitude channels check.  Both
-simulators score a flight and build its ``TrackingResult`` in
-``_result``.
+The six-state reference, with the PD loops live, is
+``simulate_planar`` in ``tests/oracles.py``.  It steps over the same
+``_stage_references`` and scores through the same ``_result``, and
+``simulate`` must match it bit for bit.
 
 Scoring follows the planner's quadrature: actual cost is the trapezoid
 integral of the squared body accelerations, actual error the integral
@@ -48,12 +43,6 @@ from .collocation_planner import PlannedTrajectory
 from .error_estimator import _trapezoid
 from .lqr import ControllerSpec, control_law
 from .model import ModelParams, nonlinear_derivative
-
-# PD gains of the dormant loops: lateral position and attitude.
-_POSITION_GAIN_D = 10.0
-_POSITION_GAIN_P = 100.0
-_ATTITUDE_GAIN_D = 80.0
-_ATTITUDE_GAIN_P = 100.0
 
 
 class SimulationDivergedError(RuntimeError):
@@ -223,11 +212,8 @@ def simulate(config: SimConfig) -> TrackingResult:
     """Run the closed loop from the trimmed initial state on (y, y_dot).
 
     Per stage: altitude thrust from the LQR law on (y, y_dot) and the
-    interpolated reference, then y_ddot = thrust / M - g.  The result
-    equals ``simulate_planar``'s bit for bit (see the module docstring).
-    A future ``SimConfig`` field that sets a lateral or attitude state,
-    or a nonzero lateral reference, breaks that argument: such a config
-    must be routed to ``simulate_planar``.
+    interpolated reference, then y_ddot = thrust / M - g, exact for every
+    ``SimConfig`` (see the module docstring).
     """
     spec = config.controller
     params = config.params
@@ -280,58 +266,6 @@ def simulate(config: SimConfig) -> TrackingResult:
         (x, y, q, x_dot, y_dot, q_dot, u1, u2, y_ref,
          *nonlinear_derivative(0.0, u1, u2, params)),
     )
-
-
-def simulate_planar(config: SimConfig) -> TrackingResult:
-    """Run the closed loop from the trimmed initial state on all 6 states.
-
-    Per stage: altitude thrust from the LQR law on (y, y_dot) and the
-    interpolated reference; commanded lateral acceleration from the PD
-    law with zero reference; commanded pitch from small-angle thrust
-    inversion q_cmd = -M x_ddot_cmd / thrust; differential thrust from
-    the attitude PD law.  The rotor pair is recovered from sum and
-    difference and drives the nonlinear model.
-    """
-    spec = config.controller
-    params = config.params
-    mass = params.mass
-    arm = params.arm_length
-
-    def stage(y_ref, x, y, q, xd, yd, qd):
-        thrust = control_law(spec, y, yd, y_ref, params)
-        xdd_cmd = -_POSITION_GAIN_D * xd - _POSITION_GAIN_P * x
-        q_cmd = -mass * xdd_cmd / thrust if thrust != 0.0 else 0.0
-        qdd_cmd = -_ATTITUDE_GAIN_D * qd + _ATTITUDE_GAIN_P * (q_cmd - q)
-        diff = mass * arm * qdd_cmd
-        u1 = 0.5 * (thrust - diff)
-        u2 = 0.5 * (thrust + diff)
-        accelerations = nonlinear_derivative(q, u1, u2, params)
-        # The state derivative, and the channels the record keeps of it.
-        return (xd, yd, qd, *accelerations), (u1, u2, y_ref, *accelerations)
-
-    step = config.step
-    half = 0.5 * step
-    sixth = step / 6.0
-
-    times, references = _stage_references(config)
-    steps = times.size - 1
-    start, middle, end = (row.tolist() for row in references)
-
-    rows = []
-    state = [0.0] * 6
-    for i in range(steps + 1):
-        k1, channels = stage(start[i], *state)
-        rows.append((*state, *channels))
-        if not all(map(math.isfinite, state[:3])):
-            raise SimulationDivergedError(i * step)
-        if i == steps:
-            break
-        k2, _ = stage(middle[i], *[s + half * k for s, k in zip(state, k1)])
-        k3, _ = stage(middle[i], *[s + half * k for s, k in zip(state, k2)])
-        k4, _ = stage(end[i], *[s + step * k for s, k in zip(state, k3)])
-        state = [s + sixth * (a + 2.0 * (b + c) + d)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-    return _result(times, np.array(rows).T)
 
 
 TRACKING_COLUMNS = (

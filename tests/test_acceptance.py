@@ -17,20 +17,17 @@ import pytest
 
 import plantrack
 from conftest import constant_reference
-from plantrack import collocation_planner as planner
-from plantrack import tracking_sim as sim
-from plantrack.cli import RunConfig
-from plantrack.error_estimator import (
+from oracles import (
     VelocityProfile,
     error_discrete_limit_form,
     error_integral_form,
-)
-from plantrack.frontier import (
-    best_compromise,
     frontier_gap,
-    spring_fit_from_points,
-    sweep,
+    simulate_planar,
 )
+from plantrack import collocation_planner as planner
+from plantrack import tracking_sim as sim
+from plantrack.cli import RunConfig
+from plantrack.frontier import best_compromise, spring_fit_from_points, sweep
 from plantrack.lqr import design_controller
 
 
@@ -216,7 +213,7 @@ def test_criterion_09_sweep_simulations_stay_vertical(config):
             )
             # The six-state model: the altitude-only simulate keeps x and q
             # at zero by construction, which would make this check vacuous.
-            result = sim.simulate_planar(
+            result = simulate_planar(
                 sim.SimConfig(
                     step=step,
                     reference=traj,

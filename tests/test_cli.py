@@ -31,6 +31,12 @@ from plantrack.frontier import read_frontier_points
 from plantrack.lqr import EigenvaluePair, design_controller
 
 
+def shift_t(row, by):
+    """A trajectory CSV row with its t cell moved by ``by``."""
+    t, rest = row.split(",", 1)
+    return f"{float(t) + by!r},{rest}"
+
+
 def write_config(tmp_path, body, name="run.ini"):
     path = tmp_path / name
     path.write_text(dedent(body))
@@ -436,22 +442,29 @@ class TestTrackCommand:
         assert "column 3" in err
         assert "'acc'" in err
 
-    def test_grid_not_starting_at_zero_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda rows: [shift_t(row, 0.5) for row in rows],
+             "profile must start at t = 0"),
+            (lambda rows: rows[:5] + [shift_t(rows[5], 1e-4)] + rows[6:],
+             "grid is not uniform"),
+            (lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:],
+             "times must be strictly increasing"),
+            (lambda rows: rows[:1], "need at least 2 samples"),
+        ],
+        ids=["shifted", "nudged", "swapped", "single-row"],
+    )
+    def test_malformed_t_grid_exits_one(self, edit, message, tmp_path, capsys):
         plan = tmp_path / "plan"
         assert main(["plan", "--pair", "-20,-200", "--mu", "100", "--out", str(plan)]) == 0
-        lines = (plan / "trajectory.csv").read_text().splitlines()
-        shifted = [lines[0]]
-        for line in lines[1:]:
-            t, rest = line.split(",", 1)
-            shifted.append(f"{float(t) + 0.5!r},{rest}")
-        path = tmp_path / "shifted.csv"
-        path.write_text("\n".join(shifted) + "\n")
+        header, *rows = (plan / "trajectory.csv").read_text().splitlines()
+        path = tmp_path / "malformed.csv"
+        path.write_text("\n".join([header, *edit(rows)]) + "\n")
         out = tmp_path / "x"
         code = main(["track", str(path), "--pair", "-20,-200", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == (
-            "error: column 't': profile must start at t = 0\n"
-        )
+        assert capsys.readouterr().err == f"error: column 't': {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

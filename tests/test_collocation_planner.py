@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_reference
+from oracles import VelocityProfile, error_integral_form
 from plantrack import collocation_planner
 from plantrack.cli import RunConfig
 from plantrack.collocation_planner import (
@@ -29,8 +30,6 @@ from plantrack.collocation_planner import (
     write_trajectory_csv,
 )
 from plantrack.error_estimator import (
-    VelocityProfile,
-    error_integral_form,
     lag_response_matrix,
     trapezoid_quadrature,
     trapezoid_weights,

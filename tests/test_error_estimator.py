@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from plantrack.error_estimator import (
+from oracles import (
     VelocityProfile,
     error_discrete_limit_form,
     error_integral_form,
     error_sum_discretization,
+)
+from plantrack.error_estimator import (
     lag_response_matrix,
     trapezoid_quadrature,
     trapezoid_weights,

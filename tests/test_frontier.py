@@ -10,13 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import constant_reference
+from oracles import VelocityProfile, error_integral_form, frontier_gap
 from plantrack import frontier as frontier_module
 from plantrack.collocation_planner import PlanProblem
-from plantrack.error_estimator import (
-    VelocityProfile,
-    error_integral_form,
-    trapezoid_quadrature,
-)
+from plantrack.error_estimator import trapezoid_quadrature
 from plantrack.frontier import (
     FRONTIER_COLUMNS,
     FrontierPoint,
@@ -25,7 +22,6 @@ from plantrack.frontier import (
     SweepError,
     best_compromise,
     evaluate_point,
-    frontier_gap,
     read_frontier_points,
     spring_constant,
     spring_fit_from_points,

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_reference, make_reference
+from oracles import simulate_planar
 from plantrack.cli import RunConfig
 from plantrack.collocation_planner import PlanProblem, solve
 from plantrack.error_estimator import trapezoid_quadrature
@@ -29,7 +30,6 @@ from plantrack.tracking_sim import (
     reference_lookup,
     select_step,
     simulate,
-    simulate_planar,
     write_tracking_csv,
 )
 

@@ -15,7 +15,11 @@ DIR's, each in its own temporary directory, with
 - ``plan`` and ``track`` for the four default pairs at mu = 0, 3.5
   and 1e3;
 - ``stiffness`` on each pair's frontier from the one-worker default
-  sweep.
+  sweep;
+- ``track`` of three small malformed trajectory CSVs, written next to
+  the INIs: a t column shifted off 0, a non-uniform one and a
+  decreasing one.  Each exits 1 with one ``error: column 't': ...``
+  line on stderr and writes nothing.
 
 Exit codes, stdout, stderr and every file written are compared byte for
 byte.  For a file that differs, the largest relative difference between
@@ -53,6 +57,13 @@ pole_fraction = 3.0
 count = 3
 """
 
+# Trajectory CSVs whose t column the reader rejects, one check each.
+MALFORMED_TIMES = {
+    "shifted.csv": (0.5, 1.0, 1.5),
+    "nonuniform.csv": (0.0, 0.5, 1.25),
+    "decreasing.csv": (0.0, 1.0, 0.5),
+}
+
 # A decimal number standing alone: not part of a word such as a checksum.
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
@@ -75,6 +86,9 @@ def commands() -> list[list[str]]:
                          "--mu", mu, "--out", track])
         runs.append(["stiffness", f"default_w1/frontier_{slug}.csv", "--pair", pair,
                      "--out", "stiffness"])
+    for name in MALFORMED_TIMES:
+        runs.append(["track", name, "--pair", "-20,-200",
+                     "--out", "track_" + name.removesuffix(".csv")])
     return runs
 
 
@@ -82,6 +96,9 @@ def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
     """Run every command against ``checkout``'s src inside ``work``."""
     (work / BOUNDED_INI).write_text(bounded_ini)
     (work / FAILING_INI).write_text(FAILING_SWEEP)
+    for name, times in MALFORMED_TIMES.items():
+        (work / name).write_text("t,y,v,a,u,e_pred\n"
+                                 + "".join(f"{t!r},0,0,0,0,0\n" for t in times))
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     results = []
     for args in commands():
