@@ -528,7 +528,6 @@ def main(argv=None) -> int:
             return cmd_stiffness(out_dir, args.frontier, pair)
     except (
         planner.PlannerNumericalError,
-        frontier_mod.SweepError,
         sim.SimulationDivergedError,
         OSError,
         ValueError,

@@ -67,11 +67,11 @@ import numpy as np
 
 from ._artifact_csv import read_rows, write_rows
 from .error_estimator import (
+    _spacing,
     _trapezoid,
     _uniform_spacing,
     apply_lag,
     lag_response_matrix,
-    trapezoid_quadrature,
     trapezoid_weights,
 )
 from .model import ModelParams
@@ -159,7 +159,7 @@ class PlannedTrajectory:
 
     @property
     def knot_spacing(self) -> float:
-        return float(self.times[1] - self.times[0])
+        return float(_spacing(self.times))
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,8 @@ class _Grid:
 
     def __init__(self, segments: int, horizon: float):
         n = segments + 1
-        dt = horizon / segments
         self.times = np.linspace(0.0, horizon, n)
+        dt = _spacing(self.times)
         self.quad = trapezoid_weights(n) * dt
         self.chain = C = lag_response_matrix(self.times, 0.0)
 
@@ -576,9 +576,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
         qp, _inverse_hessian(qp, problem.mu, design)
     )
     times = qp.times
-    # linspace ends on the horizon exactly, so dt is also the spacing
-    # trapezoid_quadrature would measure, (t[-1] - t[0]) / segments.
-    dt = problem.horizon / problem.segments
+    dt = _spacing(times)
     v = _trapezoid_chain(problem.v0, a, dt)
     y = _trapezoid_chain(problem.y0, v, dt)
     terms = _kkt_residual(qp, a, y, mult, lo_idx, hi_idx)
@@ -602,8 +600,8 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
         a=a,
         u=params.mass * (a + params.gravity),
         predicted_error=predicted,
-        designed_cost=_trapezoid(a**2, dt),
-        predicted_error_integral=_trapezoid(predicted**2, dt),
+        designed_cost=_trapezoid(times, a**2),
+        predicted_error_integral=_trapezoid(times, predicted**2),
         mu=problem.mu,
         kkt_residual=residual,
         active_set_iterations=iterations,
@@ -643,8 +641,8 @@ def read_trajectory_csv(path) -> PlannedTrajectory:
         raise TrajectorySchemaError(f"column 't': {exc}") from exc
     # Finite cells can still overflow once squared (1e200 does).
     with np.errstate(over="ignore"):
-        designed_cost = trapezoid_quadrature(times, a**2)
-        predicted_error_integral = trapezoid_quadrature(times, e_pred**2)
+        designed_cost = _trapezoid(times, a**2)
+        predicted_error_integral = _trapezoid(times, e_pred**2)
     for name, integral in (("a", designed_cost), ("e_pred", predicted_error_integral)):
         if not math.isfinite(integral):
             raise TrajectorySchemaError(

@@ -8,9 +8,10 @@ dominant pole the loop behaves like the first-order lag
 whose solution e(t) = exp(-lam t) * integral(v_ref(tau) exp(+lam tau))
 is what the planner penalizes.  This module provides that integral form
 on a uniform knot grid as a matrix, ``lag_response_matrix``, applied by
-``apply_lag``, and the trapezoid quadrature shared by the rest of the
-pipeline.  The finite-n forms whose limit it is, and the checked
-velocity profile they take, are test oracles in ``tests/oracles.py``.
+``apply_lag``.  It is the one home of a uniform grid's spacing and of
+the trapezoid integral, which reads that spacing from its grid.  The
+finite-n forms whose limit it is, and the checked velocity profile they
+take, are test oracles in ``tests/oracles.py``.
 
 lam is the positive decay rate of the equivalent lag; the lag operator
 also takes lam = 0, where it is the plain trapezoid chain.
@@ -21,6 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 
+def _spacing(times: np.ndarray) -> float:
+    """Spacing of a uniform grid, unchecked: its span over its intervals."""
+    return (times[-1] - times[0]) / (times.size - 1)
+
+
 def _uniform_spacing(times: np.ndarray) -> float:
     """Spacing of a uniform grid, rejecting anything non-uniform."""
     if times.ndim != 1 or times.size < 2:
@@ -28,7 +34,7 @@ def _uniform_spacing(times: np.ndarray) -> float:
     deltas = np.diff(times)
     if np.any(deltas <= 0):
         raise ValueError("times must be strictly increasing")
-    dt = (times[-1] - times[0]) / (times.size - 1)
+    dt = _spacing(times)
     if np.max(np.abs(deltas - dt)) > 1e-12 * max(dt, 1.0):
         raise ValueError("grid is not uniform")
     return float(dt)
@@ -43,15 +49,9 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def _trapezoid(values: np.ndarray, dt: float) -> float:
-    """Trapezoid integral of samples spaced dt apart, unchecked.
-
-    For grids the caller built itself.  dt must be the spacing
-    trapezoid_quadrature would use, (t[-1] - t[0]) / (n - 1), for the
-    same bits: a grid built as arange(k + 1) * step does not always give
-    back step.
-    """
-    return float(np.dot(trapezoid_weights(values.size), values) * dt)
+def _trapezoid(times: np.ndarray, values: np.ndarray) -> float:
+    """Trapezoid integral of samples on a uniform grid, unchecked."""
+    return float(np.dot(trapezoid_weights(values.size), values) * _spacing(times))
 
 
 def trapezoid_quadrature(times: np.ndarray, values: np.ndarray) -> float:
@@ -60,7 +60,8 @@ def trapezoid_quadrature(times: np.ndarray, values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape != times.shape:
         raise ValueError("times and values must have matching shape")
-    return _trapezoid(values, _uniform_spacing(times))
+    _uniform_spacing(times)
+    return _trapezoid(times, values)
 
 
 def lag_response_matrix(times: np.ndarray, lam: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import repeat
+from operator import attrgetter
 
 from ._artifact_csv import read_rows, write_rows
 from .collocation_planner import PlanProblem, solve
@@ -140,11 +141,7 @@ def best_compromise(points) -> FrontierPoint:
     """Point with the least actual cost; ties go to the earlier point."""
     if not points:
         raise ValueError("frontier is empty")
-    best = points[0]
-    for point in points[1:]:
-        if point.actual_cost < best.actual_cost:
-            best = point
-    return best
+    return min(points, key=attrgetter("actual_cost"))
 
 
 def spring_constant(a: float, b: float) -> float:

@@ -172,39 +172,28 @@ def _stage_references(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return times, reference_lookup(config.reference, stage_times)
 
 
-def _score(times, x_ddot, y_ddot, q_ddot, error) -> tuple[float, float]:
-    """Actual cost and actual error integral of one flight.
+def _result(times, channels) -> TrackingResult:
+    """Score one flight and assemble its record.
 
-    A state can stay finite while its squared acceleration or error
-    overflows; the first time either integrand is non-finite is where
-    the flight stops being scorable, and is reported as divergence.
+    ``channels`` are the per-step arrays of ``TrackingResult`` from x to
+    q_ddot, in field order.  The scores are trapezoid integrals over the
+    step grid.  A state can stay finite while its squared acceleration
+    or error overflows; the first time either integrand is non-finite is
+    where the flight stops being scorable, and is reported as divergence.
     """
+    x, y, q, x_dot, y_dot, q_dot, u1, u2, y_ref, x_ddot, y_ddot, q_ddot = channels
+    error = y_ref - y
     with np.errstate(over="ignore", invalid="ignore"):
         effort = x_ddot**2 + y_ddot**2 + q_ddot**2
         miss = error**2
     unscorable = np.flatnonzero(~(np.isfinite(effort) & np.isfinite(miss)))
     if unscorable.size:
         raise SimulationDivergedError(float(times[unscorable[0]]))
-    # The step grid is uniform by construction, so it is not checked
-    # again; its spacing is taken the way trapezoid_quadrature takes it,
-    # since arange(k + 1) * step does not always give back step's bits.
-    dt = (times[-1] - times[0]) / (times.size - 1)
-    return _trapezoid(effort, dt), _trapezoid(miss, dt)
-
-
-def _result(times, channels) -> TrackingResult:
-    """Score one flight and assemble its record.
-
-    ``channels`` are the per-step arrays of ``TrackingResult`` from x to
-    q_ddot, in field order.
-    """
-    x, y, q, x_dot, y_dot, q_dot, u1, u2, y_ref, x_ddot, y_ddot, q_ddot = channels
-    error = y_ref - y
-    cost, error_integral = _score(times, x_ddot, y_ddot, q_ddot, error)
     return TrackingResult(
         times=times, x=x, y=y, q=q, x_dot=x_dot, y_dot=y_dot, q_dot=q_dot,
         u1=u1, u2=u2, y_ref=y_ref, x_ddot=x_ddot, y_ddot=y_ddot, q_ddot=q_ddot,
-        error=error, actual_cost=cost, actual_error_integral=error_integral,
+        error=error, actual_cost=_trapezoid(times, effort),
+        actual_error_integral=_trapezoid(times, miss),
     )
 
 

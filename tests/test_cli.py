@@ -168,6 +168,11 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=r"not a boolean"):
             load_config(path)
 
+    @pytest.mark.parametrize("raw", ["off", "false", "no", "0"])
+    def test_false_boolean_spellings_load_false(self, raw, tmp_path):
+        path = write_config(tmp_path, f"[plan]\nenforce_initial_accel_zero = {raw}\n")
+        assert load_config(path).enforce_initial_accel_zero is False
+
     def test_bad_pair_rejected(self, tmp_path):
         path = write_config(tmp_path, "[controllers]\npairs = -10\n")
         with pytest.raises(ConfigError, match=r"not 'slow,fast'"):
@@ -333,6 +338,18 @@ class TestPlanCommand:
         assert capsys.readouterr().err == "config error: v0 must be finite\n"
         assert not out.exists()
 
+    def test_non_positive_model_parameter_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, "[model]\nmass = 0\n")
+        out = tmp_path / "never"
+        code = main(
+            ["plan", "--config", config, "--pair", "-20,-200", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: mass, arm_length and gravity must be strictly positive\n"
+        )
+        assert not out.exists()
+
     def test_unknown_pair_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["plan", "--pair", "-11,-111", "--out", str(tmp_path / "x")])
@@ -342,6 +359,15 @@ class TestPlanCommand:
         with pytest.raises(SystemExit) as err:
             main(["plan", "--pair", "-11", "--out", str(tmp_path / "x")])
         assert err.value.code == 2
+
+    def test_two_pairs_are_a_usage_error(self, tmp_path, capsys):
+        raw = "-10,-100; -20,-200"
+        with pytest.raises(SystemExit) as err:
+            main(["plan", "--pair", raw, "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"plantrack: error: --pair expects one 'slow,fast' pair, got {raw!r}\n"
+        )
 
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, "[plan]\nbogus = 1\n")
@@ -707,6 +733,16 @@ class TestSweepCommand:
         # Each cache miss constructs one grid or design.
         assert collocation_planner._cached_grid.cache_info().misses == 1
         assert collocation_planner._cached_design.cache_info().misses == 4
+
+    def test_zero_workers_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--workers", "0", "--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "plantrack: error: --workers must be at least 1\n"
+        )
+        assert not out.exists()
 
     def test_failures_are_recorded_and_exit_nonzero(self, tmp_path, capsys):
         config = write_config(

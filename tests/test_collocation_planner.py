@@ -919,6 +919,23 @@ class TestTrajectoryCsv:
         with pytest.raises(TrajectorySchemaError, match=r"expected 6 columns, found 7"):
             read_trajectory_csv(path)
 
+    def test_knot_spacing_is_the_spacing_the_integrals_use(self, tmp_path):
+        # Uniform, but not from linspace: t[1] - t[0] is one ulp off the
+        # span over the intervals.  The Hermite lookup and the integrals
+        # must still agree on one spacing.
+        times = np.arange(104) * 0.00970873786407767
+        assert times[1] - times[0] != (times[-1] - times[0]) / 103
+        unit = np.zeros(times.size)
+        unit[50] = 1.0
+        path = tmp_path / "arange.csv"
+        path.write_text("t,y,v,a,u,e_pred\n" + "".join(
+            f"{t!r},0,0,{a!r},0,0\n" for t, a in zip(times.tolist(), unit.tolist())
+        ))
+        back = read_trajectory_csv(path)
+        spacing = trapezoid_quadrature(back.times, unit)
+        assert np.float64(back.knot_spacing).tobytes() == np.float64(spacing).tobytes()
+        assert back.designed_cost == spacing
+
     def test_grid_not_starting_at_zero_is_reported(self, tmp_path):
         # The simulator's reference lookup counts knots from t = 0.
         traj = solve(PlanProblem(mu=100.0))

@@ -12,6 +12,10 @@ DIR's, each in its own temporary directory, with
   ``--workers 1`` and ``--workers 2``; the failing sweep exits 1 and
   writes the first pair's files and a manifest with a ``failures``
   entry;
+- ``sweep`` under ``--workers 1`` and ``--workers 2`` on an awkward
+  grid, 0.7005 s in 47 segments, whose knot spacing is no round number
+  (v0 = 1.3, pairs -10,-100 and -30,-300, four weights), and ``plan``
+  and ``track`` on it for -30,-300 at mu = 3.5;
 - ``plan`` and ``track`` for the four default pairs at mu = 0, 3.5
   and 1e3;
 - ``stiffness`` on each pair's frontier from the one-worker default
@@ -44,6 +48,7 @@ PAIRS = ("-10,-100", "-20,-200", "-30,-300", "-50,-500")
 MUS = ("0", "3.5", "1e3")
 BOUNDED_INI = "bounded.ini"
 FAILING_INI = "failing.ini"
+AWKWARD_INI = "awkward.ini"
 # -50,-500 gets the step 1/167 s, where |lambda_fast| h = 2.99 > 2.78.
 FAILING_SWEEP = """\
 [controllers]
@@ -55,6 +60,21 @@ pole_fraction = 3.0
 
 [mu_grid]
 count = 3
+"""
+
+# Knots 0.7005 / 47 s apart: the planner, the reader and the simulator
+# must all take that spacing with the same bits.
+AWKWARD_GRID = """\
+[controllers]
+pairs = -10,-100; -30,-300
+
+[plan]
+horizon = 0.7005
+segments = 47
+v0 = 1.3
+
+[mu_grid]
+count = 4
 """
 
 # Trajectory CSVs whose t column the reader rejects, one check each.
@@ -77,6 +97,12 @@ def commands() -> list[list[str]]:
                      "--workers", workers])
         runs.append(["sweep", "--config", FAILING_INI, "--out", f"failing_w{workers}",
                      "--workers", workers])
+        runs.append(["sweep", "--config", AWKWARD_INI, "--out", f"awkward_w{workers}",
+                     "--workers", workers])
+    runs.append(["plan", "--config", AWKWARD_INI, "--pair", "-30,-300", "--mu", "3.5",
+                 "--out", "plan_awkward"])
+    runs.append(["track", "plan_awkward/trajectory.csv", "--config", AWKWARD_INI,
+                 "--pair", "-30,-300", "--mu", "3.5", "--out", "track_awkward"])
     for pair in PAIRS:
         slug = pair.replace("-", "").replace(",", "_")
         for mu in MUS:
@@ -96,6 +122,7 @@ def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
     """Run every command against ``checkout``'s src inside ``work``."""
     (work / BOUNDED_INI).write_text(bounded_ini)
     (work / FAILING_INI).write_text(FAILING_SWEEP)
+    (work / AWKWARD_INI).write_text(AWKWARD_GRID)
     for name, times in MALFORMED_TIMES.items():
         (work / name).write_text("t,y,v,a,u,e_pred\n"
                                  + "".join(f"{t!r},0,0,0,0,0\n" for t in times))
