@@ -29,8 +29,9 @@ The grid, its weights, C and Y depend on (segments, horizon) alone and
 are shared by every controller; L, the y offset, the equality rows,
 the error terms and the error block's spectral factor form one design
 per controller (lambda, boundary data and box).  Both are built once
-and kept, read-only, in a small per-process cache, so a point only
-scales the error terms by mu and reads its predicted error through its
+and kept, read-only, in a small per-process cache.  A point's QP is
+its design at one mu: the design forms Q(mu) and c(mu) and applies
+Q(mu)^-1, and the point reads its predicted error through the
 design's L.
 
 A dual active-set loop (Goldfarb and Idnani, Math. Programming 27,
@@ -162,28 +163,6 @@ class PlannedTrajectory:
         return float(_spacing(self.times))
 
 
-@dataclass(frozen=True)
-class CondensedQP:
-    """Design QP in the accelerations a alone.
-
-    min 1/2 a'Qa + c'a + constant  s.t.  E a = e  and, at the interior
-    knots k, lower <= y_offset[k] + y_map[k] a <= upper.  The constant
-    makes the objective equal the design objective, integral of
-    a^2 + mu e^2, at every a.
-    """
-
-    times: np.ndarray
-    hessian: np.ndarray
-    gradient: np.ndarray
-    constant: float
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    y_map: np.ndarray
-    y_offset: np.ndarray
-    lower: float
-    upper: float
-
-
 def _read_only(owner) -> None:
     for array in vars(owner).values():
         if isinstance(array, np.ndarray):
@@ -218,14 +197,15 @@ class _Grid:
 
 
 class _Design:
-    """The mu-independent part of one condensed design problem.
+    """The condensed design QP of one controller, at every mu.
 
     The lag L, the y offset and the equality rows of one lambda,
-    boundary data and box on the shared grid.  The error terms and their
-    spectral factor are built on first use (the first mu > 0 point, or
-    prepare), so a design planned only at mu = 0 builds neither.  One
-    instance serves every mu point of a controller's sweep, and every
-    array is read-only because it is shared.
+    boundary data and box on the shared grid; objective(mu) and
+    inverse(mu) give a point's Q, c and Q^-1.  The error terms and
+    their spectral factor are built on first use (the first mu > 0
+    point, or prepare), so a design planned only at mu = 0 builds
+    neither.  One instance serves every mu point of a controller's
+    sweep, and every array is read-only because it is shared.
     """
 
     def __init__(self, grid: _Grid, lam, y0, v0, yf, lower, upper, pin):
@@ -283,6 +263,36 @@ class _Design:
         vectors.flags.writeable = spectrum.flags.writeable = False
         return vectors, spectrum
 
+    def objective(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, c) of the point at weight mu, arrays the caller owns.
+
+        1/2 a'Qa + c'a + mu q, with q = weighted[2], equals the design
+        objective, integral of a^2 + mu e^2, at every a.  A finite mu can
+        still overflow the terms (1e308 does); the constant mu q is not
+        returned, but its overflow rejects the weight too.
+        """
+        quad = self.grid.quad
+        hessian = np.diag(2.0 * quad)
+        gradient = np.zeros(quad.size)
+        if mu > 0:
+            P, p, q = self.weighted
+            with np.errstate(over="ignore", invalid="ignore"):
+                hessian += 2.0 * mu * P
+                gradient = 2.0 * mu * p
+            if not all(np.isfinite(term).all() for term in (hessian, gradient, mu * q)):
+                raise PlannerNumericalError(f"mu = {mu!r} overflows the design terms")
+        return hessian, gradient
+
+    def inverse(self, mu: float):
+        """Q(mu)^-1 applied to vectors and column blocks, never formed: the
+        reciprocal diagonal at mu = 0, else SV (r * (SV' x)), O(n^2) per column."""
+        if mu == 0:
+            inverse_diagonal = 1.0 / (2.0 * self.grid.quad)
+            return lambda x: (inverse_diagonal * x.T).T
+        vectors, spectrum = self.spectral
+        ratio = 1.0 / (1.0 + 2.0 * mu * spectrum)
+        return lambda x: vectors @ (ratio * (x.T @ vectors)).T
+
 
 # Designs held per process, and so the most a sweep builds ahead of its
 # points (prepare) without evicting one.
@@ -304,7 +314,7 @@ def _cached_design(segments: int, pin: bool, data: bytes) -> _Design:
 
 
 def _clear_caches() -> None:
-    """Drop every cached design and grid."""
+    """Drop every cached design, with its error terms and factor, and grid."""
     for cache in (_cached_design, _cached_grid):
         cache.cache_clear()
 
@@ -347,60 +357,7 @@ def prepare(problems) -> None:
             pass
 
 
-def condense(problem: PlanProblem) -> CondensedQP:
-    """Eliminate y and v from the transcribed design problem."""
-    lo, hi = problem.y_bounds
-    if not (lo <= problem.y0 <= hi and lo <= problem.yf <= hi):
-        raise InfeasibleProblemError(
-            f"boundary altitudes y0={problem.y0}, yf={problem.yf} "
-            f"must lie within the bounds [{lo}, {hi}]"
-        )
-    design = _design(problem)
-    grid = design.grid
-    hessian = np.diag(2.0 * grid.quad)
-    gradient = np.zeros(grid.times.size)
-    constant = 0.0
-    if problem.mu > 0:
-        P, p, q = design.weighted
-        # A finite mu can still overflow the terms (1e308 does).
-        with np.errstate(over="ignore", invalid="ignore"):
-            hessian += 2.0 * problem.mu * P
-            gradient = 2.0 * problem.mu * p
-        constant = problem.mu * q
-        if not all(np.isfinite(term).all() for term in (hessian, gradient, constant)):
-            raise PlannerNumericalError(f"mu = {problem.mu!r} overflows the design terms")
-    return CondensedQP(
-        times=grid.times,
-        hessian=hessian,
-        gradient=gradient,
-        constant=constant,
-        eq_matrix=design.eq_matrix,
-        eq_rhs=design.eq_rhs,
-        y_map=grid.y_map,
-        y_offset=design.y_offset,
-        lower=design.lower,
-        upper=design.upper,
-    )
-
-
-def _inverse_hessian(qp: CondensedQP, mu: float, design: _Design):
-    """Q^-1 applied to vectors and to column blocks; Q^-1 is never formed.
-
-    Q is diagonal when mu = 0, so its inverse is the reciprocal
-    diagonal.  Otherwise the design's spectral factor (SV, s), built
-    on its first mu > 0 point, gives Q^-1 x = SV (r * (SV' x)) with
-    r = 1 / (1 + 2 mu s): O(n^2) per column, and no per-point O(n^3)
-    work.
-    """
-    if mu == 0:
-        inverse_diagonal = 1.0 / qp.hessian.diagonal()
-        return lambda x: (inverse_diagonal * x.T).T
-    vectors, spectrum = design.spectral
-    ratio = 1.0 / (1.0 + 2.0 * mu * spectrum)
-    return lambda x: vectors @ (ratio * (x.T @ vectors)).T
-
-
-def _solve_working_set(qp, apply_inverse, free_optimum, rows, rhs):
+def _solve_working_set(objective, apply_inverse, free_optimum, rows, rhs):
     """Working-set optimum of min 1/2 a'Qa + c'a s.t. rows a = rhs.
 
     Range-space (Schur complement) solve of [[Q, R'], [R, 0]] [x; nu] =
@@ -409,6 +366,7 @@ def _solve_working_set(qp, apply_inverse, free_optimum, rows, rhs):
     of the explicitly formed Q, through the same G and R G, takes back
     the accuracy the factored inverse gives away.
     """
+    hessian, gradient = objective
     # Terms that overflow (a very large mu) fail the finite check below
     # as one error, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -417,7 +375,7 @@ def _solve_working_set(qp, apply_inverse, free_optimum, rows, rhs):
         try:
             mult = np.linalg.solve(schur, rows @ free_optimum - rhs)
             target = free_optimum - G @ mult
-            stationarity = qp.hessian @ target + qp.gradient + rows.T @ mult
+            stationarity = hessian @ target + gradient + rows.T @ mult
             feasibility = rows @ target - rhs
             correction = -apply_inverse(stationarity)
             delta = np.linalg.solve(schur, rows @ correction + feasibility)
@@ -434,13 +392,13 @@ def _solve_working_set(qp, apply_inverse, free_optimum, rows, rhs):
     return target, mult
 
 
-def _solve_box_qp(qp: CondensedQP, apply_inverse):
-    """Minimize the condensed QP by a dual active-set loop.
+def _solve_box_qp(design: _Design, objective, apply_inverse):
+    """Minimize a point's QP, (Q, c) = objective, by a dual active-set loop.
 
-    apply_inverse applies Q^-1 (see _inverse_hessian), costing
-    O(n^2 m) per working set of m rows.  Starts from the optimum of
-    the equality rows alone, which needs no feasible point, and adds the
-    most violated interior bound until none is violated (Goldfarb and
+    apply_inverse applies Q^-1 (see _Design.inverse), costing O(n^2 m)
+    per working set of m rows.  Starts from the optimum of the equality
+    rows alone, which needs no feasible point, and adds the most
+    violated interior bound until none is violated (Goldfarb and
     Idnani, Math. Programming 27, 1983; Nocedal and Wright 16.5).
     Adding bound p moves (a, nu) on a straight line from the current
     optimum, where p carries nu_p = 0 and its own value as right-hand
@@ -454,9 +412,10 @@ def _solve_box_qp(qp: CondensedQP, apply_inverse):
     with stationarity Q a + c + A' nu = 0, an active lower bound carries
     nu <= 0 and an active upper bound nu >= 0.
     """
-    n = qp.times.size
-    m_base = qp.eq_matrix.shape[0]
-    free_optimum = -apply_inverse(qp.gradient)
+    n = design.grid.times.size
+    y_map = design.grid.y_map
+    m_base = design.eq_matrix.shape[0]
+    free_optimum = -apply_inverse(objective[1])
     tol = KKT_TOLERANCE / 10.0
     # Working set by knot: -1 lower bound, +1 upper bound, 0 free; a
     # multiplier nu has the right sign when side * nu >= 0.  nu holds the
@@ -472,14 +431,14 @@ def _solve_box_qp(qp: CondensedQP, apply_inverse):
         lo_idx = np.flatnonzero(side < 0)
         hi_idx = np.flatnonzero(side > 0)
         a, mult = _solve_working_set(
-            qp,
+            objective,
             apply_inverse,
             free_optimum,
-            np.concatenate([qp.eq_matrix, qp.y_map[lo_idx], qp.y_map[hi_idx]]),
+            np.concatenate([design.eq_matrix, y_map[lo_idx], y_map[hi_idx]]),
             np.concatenate([
-                qp.eq_rhs,
-                qp.lower - qp.y_offset[lo_idx],
-                qp.upper - qp.y_offset[hi_idx],
+                design.eq_rhs,
+                design.lower - design.y_offset[lo_idx],
+                design.upper - design.y_offset[hi_idx],
             ]),
         )
         solves += 1
@@ -500,8 +459,8 @@ def _solve_box_qp(qp: CondensedQP, apply_inverse):
         # The endpoint knots are fixed by the boundary data (y_0 does not
         # depend on a, y_{n-1} is an equality row); only interior knots
         # can leave the box.
-        y = qp.y_offset + qp.y_map @ a
-        violation = np.maximum(qp.lower - y, y - qp.upper)
+        y = design.y_offset + y_map @ a
+        violation = np.maximum(design.lower - y, y - design.upper)
         violation[[0, n - 1]] = -np.inf
         violation[side != 0] = -np.inf
         knot = int(np.argmax(violation))
@@ -512,7 +471,7 @@ def _solve_box_qp(qp: CondensedQP, apply_inverse):
             raise PlannerNumericalError(
                 f"active-set loop exceeded {limit} bound additions"
             )
-        side[knot] = -1 if y[knot] < qp.lower else 1
+        side[knot] = -1 if y[knot] < design.lower else 1
         nu = new
 
 
@@ -522,30 +481,35 @@ def _trapezoid_chain(start: float, rates: np.ndarray, dt: float) -> np.ndarray:
     return np.cumsum(np.concatenate([[start], increments]))
 
 
-def _kkt_residual(qp, a, y, mult, lo_idx, hi_idx) -> dict[str, float]:
+def _kkt_residual(
+    design, objective, a, y, mult, lo_idx, hi_idx
+) -> dict[str, float]:
     """Max-norm KKT residual terms of a and its altitude profile y.
 
-    Stationarity of the condensed QP, primal feasibility of the equality
-    rows and of the working set (distance of its knots from their bound)
-    with the box violation at every interior knot, and the multiplier
-    sign and complementarity on the working set, keyed by those names.
-    Inactive bounds carry no multiplier by construction.
+    Stationarity of the point's QP, (Q, c) = objective, primal
+    feasibility of the equality rows and of the working set (distance
+    of its knots from their bound) with the box violation at every
+    interior knot, and the multiplier sign and complementarity on the
+    working set, keyed by those names.  Inactive bounds carry no
+    multiplier by construction.
     """
-    m_base = qp.eq_matrix.shape[0]
-    rows = np.concatenate([qp.eq_matrix, qp.y_map[lo_idx], qp.y_map[hi_idx]])
-    stationarity = np.max(np.abs(qp.hessian @ a + qp.gradient + rows.T @ mult))
+    hessian, gradient = objective
+    y_map = design.grid.y_map
+    m_base = design.eq_matrix.shape[0]
+    rows = np.concatenate([design.eq_matrix, y_map[lo_idx], y_map[hi_idx]])
+    stationarity = np.max(np.abs(hessian @ a + gradient + rows.T @ mult))
 
     lo_mult = mult[m_base : m_base + lo_idx.size]
     hi_mult = mult[m_base + lo_idx.size :]
-    lo_gap = y[lo_idx] - qp.lower
-    hi_gap = y[hi_idx] - qp.upper
+    lo_gap = y[lo_idx] - design.lower
+    hi_gap = y[hi_idx] - design.upper
     interior = y[1:-1]
     primal = max(
-        float(np.max(np.abs(qp.eq_matrix @ a - qp.eq_rhs))),
+        float(np.max(np.abs(design.eq_matrix @ a - design.eq_rhs))),
         float(np.max(np.abs(lo_gap), initial=0.0)),
         float(np.max(np.abs(hi_gap), initial=0.0)),
-        float(np.max(np.maximum(qp.lower - interior, 0.0), initial=0.0)),
-        float(np.max(np.maximum(interior - qp.upper, 0.0), initial=0.0)),
+        float(np.max(np.maximum(design.lower - interior, 0.0), initial=0.0)),
+        float(np.max(np.maximum(interior - design.upper, 0.0), initial=0.0)),
     )
     dual = max(
         float(np.max(lo_mult, initial=0.0)),
@@ -570,16 +534,22 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     KKT point found here is the global optimum; the residual certificate
     is attached to the returned trajectory.
     """
-    qp = condense(problem)
+    lo, hi = problem.y_bounds
+    if not (lo <= problem.y0 <= hi and lo <= problem.yf <= hi):
+        raise InfeasibleProblemError(
+            f"boundary altitudes y0={problem.y0}, yf={problem.yf} "
+            f"must lie within the bounds [{lo}, {hi}]"
+        )
     design = _design(problem)
+    objective = design.objective(problem.mu)
     a, mult, lo_idx, hi_idx, iterations = _solve_box_qp(
-        qp, _inverse_hessian(qp, problem.mu, design)
+        design, objective, design.inverse(problem.mu)
     )
-    times = qp.times
+    times = design.grid.times
     dt = _spacing(times)
     v = _trapezoid_chain(problem.v0, a, dt)
     y = _trapezoid_chain(problem.y0, v, dt)
-    terms = _kkt_residual(qp, a, y, mult, lo_idx, hi_idx)
+    terms = _kkt_residual(design, objective, a, y, mult, lo_idx, hi_idx)
     worst = max(terms, key=terms.get)
     residual = terms[worst]
     if residual >= KKT_TOLERANCE:
@@ -589,8 +559,8 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
         )
     # Pin working-set knots exactly; the recursion leaves them within
     # rounding of their bound.
-    y[lo_idx] = qp.lower
-    y[hi_idx] = qp.upper
+    y[lo_idx] = design.lower
+    y[hi_idx] = design.upper
     predicted = apply_lag(design.lag, v)
     params = problem.params
     return PlannedTrajectory(

@@ -36,12 +36,6 @@ class EigenvaluePair:
         if self.lambda_fast == self.lambda_slow:
             raise ValueError("repeated eigenvalue pair is not supported")
 
-    @classmethod
-    def from_poles(cls, first: float, second: float) -> "EigenvaluePair":
-        """Build a pair from two poles in either order."""
-        slow, fast = sorted((first, second), key=abs)
-        return cls(lambda_fast=fast, lambda_slow=slow)
-
     def as_tuple(self) -> tuple[float, float]:
         """(slow, fast), the order the experiment tables use."""
         return self.lambda_slow, self.lambda_fast

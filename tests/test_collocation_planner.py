@@ -1,4 +1,4 @@
-"""Planner tests: condensation, analytic optimum, certificates, CSV schema.
+"""Planner tests: the condensed design, analytic optimum, certificates, CSV schema.
 
 The mu = 0 problem has a closed-form optimum: with free terminal
 velocity the minimum-acceleration trajectory from (0, 0) to altitude 5
@@ -7,6 +7,7 @@ cubic is the oracle for the solver tests here.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from plantrack.collocation_planner import (
     PlanProblem,
     PlannerNumericalError,
     TrajectorySchemaError,
-    condense,
     read_trajectory_csv,
     solve,
     write_trajectory_csv,
@@ -81,55 +81,61 @@ class TestProblemValidation:
 
 
 class TestTranscription:
-    """The condensed QP in the accelerations a alone."""
+    """The condensed QP in the accelerations a alone: a design and its
+    objective at one mu."""
 
     def test_dimensions(self):
-        qp = condense(PlanProblem())
+        design = collocation_planner._design(PlanProblem())
+        hessian, gradient = design.objective(0.0)
         n = 61
-        assert qp.times.shape == (n,)
-        assert qp.hessian.shape == (n, n)
-        assert qp.gradient.shape == (n,)
-        assert qp.y_map.shape == (n, n)
-        assert qp.y_offset.shape == (n,)
+        assert design.grid.times.shape == (n,)
+        assert hessian.shape == (n, n)
+        assert gradient.shape == (n,)
+        assert design.grid.y_map.shape == (n, n)
+        assert design.y_offset.shape == (n,)
         # The yf row is the only equality row left.
-        assert qp.eq_matrix.shape == (1, n)
-        assert qp.eq_rhs.shape == (1,)
-        assert (qp.lower, qp.upper) == (0.0, 5.0)
+        assert design.eq_matrix.shape == (1, n)
+        assert design.eq_rhs.shape == (1,)
+        assert (design.lower, design.upper) == (0.0, 5.0)
 
     def test_boundary_rows_carry_the_problem_data(self):
-        qp = condense(PlanProblem(y0=0.5, v0=-2.0, yf=4.0))
-        assert np.array_equal(qp.y_offset, 0.5 - 2.0 * qp.times)
-        assert np.array_equal(qp.eq_matrix[0], qp.y_map[-1])
-        assert qp.eq_rhs[0] == 4.0 - (0.5 - 2.0 * 1.0)
+        design = collocation_planner._design(PlanProblem(y0=0.5, v0=-2.0, yf=4.0))
+        assert np.array_equal(design.y_offset, 0.5 - 2.0 * design.grid.times)
+        assert np.array_equal(design.eq_matrix[0], design.grid.y_map[-1])
+        assert design.eq_rhs[0] == 4.0 - (0.5 - 2.0 * 1.0)
 
     def test_initial_accel_row_is_optional(self):
-        qp = condense(PlanProblem(enforce_initial_accel_zero=True))
-        assert qp.eq_matrix.shape == (2, 61)
-        row = qp.eq_matrix[1]
+        design = collocation_planner._design(PlanProblem(enforce_initial_accel_zero=True))
+        assert design.eq_matrix.shape == (2, 61)
+        row = design.eq_matrix[1]
         assert row[0] == 1.0
         assert np.count_nonzero(row) == 1
-        assert qp.eq_rhs[1] == 0.0
+        assert design.eq_rhs[1] == 0.0
 
     def test_zero_weight_drops_velocity_block(self):
-        qp = condense(PlanProblem(mu=0.0, v0=3.0))
+        design = collocation_planner._design(PlanProblem(mu=0.0, v0=3.0))
+        hessian, gradient = design.objective(0.0)
         dt = 1.0 / 60
         expected = 2.0 * dt * np.ones(61)
         expected[0] = expected[-1] = dt
-        assert np.array_equal(qp.hessian, np.diag(qp.hessian.diagonal()))
-        assert np.allclose(qp.hessian.diagonal(), expected, rtol=0, atol=1e-15)
-        assert not qp.gradient.any()
-        assert qp.constant == 0.0
+        assert np.array_equal(hessian, np.diag(hessian.diagonal()))
+        assert np.allclose(hessian.diagonal(), expected, rtol=0, atol=1e-15)
+        assert not gradient.any()
+        # No constant: 1/2 a'Qa alone is the trapezoid integral of a^2.
+        a = np.random.default_rng(3).uniform(-50.0, 50.0, 61)
+        integral = trapezoid_quadrature(design.grid.times, a**2)
+        assert 0.5 * a @ (hessian @ a) == pytest.approx(integral, rel=1e-12)
 
     def test_weighted_velocity_block_is_psd(self):
         # Positive definite, in fact: the acceleration weights stay on the
         # diagonal.
-        qp = condense(PlanProblem(mu=100.0))
-        assert np.allclose(qp.hessian, qp.hessian.T, atol=1e-12)
-        assert np.linalg.eigvalsh(qp.hessian).min() > 0.0
+        hessian, _ = collocation_planner._design(PlanProblem()).objective(100.0)
+        assert np.allclose(hessian, hessian.T, atol=1e-12)
+        assert np.linalg.eigvalsh(hessian).min() > 0.0
 
     def test_altitude_map_is_the_trapezoid_chain(self):
         problem = PlanProblem(y0=1.0, v0=-4.0, segments=40)
-        qp = condense(problem)
+        design = collocation_planner._design(problem)
         dt = problem.horizon / problem.segments
         a = np.random.default_rng(7).uniform(-50.0, 50.0, 41)
         v = np.empty(41)
@@ -138,15 +144,34 @@ class TestTranscription:
         for k in range(1, 41):
             v[k] = v[k - 1] + 0.5 * dt * (a[k] + a[k - 1])
             y[k] = y[k - 1] + 0.5 * dt * (v[k] + v[k - 1])
-        assert np.allclose(qp.y_offset + qp.y_map @ a, y, rtol=0, atol=1e-12)
-        assert not np.triu(qp.y_map, 1).any()
+        y_map = design.grid.y_map
+        assert np.allclose(design.y_offset + y_map @ a, y, rtol=0, atol=1e-12)
+        assert not np.triu(y_map, 1).any()
 
     @pytest.mark.parametrize("kwargs", [{"yf": 6.0}, {"y0": -0.5}])
     def test_boundary_outside_box_is_infeasible(self, kwargs):
-        with pytest.raises(InfeasibleProblemError):
-            condense(PlanProblem(**kwargs))
-        with pytest.raises(InfeasibleProblemError):
+        # Rejected before the design is looked up.
+        before = collocation_planner._cached_design.cache_info()
+        with pytest.raises(InfeasibleProblemError, match="must lie within the bounds"):
             solve(PlanProblem(**kwargs))
+        assert collocation_planner._cached_design.cache_info() == before
+
+    # Weights at which Q and c are finite and only the constant mu q
+    # overflows.  Left unchecked, they would end in numpy overflow
+    # warnings in later products instead of one planner error.
+    @pytest.mark.parametrize(
+        "v0,mu",
+        [(1e6, 1e307), (1e9, 1e304), (1e50, 1e250), (1e50, 1e256), (1e50, 1e262)],
+    )
+    def test_an_overflowing_constant_rejects_the_weight(self, v0, mu):
+        problem = PlanProblem(v0=v0, mu=mu, dominant_lambda=50.0)
+        P, p, q = collocation_planner._design(problem).weighted
+        assert np.isfinite(2.0 * mu * P).all() and np.isfinite(2.0 * mu * p).all()
+        assert not np.isfinite(mu * q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PlannerNumericalError, match="overflows the design terms"):
+                solve(problem)
 
 
 class TestAnalyticOptimum:
@@ -272,10 +297,12 @@ def test_grid_refinement_is_second_order(mu):
 def test_objective_consistency_with_the_estimator(mu):
     # v0 != 0 so the linear term and the constant carry weight too.
     problem = PlanProblem(mu=mu, v0=2.0)
-    qp = condense(problem)
+    design = collocation_planner._design(problem)
+    hessian, gradient = design.objective(mu)
     traj = solve(problem)
     a = traj.a
-    solver_objective = 0.5 * a @ (qp.hessian @ a) + qp.gradient @ a + qp.constant
+    constant = mu * design.weighted[2]
+    solver_objective = 0.5 * a @ (hessian @ a) + gradient @ a + constant
 
     error = error_integral_form(
         VelocityProfile(traj.times, traj.v), problem.dominant_lambda
@@ -392,13 +419,13 @@ SPECTRAL_APPLY_RTOL = 1e-11
 def test_spectral_apply_matches_a_dense_solve(template, lam):
     problem = dataclasses.replace(template, dominant_lambda=lam)
     design = collocation_planner._design(problem)
+    # The columns a working-set solve applies Q^-1 to: the equality rows
+    # and box rows along the grid.
+    columns = np.column_stack([design.eq_matrix.T, design.grid.y_map[1:-1:7].T])
     for mu in RunConfig().mu_grid()[1:]:
-        qp = condense(dataclasses.replace(problem, mu=mu))
-        # The columns a working-set solve applies Q^-1 to: the equality
-        # rows and box rows along the grid.
-        columns = np.column_stack([qp.eq_matrix.T, qp.y_map[1:-1:7].T])
-        apply_inverse = collocation_planner._inverse_hessian(qp, mu, design)
-        expected = np.linalg.solve(qp.hessian, columns)
+        hessian, _ = design.objective(mu)
+        apply_inverse = design.inverse(mu)
+        expected = np.linalg.solve(hessian, columns)
         error = np.max(np.abs(apply_inverse(columns) - expected), axis=0)
         assert np.all(error <= SPECTRAL_APPLY_RTOL * np.max(np.abs(expected), axis=0)), mu
     vectors, spectrum = design.spectral
@@ -593,15 +620,15 @@ class TestDesignCache:
 
     def test_cached_arrays_reject_writes(self):
         problem = PlanProblem(mu=100.0, enforce_initial_accel_zero=True)
-        qp = condense(problem)
         traj = solve(problem)
         design = collocation_planner._design(problem)
+        hessian, gradient = design.objective(problem.mu)
         shared = [
-            qp.times,
-            qp.eq_matrix,
-            qp.eq_rhs,
-            qp.y_map,
-            qp.y_offset,
+            design.grid.times,
+            design.eq_matrix,
+            design.eq_rhs,
+            design.grid.y_map,
+            design.y_offset,
             traj.times,
             design.grid.quad,
             design.grid.chain,
@@ -613,7 +640,7 @@ class TestDesignCache:
             with pytest.raises(ValueError):
                 array[0] = 1.0
         # The per-point parts stay the caller's own.
-        qp.hessian[0, 0] = qp.gradient[0] = 1.0
+        hessian[0, 0] = gradient[0] = 1.0
 
     def test_lag_matrix_is_built_once_per_design(self, monkeypatch):
         built = []
@@ -665,7 +692,7 @@ class TestDesignCache:
         assert designs[2].weighted[1].tobytes() != designs[0].weighted[1].tobytes()
         assert designs[2].spectral[0].tobytes() == designs[0].spectral[0].tobytes()
         for problem in problems:
-            self.assert_condense_is_the_formula(problem)
+            self.assert_design_is_the_formula(problem)
 
     def test_lag_matrix_at_zero_lambda_is_the_chain(self):
         for n, horizon in ((61, 1.0), (121, 1.0), (7, 2.5)):
@@ -677,25 +704,45 @@ class TestDesignCache:
             lag_response_matrix(times, -1.0)
 
     @staticmethod
-    def assert_condense_is_the_formula(problem):
-        qp = condense(problem)
+    def assert_design_is_the_formula(problem):
+        design = collocation_planner._design(problem)
+        hessian, gradient = design.objective(problem.mu)
+        built = dict(
+            times=design.grid.times,
+            hessian=hessian,
+            gradient=gradient,
+            constant=problem.mu * design.weighted[2] if problem.mu > 0 else 0.0,
+            eq_matrix=design.eq_matrix,
+            eq_rhs=design.eq_rhs,
+            y_map=design.grid.y_map,
+            y_offset=design.y_offset,
+            lower=design.lower,
+            upper=design.upper,
+        )
         for name, value in condense_from_scratch(problem).items():
-            assert np.asarray(getattr(qp, name)).tobytes() == np.asarray(value).tobytes(), name
+            assert np.asarray(built[name]).tobytes() == np.asarray(value).tobytes(), name
 
     @pytest.mark.parametrize("problem", PROBLEMS[::3])
-    def test_condense_equals_the_formula_bit_for_bit(self, problem):
+    def test_design_equals_the_formula_bit_for_bit(self, problem):
         _clear_design_caches()
-        self.assert_condense_is_the_formula(problem)  # cold
-        self.assert_condense_is_the_formula(problem)  # from the cache
+        self.assert_design_is_the_formula(problem)  # cold
+        self.assert_design_is_the_formula(problem)  # from the cache
 
     def test_signed_zero_boundary_data_gets_its_own_design(self):
         # -0.0 == 0.0 as a dict key; the design must still carry the
         # problem's own bits.
         for sign in (1.0, -1.0, 1.0):
             zero = sign * 0.0
-            self.assert_condense_is_the_formula(
+            self.assert_design_is_the_formula(
                 PlanProblem(y0=zero, v0=zero, y_bounds=(zero, 5.0))
             )
+
+    def test_a_solve_looks_its_design_up_once(self):
+        for problem in (PlanProblem(mu=0.0), PlanProblem(mu=10.0), PlanProblem(mu=10.0)):
+            info = collocation_planner._cached_design.cache_info()
+            solve(problem)
+            after = collocation_planner._cached_design.cache_info()
+            assert (after.hits + after.misses) - (info.hits + info.misses) == 1
 
     def test_cache_stays_within_its_size_after_a_large_solve(self):
         for segments in (1500, 40, 41, 42, 43, 44, 45, 46, 47, 48):

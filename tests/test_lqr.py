@@ -26,13 +26,6 @@ def test_pair_validation():
         EigenvaluePair(lambda_fast=float("nan"), lambda_slow=-1.0)
 
 
-def test_from_poles_sorts_by_magnitude():
-    pair = EigenvaluePair.from_poles(-100.0, -10.0)
-    assert pair.lambda_slow == -10.0
-    assert pair.lambda_fast == -100.0
-    assert pair.as_tuple() == (-10.0, -100.0)
-
-
 def test_gains_for_reference_pairs(params):
     spec = design_controller(
         EigenvaluePair(lambda_slow=-10.0, lambda_fast=-100.0), params
@@ -134,7 +127,9 @@ def test_zero_steady_state_for_stable_pairs(params, paper_pairs):
     # 20 / dominant_lambda seconds.  No equilibrium is presumed.
     rng = np.random.default_rng(9)
     extra = [
-        EigenvaluePair.from_poles(-rng.uniform(2, 30), -rng.uniform(40, 400))
+        EigenvaluePair(
+            lambda_slow=-rng.uniform(2, 30), lambda_fast=-rng.uniform(40, 400)
+        )
         for _ in range(5)
     ]
     for pair in paper_pairs + extra:

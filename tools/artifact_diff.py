@@ -23,7 +23,12 @@ DIR's, each in its own temporary directory, with
 - ``track`` of three small malformed trajectory CSVs, written next to
   the INIs: a t column shifted off 0, a non-uniform one and a
   decreasing one.  Each exits 1 with one ``error: column 't': ...``
-  line on stderr and writes nothing.
+  line on stderr and writes nothing;
+- ``plan`` on three problems the planner rejects: -10,-100 at
+  mu = 1e308, an INI whose ``yf`` lies above ``y_max``, and an INI with
+  v0 = 1e9 for -50,-500 at mu = 1e304, where only the objective's
+  constant overflows.  Each exits 1 with one ``error:`` line and writes
+  nothing.
 
 Exit codes, stdout, stderr and every file written are compared byte for
 byte.  For a file that differs, the largest relative difference between
@@ -77,6 +82,15 @@ v0 = 1.3
 count = 4
 """
 
+# Planner inputs rejected before the active-set loop: yf outside [y_min, y_max],
+# and a start so fast that mu = 1e304 overflows the objective's constant.
+OUTSIDE_BOX_INI = "outside_box.ini"
+FAST_START_INI = "fast_start.ini"
+PLANNER_ERROR_INIS = {
+    OUTSIDE_BOX_INI: "[plan]\nyf = 6.0\n",
+    FAST_START_INI: "[plan]\nv0 = 1e9\n",
+}
+
 # Trajectory CSVs whose t column the reader rejects, one check each.
 MALFORMED_TIMES = {
     "shifted.csv": (0.5, 1.0, 1.5),
@@ -115,6 +129,11 @@ def commands() -> list[list[str]]:
     for name in MALFORMED_TIMES:
         runs.append(["track", name, "--pair", "-20,-200",
                      "--out", "track_" + name.removesuffix(".csv")])
+    runs.append(["plan", "--pair", "-10,-100", "--mu", "1e308", "--out", "plan_huge_mu"])
+    runs.append(["plan", "--config", OUTSIDE_BOX_INI, "--pair", "-10,-100",
+                 "--out", "plan_outside_box"])
+    runs.append(["plan", "--config", FAST_START_INI, "--pair", "-50,-500",
+                 "--mu", "1e304", "--out", "plan_fast_start"])
     return runs
 
 
@@ -123,6 +142,8 @@ def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
     (work / BOUNDED_INI).write_text(bounded_ini)
     (work / FAILING_INI).write_text(FAILING_SWEEP)
     (work / AWKWARD_INI).write_text(AWKWARD_GRID)
+    for name, text in PLANNER_ERROR_INIS.items():
+        (work / name).write_text(text)
     for name, times in MALFORMED_TIMES.items():
         (work / name).write_text("t,y,v,a,u,e_pred\n"
                                  + "".join(f"{t!r},0,0,0,0,0\n" for t in times))
