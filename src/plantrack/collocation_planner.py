@@ -53,8 +53,11 @@ D^-1/2 P D^-1/2 = V diag(s) V', it is applied as
 
 at O(n^2) per column, where a dense inverse would cost O(n^3) per
 point.  A limit on the bound additions guards against rounding loops.
-y and v are rebuilt from a by the trapezoid recursion, with
-working-set knots pinned exactly to their bound.
+The working set is one array by knot (-1 lower, +1 upper, 0 free), and
+the design builds its rows in one order, the equality rows, then the
+lower and then the upper knots ascending, for the loop and for the KKT
+certificate alike.  y and v are rebuilt from a by the trapezoid
+recursion, with working-set knots pinned exactly to their bound.
 """
 
 from __future__ import annotations
@@ -293,6 +296,17 @@ class _Design:
         ratio = 1.0 / (1.0 + 2.0 * mu * spectrum)
         return lambda x: vectors @ (ratio * (x.T @ vectors)).T
 
+    def working_rows(self, side: np.ndarray):
+        """(rows, rhs, knots, bounds) of the working set side, which holds
+        -1 (lower bound), +1 (upper) or 0 (free) by knot: the equality rows,
+        then the lower knots ascending, then the upper knots ascending, each
+        bound row's rhs its bound less the y offset."""
+        knots = np.concatenate([np.flatnonzero(side < 0), np.flatnonzero(side > 0)])
+        bounds = np.where(side[knots] < 0, self.lower, self.upper)
+        rows = np.concatenate([self.eq_matrix, self.grid.y_map[knots]])
+        rhs = np.concatenate([self.eq_rhs, bounds - self.y_offset[knots]])
+        return rows, rhs, knots, bounds
+
 
 # Designs held per process, and so the most a sweep builds ahead of its
 # points (prepare) without evicting one.
@@ -387,7 +401,7 @@ def _solve_working_set(objective, apply_inverse, free_optimum, rows, rhs):
         nv, m = G.shape
         raise PlannerNumericalError(
             "KKT solve produced non-finite values; the system is singular "
-            f"(size {nv + m}, equality rows {m})"
+            f"(size {nv + m}, constraint rows {m})"
         )
     return target, mult
 
@@ -406,14 +420,12 @@ def _solve_box_qp(design: _Design, objective, apply_inverse):
     wrong-signed multiplier, the loop stops on the line where the first
     multiplier reaches zero, drops that row and re-solves.
 
-    Returns (a, multipliers, lower working set, upper working set,
-    working-set solves).  The multipliers follow the rows (equality
-    rows, lower knots ascending, upper knots ascending).  Convention:
-    with stationarity Q a + c + A' nu = 0, an active lower bound carries
-    nu <= 0 and an active upper bound nu >= 0.
+    Returns (a, multipliers, side, working-set solves): side is the final
+    working set and the multipliers follow its rows, _Design.working_rows.
+    Convention: with stationarity Q a + c + A' nu = 0, an active lower
+    bound carries nu <= 0 and an active upper bound nu >= 0.
     """
     n = design.grid.times.size
-    y_map = design.grid.y_map
     m_base = design.eq_matrix.shape[0]
     free_optimum = -apply_inverse(objective[1])
     tol = KKT_TOLERANCE / 10.0
@@ -428,22 +440,11 @@ def _solve_box_qp(design: _Design, objective, apply_inverse):
     limit = 10 * n
     additions = solves = 0
     while True:
-        lo_idx = np.flatnonzero(side < 0)
-        hi_idx = np.flatnonzero(side > 0)
-        a, mult = _solve_working_set(
-            objective,
-            apply_inverse,
-            free_optimum,
-            np.concatenate([design.eq_matrix, y_map[lo_idx], y_map[hi_idx]]),
-            np.concatenate([
-                design.eq_rhs,
-                design.lower - design.y_offset[lo_idx],
-                design.upper - design.y_offset[hi_idx],
-            ]),
-        )
+        rows, rhs, knots, _ = design.working_rows(side)
+        a, mult = _solve_working_set(objective, apply_inverse, free_optimum, rows, rhs)
         solves += 1
         new = np.zeros(n)
-        new[np.concatenate([lo_idx, hi_idx])] = mult[m_base:]
+        new[knots] = mult[m_base:]
 
         wrong = np.flatnonzero(side * new < -tol)
         if wrong.size:
@@ -459,13 +460,13 @@ def _solve_box_qp(design: _Design, objective, apply_inverse):
         # The endpoint knots are fixed by the boundary data (y_0 does not
         # depend on a, y_{n-1} is an equality row); only interior knots
         # can leave the box.
-        y = design.y_offset + y_map @ a
+        y = design.y_offset + design.grid.y_map @ a
         violation = np.maximum(design.lower - y, y - design.upper)
         violation[[0, n - 1]] = -np.inf
         violation[side != 0] = -np.inf
         knot = int(np.argmax(violation))
         if violation[knot] <= tol:
-            return a, mult, lo_idx, hi_idx, solves
+            return a, mult, side, solves
         additions += 1
         if additions > limit:
             raise PlannerNumericalError(
@@ -481,49 +482,35 @@ def _trapezoid_chain(start: float, rates: np.ndarray, dt: float) -> np.ndarray:
     return np.cumsum(np.concatenate([[start], increments]))
 
 
-def _kkt_residual(
-    design, objective, a, y, mult, lo_idx, hi_idx
-) -> dict[str, float]:
+def _kkt_residual(design, objective, a, y, mult, side) -> dict[str, float]:
     """Max-norm KKT residual terms of a and its altitude profile y.
 
-    Stationarity of the point's QP, (Q, c) = objective, primal
-    feasibility of the equality rows and of the working set (distance
-    of its knots from their bound) with the box violation at every
+    Stationarity of the point's QP, (Q, c) = objective, with the rows
+    and multipliers of the working set side (see _Design.working_rows),
+    primal feasibility of the equality rows and of the working set (the
+    gap of its knots from their bound) with the box violation at every
     interior knot, and the multiplier sign and complementarity on the
     working set, keyed by those names.  Inactive bounds carry no
     multiplier by construction.
     """
     hessian, gradient = objective
-    y_map = design.grid.y_map
-    m_base = design.eq_matrix.shape[0]
-    rows = np.concatenate([design.eq_matrix, y_map[lo_idx], y_map[hi_idx]])
+    rows, _, knots, bounds = design.working_rows(side)
     stationarity = np.max(np.abs(hessian @ a + gradient + rows.T @ mult))
 
-    lo_mult = mult[m_base : m_base + lo_idx.size]
-    hi_mult = mult[m_base + lo_idx.size :]
-    lo_gap = y[lo_idx] - design.lower
-    hi_gap = y[hi_idx] - design.upper
+    bound_mult = mult[design.eq_matrix.shape[0] :]
+    gap = y[knots] - bounds
     interior = y[1:-1]
     primal = max(
         float(np.max(np.abs(design.eq_matrix @ a - design.eq_rhs))),
-        float(np.max(np.abs(lo_gap), initial=0.0)),
-        float(np.max(np.abs(hi_gap), initial=0.0)),
+        float(np.max(np.abs(gap), initial=0.0)),
         float(np.max(np.maximum(design.lower - interior, 0.0), initial=0.0)),
         float(np.max(np.maximum(interior - design.upper, 0.0), initial=0.0)),
-    )
-    dual = max(
-        float(np.max(lo_mult, initial=0.0)),
-        float(np.max(-hi_mult, initial=0.0)),
-    )
-    comp = max(
-        float(np.max(np.abs(lo_gap * lo_mult), initial=0.0)),
-        float(np.max(np.abs(hi_gap * hi_mult), initial=0.0)),
     )
     return {
         "stationarity": stationarity,
         "primal": primal,
-        "multiplier sign": dual,
-        "complementarity": comp,
+        "multiplier sign": float(np.max(-side[knots] * bound_mult, initial=0.0)),
+        "complementarity": float(np.max(np.abs(gap * bound_mult), initial=0.0)),
     }
 
 
@@ -542,14 +529,14 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
         )
     design = _design(problem)
     objective = design.objective(problem.mu)
-    a, mult, lo_idx, hi_idx, iterations = _solve_box_qp(
+    a, mult, side, iterations = _solve_box_qp(
         design, objective, design.inverse(problem.mu)
     )
     times = design.grid.times
     dt = _spacing(times)
     v = _trapezoid_chain(problem.v0, a, dt)
     y = _trapezoid_chain(problem.y0, v, dt)
-    terms = _kkt_residual(design, objective, a, y, mult, lo_idx, hi_idx)
+    terms = _kkt_residual(design, objective, a, y, mult, side)
     worst = max(terms, key=terms.get)
     residual = terms[worst]
     if residual >= KKT_TOLERANCE:
@@ -559,8 +546,8 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
         )
     # Pin working-set knots exactly; the recursion leaves them within
     # rounding of their bound.
-    y[lo_idx] = design.lower
-    y[hi_idx] = design.upper
+    y[side < 0] = design.lower
+    y[side > 0] = design.upper
     predicted = apply_lag(design.lag, v)
     params = problem.params
     return PlannedTrajectory(

@@ -315,7 +315,7 @@ class TestPlanCommand:
                 "-10,-100",
                 "1e300",
                 "KKT solve produced non-finite values; the system is singular"
-                " (size 62, equality rows 1)",
+                " (size 62, constraint rows 1)",
             ),
         ],
     )

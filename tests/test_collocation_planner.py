@@ -369,24 +369,30 @@ def full_space_optimum(problem, pinned_lower, pinned_upper):
 
 _DEFAULT_TEMPLATE = PlanProblem()
 _BOUNDED_TEMPLATE = PlanProblem(segments=120, y0=0.0, v0=30.0, yf=0.0)
+# The climb started downward: it dips to the floor, then meets the ceiling.
+_DIP_TEMPLATE = PlanProblem(v0=-30.0)
 
 
 @pytest.mark.parametrize(
-    "template,lam",
-    [(_DEFAULT_TEMPLATE, lam) for lam in (10.0, 20.0, 30.0, 50.0)]
-    + [(_BOUNDED_TEMPLATE, lam) for lam in (10.0, 20.0)],
-    ids=["default-10", "default-20", "default-30", "default-50", "bounded-10", "bounded-20"],
+    "template,lam,sides",
+    [(_DEFAULT_TEMPLATE, lam, (False, False)) for lam in (10.0, 20.0, 30.0, 50.0)]
+    + [(_BOUNDED_TEMPLATE, lam, (False, True)) for lam in (10.0, 20.0)]
+    + [(_DIP_TEMPLATE, lam, (True, True)) for lam in (10.0, 50.0)],
+    ids=[
+        "default-10", "default-20", "default-30", "default-50",
+        "bounded-10", "bounded-20", "dip-10", "dip-50",
+    ],
 )
-def test_condensed_solver_matches_the_full_space_kkt(template, lam):
+def test_condensed_solver_matches_the_full_space_kkt(template, lam, sides):
     lo, hi = template.y_bounds
-    pinned = 0
+    pins = []
     for mu in RunConfig().mu_grid():
         problem = dataclasses.replace(template, mu=mu, dominant_lambda=lam)
         traj = solve(problem)
         interior = np.arange(1, traj.y.size - 1)
         lower = interior[traj.y[1:-1] == lo]
         upper = interior[traj.y[1:-1] == hi]
-        pinned += lower.size + upper.size
+        pins.append((lower.size > 0, upper.size > 0))
         times, y, v, a, lo_mult, hi_mult = full_space_optimum(problem, lower, upper)
 
         # The pinned set is the optimal active set: the remaining knots are
@@ -401,9 +407,12 @@ def test_condensed_solver_matches_the_full_space_kkt(template, lam):
         error = error_integral_form(VelocityProfile(times, v), lam)
         predicted = trapezoid_quadrature(times, error**2)
         assert traj.predicted_error_integral == pytest.approx(predicted, rel=1e-10, abs=0)
-    # The bounded toss really exercises the active set; the default climb
-    # never touches the box.
-    assert (pinned > 0) == (template is _BOUNDED_TEMPLATE)
+    # Which bounds the weights pin, (lower, upper): the default climb never
+    # touches the box, the bounded toss clamps its overshoot, and the dip
+    # pins both, in one working set at most weights.
+    pins = np.array(pins)
+    assert tuple(pins.any(axis=0)) == sides
+    assert pins.all(axis=1).any() == all(sides)
 
 
 # Largest column error of the spectral apply against a dense solve over

@@ -65,6 +65,11 @@ class TestTrapezoidQuadrature:
         with pytest.raises(ValueError):
             trapezoid_quadrature(t, np.ones(4))
 
+    def test_rejects_mismatched_shapes(self):
+        t = np.linspace(0, 1, 61)
+        with pytest.raises(ValueError, match="matching shape"):
+            trapezoid_quadrature(t, np.ones(60))
+
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             trapezoid_quadrature(np.array([0.0]), np.array([1.0]))

@@ -16,6 +16,10 @@ DIR's, each in its own temporary directory, with
   grid, 0.7005 s in 47 segments, whose knot spacing is no round number
   (v0 = 1.3, pairs -10,-100 and -30,-300, four weights), and ``plan``
   and ``track`` on it for -30,-300 at mu = 3.5;
+- ``sweep`` under ``--workers 1`` and ``--workers 2`` on a dip INI,
+  the default climb started at v0 = -30, whose planner pins knots to
+  both bounds (101 of its 124 points pin a lower and an upper knot),
+  and ``plan`` and ``track`` on it for -10,-100 at mu = 100;
 - ``plan`` and ``track`` for the four default pairs at mu = 0, 3.5
   and 1e3;
 - ``stiffness`` on each pair's frontier from the one-worker default
@@ -54,6 +58,7 @@ MUS = ("0", "3.5", "1e3")
 BOUNDED_INI = "bounded.ini"
 FAILING_INI = "failing.ini"
 AWKWARD_INI = "awkward.ini"
+DIP_INI = "dip.ini"
 # -50,-500 gets the step 1/167 s, where |lambda_fast| h = 2.99 > 2.78.
 FAILING_SWEEP = """\
 [controllers]
@@ -80,6 +85,13 @@ v0 = 1.3
 
 [mu_grid]
 count = 4
+"""
+
+# Starting downward at 30 m/s, the climb dips to the floor and then
+# overshoots the ceiling: working sets with lower and upper knots.
+DIP = """\
+[plan]
+v0 = -30
 """
 
 # Planner inputs rejected before the active-set loop: yf outside [y_min, y_max],
@@ -113,10 +125,16 @@ def commands() -> list[list[str]]:
                      "--workers", workers])
         runs.append(["sweep", "--config", AWKWARD_INI, "--out", f"awkward_w{workers}",
                      "--workers", workers])
+        runs.append(["sweep", "--config", DIP_INI, "--out", f"dip_w{workers}",
+                     "--workers", workers])
     runs.append(["plan", "--config", AWKWARD_INI, "--pair", "-30,-300", "--mu", "3.5",
                  "--out", "plan_awkward"])
     runs.append(["track", "plan_awkward/trajectory.csv", "--config", AWKWARD_INI,
                  "--pair", "-30,-300", "--mu", "3.5", "--out", "track_awkward"])
+    runs.append(["plan", "--config", DIP_INI, "--pair", "-10,-100", "--mu", "100",
+                 "--out", "plan_dip"])
+    runs.append(["track", "plan_dip/trajectory.csv", "--config", DIP_INI,
+                 "--pair", "-10,-100", "--mu", "100", "--out", "track_dip"])
     for pair in PAIRS:
         slug = pair.replace("-", "").replace(",", "_")
         for mu in MUS:
@@ -142,6 +160,7 @@ def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
     (work / BOUNDED_INI).write_text(bounded_ini)
     (work / FAILING_INI).write_text(FAILING_SWEEP)
     (work / AWKWARD_INI).write_text(AWKWARD_GRID)
+    (work / DIP_INI).write_text(DIP)
     for name, text in PLANNER_ERROR_INIS.items():
         (work / name).write_text(text)
     for name, times in MALFORMED_TIMES.items():
