@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._artifact_csv import read_rows, write_rows
+from ._artifact_csv import SchemaError, read_rows, write_samples
 from .error_estimator import (
     _spacing,
     _trapezoid,
@@ -400,8 +400,7 @@ def _solve_working_set(objective, apply_inverse, free_optimum, rows, rhs):
     if not (np.all(np.isfinite(target)) and np.all(np.isfinite(mult))):
         nv, m = G.shape
         raise PlannerNumericalError(
-            "KKT solve produced non-finite values; the system is singular "
-            f"(size {nv + m}, constraint rows {m})"
+            f"KKT solve produced non-finite values (size {nv + m}, constraint rows {m})"
         )
     return target, mult
 
@@ -565,19 +564,14 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     )
 
 
-TRAJECTORY_COLUMNS = ("t", "y", "v", "a", "u", "e_pred")
-
-
-class TrajectorySchemaError(ValueError):
-    """Trajectory CSV does not match the expected column layout."""
+TRAJECTORY_COLUMNS = {
+    "t": "times", "y": "y", "v": "v", "a": "a", "u": "u", "e_pred": "predicted_error",
+}
 
 
 def write_trajectory_csv(traj: PlannedTrajectory, path) -> None:
     """Write the knot grid as CSV, full double precision."""
-    columns = np.column_stack(
-        [traj.times, traj.y, traj.v, traj.a, traj.u, traj.predicted_error]
-    )
-    write_rows(path, TRAJECTORY_COLUMNS, columns)
+    write_samples(path, TRAJECTORY_COLUMNS, traj)
 
 
 def read_trajectory_csv(path) -> PlannedTrajectory:
@@ -588,30 +582,26 @@ def read_trajectory_csv(path) -> PlannedTrajectory:
     columns.  The t column must be the uniform grid from 0 that the
     planner writes.
     """
-    data = read_rows(path, TRAJECTORY_COLUMNS, TrajectorySchemaError)
-    times, y, v, a, u, e_pred = data.T
+    data = read_rows(path, TRAJECTORY_COLUMNS)
+    columns = dict(zip(TRAJECTORY_COLUMNS.values(), data.T))
+    times = columns["times"]
     if times[0] != 0.0:
-        raise TrajectorySchemaError("column 't': profile must start at t = 0")
+        raise SchemaError("column 't': profile must start at t = 0")
     try:
         _uniform_spacing(times)
     except ValueError as exc:
-        raise TrajectorySchemaError(f"column 't': {exc}") from exc
+        raise SchemaError(f"column 't': {exc}") from exc
     # Finite cells can still overflow once squared (1e200 does).
     with np.errstate(over="ignore"):
-        designed_cost = _trapezoid(times, a**2)
-        predicted_error_integral = _trapezoid(times, e_pred**2)
+        designed_cost = _trapezoid(times, columns["a"] ** 2)
+        predicted_error_integral = _trapezoid(times, columns["predicted_error"] ** 2)
     for name, integral in (("a", designed_cost), ("e_pred", predicted_error_integral)):
         if not math.isfinite(integral):
-            raise TrajectorySchemaError(
+            raise SchemaError(
                 f"column {name!r}: the integral of its square is not finite"
             )
     return PlannedTrajectory(
-        times=times,
-        y=y,
-        v=v,
-        a=a,
-        u=u,
-        predicted_error=e_pred,
+        **columns,
         designed_cost=designed_cost,
         predicted_error_integral=predicted_error_integral,
         mu=None,

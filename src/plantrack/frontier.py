@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import attrgetter
 
-from ._artifact_csv import read_rows, write_rows
+from ._artifact_csv import read_rows, write_records
 from .collocation_planner import PlanProblem, solve
 from .lqr import ControllerSpec
 from .tracking_sim import SimConfig, simulate
@@ -171,43 +171,22 @@ def spring_fit_from_points(points) -> SpringFit:
     return SpringFit(a=a, b=b, k=spring_constant(a, b), neck_found=a > 0.0)
 
 
-FRONTIER_COLUMNS = (
-    "mu",
-    "designed_cost",
-    "predicted_error_sq_integral",
-    "actual_cost",
-    "actual_error_sq_integral",
-)
-
-
-class FrontierSchemaError(ValueError):
-    """The frontier CSV does not match the expected column layout."""
+FRONTIER_COLUMNS = {
+    "mu": "mu",
+    "designed_cost": "designed_cost",
+    "predicted_error_sq_integral": "predicted_error_integral",
+    "actual_cost": "actual_cost",
+    "actual_error_sq_integral": "actual_error_integral",
+}
 
 
 def write_frontier_csv(points, path) -> None:
-    rows = (
-        (
-            p.mu,
-            p.designed_cost,
-            p.predicted_error_integral,
-            p.actual_cost,
-            p.actual_error_integral,
-        )
-        for p in points
-    )
-    write_rows(path, FRONTIER_COLUMNS, rows)
+    write_records(path, FRONTIER_COLUMNS, points)
 
 
 def read_frontier_points(path) -> list[FrontierPoint]:
-    data = read_rows(path, FRONTIER_COLUMNS, FrontierSchemaError)
+    fields = FRONTIER_COLUMNS.values()
     return [
-        FrontierPoint(
-            mu=float(row[0]),
-            designed_cost=float(row[1]),
-            predicted_error_integral=float(row[2]),
-            actual_cost=float(row[3]),
-            actual_error_integral=float(row[4]),
-            trajectory_id=index,
-        )
-        for index, row in enumerate(data)
+        FrontierPoint(**dict(zip(fields, row)), trajectory_id=index)
+        for index, row in enumerate(read_rows(path, FRONTIER_COLUMNS).tolist())
     ]

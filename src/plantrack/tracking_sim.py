@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._artifact_csv import write_rows
+from ._artifact_csv import write_samples
 from .collocation_planner import PlannedTrajectory
 from .error_estimator import _trapezoid
 from .lqr import ControllerSpec, control_law
@@ -257,25 +257,12 @@ def simulate(config: SimConfig) -> TrackingResult:
     )
 
 
-TRACKING_COLUMNS = (
-    "t", "x", "y", "q", "xdot", "ydot", "qdot", "u1", "u2", "y_ref", "err",
-)
+TRACKING_COLUMNS = {
+    "t": "times", "x": "x", "y": "y", "q": "q",
+    "xdot": "x_dot", "ydot": "y_dot", "qdot": "q_dot",
+    "u1": "u1", "u2": "u2", "y_ref": "y_ref", "err": "error",
+}
 
 
 def write_tracking_csv(result: TrackingResult, path) -> None:
-    columns = np.column_stack(
-        [
-            result.times,
-            result.x,
-            result.y,
-            result.q,
-            result.x_dot,
-            result.y_dot,
-            result.q_dot,
-            result.u1,
-            result.u2,
-            result.y_ref,
-            result.error,
-        ]
-    )
-    write_rows(path, TRACKING_COLUMNS, columns)
+    write_samples(path, TRACKING_COLUMNS, result)

@@ -314,8 +314,7 @@ class TestPlanCommand:
             (
                 "-10,-100",
                 "1e300",
-                "KKT solve produced non-finite values; the system is singular"
-                " (size 62, constraint rows 1)",
+                "KKT solve produced non-finite values (size 62, constraint rows 1)",
             ),
         ],
     )
@@ -515,6 +514,29 @@ class TestTrackCommand:
             fields = lines[row].split(",")
             fields[column] = value
             lines[row] = ",".join(fields)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "never"
+        code = main(["track", str(path), "--pair", "-10,-100", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda row: row[:3], "row 3: expected 6 columns, found 3"),
+            (lambda row: [row[0], "abc", *row[2:]],
+             "row 3, column 'y': 'abc' is not a number"),
+            (lambda row: [*row, ""], "row 3: expected 6 columns, found 7"),
+        ],
+        ids=["short", "text-cell", "trailing-comma"],
+    )
+    def test_malformed_row_is_named(self, edit, message, tmp_path, capsys):
+        plan = tmp_path / "plan"
+        assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
+        lines = (plan / "trajectory.csv").read_text().splitlines()
+        lines[3] = ",".join(edit(lines[3].split(",")))
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "never"
@@ -1012,6 +1034,18 @@ class TestStiffnessCommand:
         out = tmp_path / "never"
         assert main(["stiffness", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: no data rows after the header\n"
+        assert not out.exists()
+
+    def test_malformed_row_exits_without_files(self, tmp_path, capsys):
+        from plantrack.frontier import FRONTIER_COLUMNS
+
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(FRONTIER_COLUMNS) + "\n0,75,1,80,1\n10,76,x,78,1\n")
+        out = tmp_path / "never"
+        assert main(["stiffness", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: row 2, column 'predicted_error_sq_integral': 'x' is not a number\n"
+        )
         assert not out.exists()
 
     def test_decimal_pair_slug(self, tmp_path):

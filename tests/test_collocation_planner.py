@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import make_reference
 from oracles import VelocityProfile, error_integral_form
 from plantrack import collocation_planner
+from plantrack._artifact_csv import SchemaError
 from plantrack.cli import RunConfig
 from plantrack.collocation_planner import (
     KKT_TOLERANCE,
@@ -24,7 +25,6 @@ from plantrack.collocation_planner import (
     InfeasibleProblemError,
     PlanProblem,
     PlannerNumericalError,
-    TrajectorySchemaError,
     read_trajectory_csv,
     solve,
     write_trajectory_csv,
@@ -944,14 +944,26 @@ class TestTrajectoryCsv:
             traj.predicted_error_integral, rel=1e-12
         )
 
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        traj = solve(PlanProblem(mu=100.0))
+        y = traj.y.copy()
+        y[0] = -0.0
+        traj = dataclasses.replace(traj, y=y)
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path)
+        assert np.signbit(back.y[0])
+        for field in TRAJECTORY_COLUMNS.values():
+            assert getattr(back, field).tobytes() == getattr(traj, field).tobytes()
+
     def test_header_is_the_contract(self):
-        assert TRAJECTORY_COLUMNS == ("t", "y", "v", "a", "u", "e_pred")
+        assert tuple(TRAJECTORY_COLUMNS) == ("t", "y", "v", "a", "u", "e_pred")
 
     def test_renamed_column_is_reported_by_name(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,y,v,acc,u,e_pred\n0,0,0,0,0,0\n")
         with pytest.raises(
-            TrajectorySchemaError, match=r"column 3: expected 'a', found 'acc'"
+            SchemaError, match=r"column 3: expected 'a', found 'acc'"
         ):
             read_trajectory_csv(path)
 
@@ -959,20 +971,20 @@ class TestTrajectoryCsv:
         path = tmp_path / "short.csv"
         path.write_text("t,y,v,a,u\n0,0,0,0,0\n")
         with pytest.raises(
-            TrajectorySchemaError, match=r"column 5: expected 'e_pred', found 'nothing'"
+            SchemaError, match=r"column 5: expected 'e_pred', found 'nothing'"
         ):
             read_trajectory_csv(path)
 
     def test_extra_column_is_reported(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("t,y,v,a,u,e_pred,junk\n0,0,0,0,0,0,0\n")
-        with pytest.raises(TrajectorySchemaError, match=r"junk"):
+        with pytest.raises(SchemaError, match=r"junk"):
             read_trajectory_csv(path)
 
     def test_wrong_row_width_is_reported(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("t,y,v,a,u,e_pred\n0,0,0,0,0,0,0\n0.5,1,2,3,4,5,6\n")
-        with pytest.raises(TrajectorySchemaError, match=r"expected 6 columns, found 7"):
+        with pytest.raises(SchemaError, match=r"expected 6 columns, found 7"):
             read_trajectory_csv(path)
 
     def test_knot_spacing_is_the_spacing_the_integrals_use(self, tmp_path):
@@ -999,6 +1011,6 @@ class TestTrajectoryCsv:
         path = tmp_path / "shifted.csv"
         write_trajectory_csv(shifted, path)
         with pytest.raises(
-            TrajectorySchemaError, match=r"column 't': profile must start at t = 0"
+            SchemaError, match=r"column 't': profile must start at t = 0"
         ):
             read_trajectory_csv(path)

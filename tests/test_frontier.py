@@ -12,12 +12,12 @@ import pytest
 from conftest import constant_reference
 from oracles import VelocityProfile, error_integral_form, frontier_gap
 from plantrack import frontier as frontier_module
+from plantrack._artifact_csv import SchemaError
 from plantrack.collocation_planner import PlanProblem
 from plantrack.error_estimator import trapezoid_quadrature
 from plantrack.frontier import (
     FRONTIER_COLUMNS,
     FrontierPoint,
-    FrontierSchemaError,
     SpringFit,
     SweepError,
     best_compromise,
@@ -277,8 +277,34 @@ class TestFrontierCsv:
         write_frontier_csv(points, path)
         assert tuple(read_frontier_points(path)) == points
 
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        values = (-0.0, 5e-324, 1 / 3, 1e300, 0.0)
+        points = [
+            FrontierPoint(*(values[(i + j) % 5] for j in range(5)), trajectory_id=i)
+            for i in range(5)
+        ]
+        path = tmp_path / "frontier.csv"
+        write_frontier_csv(points, path)
+        back = read_frontier_points(path)
+        assert [p.trajectory_id for p in back] == list(range(5))
+        for point, read in zip(points, back):
+            for field in FRONTIER_COLUMNS.values():
+                value = getattr(read, field)
+                assert type(value) is float
+                assert value.hex() == getattr(point, field).hex()
+
+    def test_malformed_row_counts_rows_as_the_array_does(self, tmp_path):
+        # The empty line is skipped, like the non-finite check counts;
+        # float() reads "1_0" but np.loadtxt does not.
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(FRONTIER_COLUMNS) + "\n0,1,1,1,1\n\n1,1_0,1,1,1\n")
+        with pytest.raises(
+            SchemaError, match=r"^row 2, column 'designed_cost': '1_0' is not a number$"
+        ):
+            read_frontier_points(path)
+
     def test_header_is_the_contract(self):
-        assert FRONTIER_COLUMNS == (
+        assert tuple(FRONTIER_COLUMNS) == (
             "mu", "designed_cost", "predicted_error_sq_integral",
             "actual_cost", "actual_error_sq_integral",
         )
@@ -287,14 +313,14 @@ class TestFrontierCsv:
         path = tmp_path / "bad.csv"
         path.write_text("mu,designed_cost,predicted,actual_cost,"
                         "actual_error_sq_integral\n0,1,1,1,1\n")
-        with pytest.raises(FrontierSchemaError, match=r"column 2.*predicted"):
+        with pytest.raises(SchemaError, match=r"column 2.*predicted"):
             read_frontier_points(path)
 
     def test_missing_column_is_reported(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("mu,designed_cost,predicted_error_sq_integral,"
                         "actual_cost\n0,1,1,1\n")
-        with pytest.raises(FrontierSchemaError, match=r"found 'nothing'"):
+        with pytest.raises(SchemaError, match=r"found 'nothing'"):
             read_frontier_points(path)
 
     def test_wrong_row_width_is_reported(self, tmp_path):
@@ -302,5 +328,5 @@ class TestFrontierCsv:
         path.write_text(
             ",".join(FRONTIER_COLUMNS) + "\n0,1,1,1,1,9\n1,1,1,1,1,9\n"
         )
-        with pytest.raises(FrontierSchemaError, match=r"expected 5 columns, found 6"):
+        with pytest.raises(SchemaError, match=r"expected 5 columns, found 6"):
             read_frontier_points(path)

@@ -355,7 +355,7 @@ def test_tracking_csv_layout(tmp_path, mid_controller):
     write_tracking_csv(result, path)
     with open(path) as handle:
         header = handle.readline().strip()
-    assert tuple(header.split(",")) == TRACKING_COLUMNS
+    assert tuple(header.split(",")) == tuple(TRACKING_COLUMNS)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (result.times.size, len(TRACKING_COLUMNS))
     assert np.array_equal(data[:, 0], result.times)

@@ -24,10 +24,12 @@ DIR's, each in its own temporary directory, with
   and 1e3;
 - ``stiffness`` on each pair's frontier from the one-worker default
   sweep;
-- ``track`` of three small malformed trajectory CSVs, written next to
+- ``track`` of six small malformed trajectory CSVs, written next to
   the INIs: a t column shifted off 0, a non-uniform one and a
-  decreasing one.  Each exits 1 with one ``error: column 't': ...``
-  line on stderr and writes nothing;
+  decreasing one, a column renamed ``acc``, an extra header column and
+  a header with no rows; and ``stiffness`` of two malformed frontier
+  CSVs: a renamed column and an ``inf`` cell.  Each exits 1 with one
+  ``error:`` line on stderr and writes nothing;
 - ``plan`` on three problems the planner rejects: -10,-100 at
   mu = 1e308, an INI whose ``yf`` lies above ``y_max``, and an INI with
   v0 = 1e9 for -50,-500 at mu = 1e304, where only the objective's
@@ -109,6 +111,23 @@ MALFORMED_TIMES = {
     "nonuniform.csv": (0.0, 0.5, 1.25),
     "decreasing.csv": (0.0, 1.0, 0.5),
 }
+TRAJECTORY_HEADER = "t,y,v,a,u,e_pred\n"
+FRONTIER_HEADER = ("mu,designed_cost,predicted_error_sq_integral,actual_cost,"
+                   "actual_error_sq_integral\n")
+# CSVs whose header or cells the readers reject: trajectories for track,
+# frontiers for stiffness.
+MALFORMED_TRAJECTORIES = {
+    **{name: TRAJECTORY_HEADER + "".join(f"{t!r},0,0,0,0,0\n" for t in times)
+       for name, times in MALFORMED_TIMES.items()},
+    "renamed.csv": "t,y,v,acc,u,e_pred\n0,0,0,0,0,0\n0.5,0,0,0,0,0\n",
+    "extra_column.csv": "t,y,v,a,u,e_pred,junk\n0,0,0,0,0,0,0\n0.5,0,0,0,0,0,0\n",
+    "header_only.csv": TRAJECTORY_HEADER,
+}
+MALFORMED_FRONTIERS = {
+    "frontier_renamed.csv": FRONTIER_HEADER.replace("designed_cost", "designed")
+    + "0,75,1,80,1\n10,76,0.5,78,1\n",
+    "frontier_inf.csv": FRONTIER_HEADER + "0,75,1,80,1\n10,76,inf,78,1\n",
+}
 
 # A decimal number standing alone: not part of a word such as a checksum.
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
@@ -144,9 +163,11 @@ def commands() -> list[list[str]]:
                          "--mu", mu, "--out", track])
         runs.append(["stiffness", f"default_w1/frontier_{slug}.csv", "--pair", pair,
                      "--out", "stiffness"])
-    for name in MALFORMED_TIMES:
+    for name in MALFORMED_TRAJECTORIES:
         runs.append(["track", name, "--pair", "-20,-200",
                      "--out", "track_" + name.removesuffix(".csv")])
+    for name in MALFORMED_FRONTIERS:
+        runs.append(["stiffness", name, "--out", "stiffness_" + name.removesuffix(".csv")])
     runs.append(["plan", "--pair", "-10,-100", "--mu", "1e308", "--out", "plan_huge_mu"])
     runs.append(["plan", "--config", OUTSIDE_BOX_INI, "--pair", "-10,-100",
                  "--out", "plan_outside_box"])
@@ -163,9 +184,8 @@ def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
     (work / DIP_INI).write_text(DIP)
     for name, text in PLANNER_ERROR_INIS.items():
         (work / name).write_text(text)
-    for name, times in MALFORMED_TIMES.items():
-        (work / name).write_text("t,y,v,a,u,e_pred\n"
-                                 + "".join(f"{t!r},0,0,0,0,0\n" for t in times))
+    for name, text in (MALFORMED_TRAJECTORIES | MALFORMED_FRONTIERS).items():
+        (work / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     results = []
     for args in commands():
