@@ -7,7 +7,7 @@ from .collocation_planner import (
     PlanProblem,
     solve,
 )
-from .error_estimator import lag_response_matrix, trapezoid_quadrature
+from .error_estimator import lag_response_matrix
 from .frontier import (
     FrontierPoint,
     SpringFit,
@@ -48,5 +48,4 @@ __all__ = [
     "solve",
     "spring_fit_from_points",
     "sweep",
-    "trapezoid_quadrature",
 ]

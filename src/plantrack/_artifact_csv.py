@@ -4,9 +4,15 @@ A header row names the columns; every data row holds one finite float
 per column written with 17 significant digits, which round-trips a
 double.  Each file has one layout: a dict from column name to the
 record field it holds, in file order.
+
+Below the header, each line is cut at its first ``#`` and its line end;
+what is left, unless empty, is a data row, counted from 1.  A cell is a
+number when float() reads it stripped, as ASCII without underscores.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,9 +41,8 @@ def write_samples(path, layout: dict[str, str], record) -> None:
 
 
 def read_rows(path, layout: dict[str, str]) -> np.ndarray:
-    """The data rows as a 2-D array, one column per layout entry; a header
-    other than the layout's, no data row, a malformed row or a non-finite
-    cell raises SchemaError naming the first mismatch."""
+    """The data rows as a 2-D array, one column per layout entry; SchemaError
+    names the first mismatch: a header, a row's width or cell, or no row."""
     columns = tuple(layout)
     with open(path, newline="") as handle:
         header = handle.readline().strip()
@@ -51,46 +56,31 @@ def read_rows(path, layout: dict[str, str]) -> np.ndarray:
                     )
             raise SchemaError(f"unexpected extra columns {names[len(columns):]!r}")
         lines = handle.readlines()
-    if not any(line.strip() for line in lines):
-        raise SchemaError("no data rows after the header")
-    try:
-        data = np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError:
-        _raise_malformed_row(lines, columns)
-        raise
-    if data.shape[1] != len(columns):
-        raise SchemaError(f"expected {len(columns)} columns, found {data.shape[1]}")
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise SchemaError(
-            f"row {row + 1}, column {columns[col]!r}: {float(data[row, col])!r}"
-            " is not finite"
-        )
-    return data
-
-
-def _raise_malformed_row(lines, columns: tuple[str, ...]) -> None:
-    """Raise SchemaError for the first data line np.loadtxt rejects.
-
-    Rows are counted from 1 as np.loadtxt counts them, skipping empty
-    and comment-only lines.  A cell is a number when float() reads it
-    and it is ASCII without underscores, which float() alone accepts.
-    """
-    row = 0
+    rows = []
     for line in lines:
         cells = line.split("#", 1)[0].rstrip("\r\n").split(",")
         if cells == [""]:
             continue
-        row += 1
+        number = len(rows) + 1
         if len(cells) != len(columns):
             raise SchemaError(
-                f"row {row}: expected {len(columns)} columns, found {len(cells)}"
+                f"row {number}: expected {len(columns)} columns, found {len(cells)}"
             )
+        row = []
         for name, cell in zip(columns, cells):
+            text = cell.strip()
             try:
-                float(cell if cell.isascii() and "_" not in cell else "?")
+                value = float(text if text.isascii() and "_" not in text else "?")
             except ValueError:
                 raise SchemaError(
-                    f"row {row}, column {name!r}: {cell!r} is not a number"
+                    f"row {number}, column {name!r}: {cell!r} is not a number"
                 ) from None
+            if not math.isfinite(value):
+                raise SchemaError(
+                    f"row {number}, column {name!r}: {value!r} is not finite"
+                )
+            row.append(value)
+        rows.append(row)
+    if not rows:
+        raise SchemaError("no data rows after the header")
+    return np.array(rows)

@@ -54,16 +54,6 @@ def _trapezoid(times: np.ndarray, values: np.ndarray) -> float:
     return float(np.dot(trapezoid_weights(values.size), values) * _spacing(times))
 
 
-def trapezoid_quadrature(times: np.ndarray, values: np.ndarray) -> float:
-    """Integrate samples on a uniform grid with the trapezoid weight row."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.shape != times.shape:
-        raise ValueError("times and values must have matching shape")
-    _uniform_spacing(times)
-    return _trapezoid(times, values)
-
-
 def lag_response_matrix(times: np.ndarray, lam: float) -> np.ndarray:
     """Lower-triangular map L with e = L v on a uniform grid.
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import trapezoid_quadrature
 from plantrack.collocation_planner import PlannedTrajectory
-from plantrack.error_estimator import trapezoid_quadrature
 from plantrack.lqr import EigenvaluePair
 from plantrack.model import ModelParams
 

@@ -6,6 +6,8 @@
   and criterion 3 holds ``error_discrete_limit_form`` to the closed value.
 - ``frontier_gap``, the mean |actual - designed| cost, is criterion 7's
   statistic.
+- ``trapezoid_quadrature`` checks that a grid is uniform, as the readers
+  do, and integrates samples on it with the pipeline's trapezoid rule.
 - ``simulate_planar`` integrates all six rigid-body states with the lateral
   and attitude PD loops live.  It steps over ``simulate``'s stage references
   and scores through its ``_result``, so ``simulate`` must match it bit for
@@ -19,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plantrack.error_estimator import _uniform_spacing, apply_lag, lag_response_matrix
+from plantrack.error_estimator import (
+    _trapezoid,
+    _uniform_spacing,
+    apply_lag,
+    lag_response_matrix,
+)
 from plantrack.lqr import control_law
 from plantrack.model import nonlinear_derivative
 from plantrack.tracking_sim import SimConfig, SimulationDivergedError, TrackingResult
@@ -117,6 +124,16 @@ def frontier_gap(points) -> float:
     if not points:
         raise ValueError("frontier is empty")
     return float(np.mean([abs(p.actual_cost - p.designed_cost) for p in points]))
+
+
+def trapezoid_quadrature(times: np.ndarray, values: np.ndarray) -> float:
+    """Integrate samples on a uniform grid with the trapezoid weight row."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.shape != times.shape:
+        raise ValueError("times and values must have matching shape")
+    _uniform_spacing(times)
+    return _trapezoid(times, values)
 
 
 def simulate_planar(config: SimConfig) -> TrackingResult:

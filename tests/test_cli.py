@@ -201,6 +201,24 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=r"cannot read"):
             load_config(str(tmp_path / "absent.ini"))
 
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"[plan]\nhorizon = 1\xff\n")
+        with pytest.raises(ConfigError, match=r"^cannot read config: 'utf-8' codec"):
+            load_config(str(path))
+
+    def test_undecodable_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"[plan]\nhorizon = 1\xff\n")
+        out = tmp_path / "never"
+        code = main(["plan", "--config", str(path), "--pair", "-10,-100",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestRunConfigValidation:
     @pytest.mark.parametrize(
@@ -496,6 +514,9 @@ class TestTrackCommand:
         "row,column,value,message",
         [
             (None, None, None, "no data rows after the header"),
+            # With no row, the value is the whole body.
+            (None, None, "# only a comment", "no data rows after the header"),
+            (None, None, " ", "row 1: expected 6 columns, found 1"),
             (5, 3, "inf", "row 5, column 'a': inf is not finite"),
             (9, 1, "nan", "row 9, column 'y': nan is not finite"),
             # Finite, but its square overflows the designed cost.
@@ -509,7 +530,7 @@ class TestTrackCommand:
         assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
         lines = (plan / "trajectory.csv").read_text().splitlines()
         if row is None:
-            lines = lines[:1]
+            lines = lines[:1] if value is None else [lines[0], value]
         else:
             fields = lines[row].split(",")
             fields[column] = value
@@ -1031,6 +1052,16 @@ class TestStiffnessCommand:
 
         path = tmp_path / "empty.csv"
         path.write_text(",".join(FRONTIER_COLUMNS) + "\n")
+        out = tmp_path / "never"
+        assert main(["stiffness", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no data rows after the header\n"
+        assert not out.exists()
+
+    def test_comment_only_frontier_exits_without_files(self, tmp_path, capsys):
+        from plantrack.frontier import FRONTIER_COLUMNS
+
+        path = tmp_path / "comments.csv"
+        path.write_text(",".join(FRONTIER_COLUMNS) + "\n\n# no points\n\n# yet\n")
         out = tmp_path / "never"
         assert main(["stiffness", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: no data rows after the header\n"

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_reference
-from oracles import VelocityProfile, error_integral_form
+from oracles import VelocityProfile, error_integral_form, trapezoid_quadrature
 from plantrack import collocation_planner
 from plantrack._artifact_csv import SchemaError
 from plantrack.cli import RunConfig
@@ -29,11 +29,7 @@ from plantrack.collocation_planner import (
     solve,
     write_trajectory_csv,
 )
-from plantrack.error_estimator import (
-    lag_response_matrix,
-    trapezoid_quadrature,
-    trapezoid_weights,
-)
+from plantrack.error_estimator import lag_response_matrix, trapezoid_weights
 
 
 def analytic_cubic(times):
@@ -951,10 +947,17 @@ class TestTrajectoryCsv:
         traj = dataclasses.replace(traj, y=y)
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(traj, path)
-        back = read_trajectory_csv(path)
-        assert np.signbit(back.y[0])
-        for field in TRAJECTORY_COLUMNS.values():
-            assert getattr(back, field).tobytes() == getattr(traj, field).tobytes()
+        # Comment lines, empty lines and trailing comments are not data.
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        decorated = tmp_path / "decorated.csv"
+        decorated.write_text(
+            header + "# planned at mu = 100\n" + first.replace("\n", " # note\n")
+            + "\n" + "".join(rest)
+        )
+        for back in (read_trajectory_csv(path), read_trajectory_csv(decorated)):
+            assert np.signbit(back.y[0])
+            for field in TRAJECTORY_COLUMNS.values():
+                assert getattr(back, field).tobytes() == getattr(traj, field).tobytes()
 
     def test_header_is_the_contract(self):
         assert tuple(TRAJECTORY_COLUMNS) == ("t", "y", "v", "a", "u", "e_pred")
@@ -984,7 +987,19 @@ class TestTrajectoryCsv:
     def test_wrong_row_width_is_reported(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("t,y,v,a,u,e_pred\n0,0,0,0,0,0,0\n0.5,1,2,3,4,5,6\n")
-        with pytest.raises(SchemaError, match=r"expected 6 columns, found 7"):
+        with pytest.raises(SchemaError, match=r"^row 1: expected 6 columns, found 7$"):
+            read_trajectory_csv(path)
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # Row 2 holds a nan and row 4 is short; the comment is no row.
+        path = tmp_path / "faults.csv"
+        path.write_text(
+            "t,y,v,a,u,e_pred\n0,0,0,0,0,0\n# note\n0.5,nan,0,0,0,0\n"
+            "1,0,0,0,0,0\n1.5,0,0\n"
+        )
+        with pytest.raises(
+            SchemaError, match=r"^row 2, column 'y': nan is not finite$"
+        ):
             read_trajectory_csv(path)
 
     def test_knot_spacing_is_the_spacing_the_integrals_use(self, tmp_path):

@@ -8,12 +8,9 @@ from oracles import (
     error_discrete_limit_form,
     error_integral_form,
     error_sum_discretization,
-)
-from plantrack.error_estimator import (
-    lag_response_matrix,
     trapezoid_quadrature,
-    trapezoid_weights,
 )
+from plantrack.error_estimator import lag_response_matrix, trapezoid_weights
 
 
 def uniform_profile(values, horizon=1.0):

