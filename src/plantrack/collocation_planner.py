@@ -24,15 +24,13 @@ The predicted error enters through the linear lag-response map
 e = L v = v0 L 1 + (L C) a, so Q = diag(2 w) + 2 mu (LC)' W (LC) with
 the trapezoid weights w, and Q is positive definite.
 
-Only mu scales the error term, so a mu sweep shares everything else.
-The grid, its weights, C and Y depend on (segments, horizon) alone and
-are shared by every controller; L, the y offset, the equality rows,
-the error terms and the error block's spectral factor form one design
-per controller (lambda, boundary data and box).  Both are built once
-and kept, read-only, in a small per-process cache.  A point's QP is
-its design at one mu: the design forms Q(mu) and c(mu) and applies
-Q(mu)^-1, and the point reads its predicted error through the
-design's L.
+Only mu scales the error term, so a mu sweep shares everything else:
+the grid, its weights, C, Y, L, the y offset, the equality rows, the
+error terms and the error block's spectral factor form one design per
+controller (grid, lambda, boundary data and box), built once and kept,
+read-only, in a small per-process cache.  A point's QP is its design
+at one mu: the design forms Q(mu) and c(mu) and applies Q(mu)^-1, and
+the point reads its predicted error through the design's L.
 
 A dual active-set loop (Goldfarb and Idnani, Math. Programming 27,
 1983; Nocedal and Wright, Numerical Optimization, 2nd ed., 16.5)
@@ -172,15 +170,21 @@ def _read_only(owner) -> None:
             array.flags.writeable = False
 
 
-class _Grid:
-    """The parts of a design fixed by (segments, horizon) alone.
+class _Design:
+    """The condensed design QP of one controller, at every mu.
 
     The knot times, the trapezoid weights, the chain C (v - v0 = C a,
-    the lag operator at lambda = 0) and Y (y - y0 - v0 t = Y a), shared
-    by every controller and every boundary data on the grid.
+    the lag operator at lambda = 0) and Y (y - y0 - v0 t = Y a) of the
+    grid, and the lag L, the y offset and the equality rows of one
+    lambda, boundary data and box; objective(mu) and inverse(mu) give a
+    point's Q, c and Q^-1.  The error terms and their spectral factor
+    are built on first use (the first mu > 0 point, or prepare), so a
+    design planned only at mu = 0 builds neither.  One instance serves
+    every mu point of a controller's sweep, and every array is read-only
+    because it is shared.
     """
 
-    def __init__(self, segments: int, horizon: float):
+    def __init__(self, segments, horizon, lam, y0, v0, yf, lower, upper, pin):
         n = segments + 1
         self.times = np.linspace(0.0, horizon, n)
         dt = _spacing(self.times)
@@ -190,35 +194,22 @@ class _Grid:
         # Row k of Y is the trapezoid chain over rows 0..k of C: O(n^2),
         # where the equivalent matrix product would be O(n^3).  Built in
         # place because at a thousand knots every fresh n x n array costs
-        # as much as the arithmetic.
+        # as much as the arithmetic.  Y grows as dt^2, so a finite horizon
+        # can still overflow it (1e160 s does).
         y_map = np.zeros((n, n))
-        np.add(C[1:], C[:-1], out=y_map[1:])
-        y_map *= 0.5 * dt
-        np.cumsum(y_map, axis=0, out=y_map)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(C[1:], C[:-1], out=y_map[1:])
+            y_map *= 0.5 * dt
+            np.cumsum(y_map, axis=0, out=y_map)
+        if not np.isfinite(y_map).all():
+            raise PlannerNumericalError(f"horizon {horizon:g} s overflows the design")
         self.y_map = y_map
-        _read_only(self)
 
-
-class _Design:
-    """The condensed design QP of one controller, at every mu.
-
-    The lag L, the y offset and the equality rows of one lambda,
-    boundary data and box on the shared grid; objective(mu) and
-    inverse(mu) give a point's Q, c and Q^-1.  The error terms and
-    their spectral factor are built on first use (the first mu > 0
-    point, or prepare), so a design planned only at mu = 0 builds
-    neither.  One instance serves every mu point of a controller's
-    sweep, and every array is read-only because it is shared.
-    """
-
-    def __init__(self, grid: _Grid, lam, y0, v0, yf, lower, upper, pin):
-        n = grid.times.size
-        self.grid = grid
-        self.lag = lag_response_matrix(grid.times, lam)
+        self.lag = lag_response_matrix(self.times, lam)
         self.v0 = v0
-        self.y_offset = y0 + v0 * grid.times
+        self.y_offset = y0 + v0 * self.times
 
-        rows = [grid.y_map[n - 1]]
+        rows = [y_map[n - 1]]
         rhs = [yf - self.y_offset[n - 1]]
         if pin:
             rows.append(np.eye(1, n)[0])
@@ -235,16 +226,21 @@ class _Design:
 
         P = (LC)' W (LC), p = (LC)' W e_free and q = e_free' W e_free,
         where e_free = v0 L 1 is the predicted error of a = 0.  LC is an
-        O(n^3) temporary formed once.
+        O(n^3) temporary formed once.  They grow as dt^3, so a finite
+        horizon can still overflow them (1e100 s does).
         """
-        quad = self.grid.quad
-        LC = self.lag @ self.grid.chain
-        weighted = LC.T * quad
-        block = weighted @ LC
-        e_free = self.v0 * self.lag.sum(axis=1)
-        p = weighted @ e_free
+        quad = self.quad
+        with np.errstate(over="ignore", invalid="ignore"):
+            LC = self.lag @ self.chain
+            weighted = LC.T * quad
+            block = weighted @ LC
+            e_free = self.v0 * self.lag.sum(axis=1)
+            p = weighted @ e_free
+            q = float(np.dot(quad, e_free**2))
+        if not all(np.isfinite(term).all() for term in (block, p, q)):
+            raise PlannerNumericalError("the error terms overflow the design")
         block.flags.writeable = p.flags.writeable = False
-        return block, p, float(np.dot(quad, e_free**2))
+        return block, p, q
 
     @functools.cached_property
     def spectral(self) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +250,7 @@ class _Design:
         SV = D^-1/2 V.  P is positive semidefinite, so s is clamped at 0
         (the computed ones reach -1e-20).
         """
-        scale = 1.0 / np.sqrt(2.0 * self.grid.quad)
+        scale = 1.0 / np.sqrt(2.0 * self.quad)
         scaled = self.weighted[0] * scale
         scaled *= scale[:, None]
         try:
@@ -274,7 +270,7 @@ class _Design:
         still overflow the terms (1e308 does); the constant mu q is not
         returned, but its overflow rejects the weight too.
         """
-        quad = self.grid.quad
+        quad = self.quad
         hessian = np.diag(2.0 * quad)
         gradient = np.zeros(quad.size)
         if mu > 0:
@@ -290,7 +286,7 @@ class _Design:
         """Q(mu)^-1 applied to vectors and column blocks, never formed: the
         reciprocal diagonal at mu = 0, else SV (r * (SV' x)), O(n^2) per column."""
         if mu == 0:
-            inverse_diagonal = 1.0 / (2.0 * self.grid.quad)
+            inverse_diagonal = 1.0 / (2.0 * self.quad)
             return lambda x: (inverse_diagonal * x.T).T
         vectors, spectrum = self.spectral
         ratio = 1.0 / (1.0 + 2.0 * mu * spectrum)
@@ -303,7 +299,7 @@ class _Design:
         bound row's rhs its bound less the y offset."""
         knots = np.concatenate([np.flatnonzero(side < 0), np.flatnonzero(side > 0)])
         bounds = np.where(side[knots] < 0, self.lower, self.upper)
-        rows = np.concatenate([self.eq_matrix, self.grid.y_map[knots]])
+        rows = np.concatenate([self.eq_matrix, self.y_map[knots]])
         rhs = np.concatenate([self.eq_rhs, bounds - self.y_offset[knots]])
         return rows, rhs, knots, bounds
 
@@ -313,24 +309,10 @@ class _Design:
 _DESIGN_CACHE_SIZE = 8
 
 
-# Horizon and lambda are validated positive, so equal floats have equal
-# bits there and plain float keys are exact.
-@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
-def _cached_grid(segments: int, horizon: float) -> _Grid:
-    return _Grid(segments, horizon)
-
-
 @functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _cached_design(segments: int, pin: bool, data: bytes) -> _Design:
     horizon, y0, v0, yf, lower, upper, lam = np.frombuffer(data).tolist()
-    grid = _cached_grid(segments, horizon)
-    return _Design(grid, lam, y0, v0, yf, lower, upper, pin)
-
-
-def _clear_caches() -> None:
-    """Drop every cached design, with its error terms and factor, and grid."""
-    for cache in (_cached_design, _cached_grid):
-        cache.cache_clear()
+    return _Design(segments, horizon, lam, y0, v0, yf, lower, upper, pin)
 
 
 def _design(problem: PlanProblem) -> _Design:
@@ -424,7 +406,7 @@ def _solve_box_qp(design: _Design, objective, apply_inverse):
     Convention: with stationarity Q a + c + A' nu = 0, an active lower
     bound carries nu <= 0 and an active upper bound nu >= 0.
     """
-    n = design.grid.times.size
+    n = design.times.size
     m_base = design.eq_matrix.shape[0]
     free_optimum = -apply_inverse(objective[1])
     tol = KKT_TOLERANCE / 10.0
@@ -459,7 +441,7 @@ def _solve_box_qp(design: _Design, objective, apply_inverse):
         # The endpoint knots are fixed by the boundary data (y_0 does not
         # depend on a, y_{n-1} is an equality row); only interior knots
         # can leave the box.
-        y = design.y_offset + design.grid.y_map @ a
+        y = design.y_offset + design.y_map @ a
         violation = np.maximum(design.lower - y, y - design.upper)
         violation[[0, n - 1]] = -np.inf
         violation[side != 0] = -np.inf
@@ -531,7 +513,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     a, mult, side, iterations = _solve_box_qp(
         design, objective, design.inverse(problem.mu)
     )
-    times = design.grid.times
+    times = design.times
     dt = _spacing(times)
     v = _trapezoid_chain(problem.v0, a, dt)
     y = _trapezoid_chain(problem.y0, v, dt)
@@ -549,12 +531,17 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     y[side > 0] = design.upper
     predicted = apply_lag(design.lag, v)
     params = problem.params
+    # Finite constants can still overflow the thrust (a mass of 1e308 does).
+    with np.errstate(over="ignore"):
+        thrust = params.mass * (a + params.gravity)
+    if not np.isfinite(thrust).all():
+        raise PlannerNumericalError("planned thrust M (a + g) overflows")
     return PlannedTrajectory(
         times=times,
         y=y,
         v=v,
         a=a,
-        u=params.mass * (a + params.gravity),
+        u=thrust,
         predicted_error=predicted,
         designed_cost=_trapezoid(times, a**2),
         predicted_error_integral=_trapezoid(times, predicted**2),

@@ -20,8 +20,9 @@ class ModelParams:
     gravity: float = 9.81
 
     def __post_init__(self):
-        if not (self.mass > 0 and self.arm_length > 0 and self.gravity > 0):
-            raise ValueError("mass, arm_length and gravity must be strictly positive")
+        constants = (self.mass, self.arm_length, self.gravity)
+        if not all(0 < value < math.inf for value in constants):
+            raise ValueError("mass, arm_length and gravity must be positive and finite")
 
     @property
     def hover_thrust(self) -> float:

@@ -363,8 +363,55 @@ class TestPlanCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == (
-            "config error: mass, arm_length and gravity must be strictly positive\n"
+            "config error: mass, arm_length and gravity must be positive and finite\n"
         )
+        assert not out.exists()
+
+    # inf > 0 holds, so positivity alone does not reject it.
+    @pytest.mark.parametrize("key", ["mass", "arm_length", "gravity"])
+    def test_infinite_model_parameter_is_a_config_error(self, key, tmp_path, capsys):
+        config = write_config(tmp_path, f"[model]\n{key} = inf\n")
+        out = tmp_path / "never"
+        code = main(
+            ["plan", "--config", config, "--pair", "-20,-200", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: mass, arm_length and gravity must be positive and finite\n"
+        )
+        assert not out.exists()
+
+    def test_overflowing_thrust_exits_without_files(self, tmp_path, capsys):
+        config = write_config(tmp_path, "[model]\nmass = 1e308\n")
+        out = tmp_path / "never"
+        code = main(
+            ["plan", "--config", config, "--pair", "-20,-200", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: planned thrust M (a + g) overflows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "horizon,mu,message",
+        [
+            # Y grows as dt^2 and overflows at the design build.
+            ("1e160", "0", "horizon 1e+160 s overflows the design"),
+            ("1e300", "0", "horizon 1e+300 s overflows the design"),
+            # Y is finite; the error terms grow as dt^3 and overflow.
+            ("1e100", "1", "the error terms overflow the design"),
+        ],
+    )
+    def test_overflowing_horizon_exits_without_files(
+        self, horizon, mu, message, tmp_path, capsys
+    ):
+        config = write_config(tmp_path, f"[plan]\nhorizon = {horizon}\n")
+        out = tmp_path / "never"
+        code = main(
+            ["plan", "--config", config, "--pair", "-10,-100", "--mu", mu,
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_unknown_pair_is_a_usage_error(self, tmp_path):
@@ -693,7 +740,7 @@ class TestSweepCommand:
         runs = {}
         for label, workers in (("cold", "1"), ("warm", "1"), ("pool", "2")):
             if label != "warm":
-                collocation_planner._clear_caches()
+                collocation_planner._cached_design.cache_clear()
             out = tmp_path / label
             assert main(
                 ["sweep", "--config", config, "--out", str(out), "--workers", workers]
@@ -720,7 +767,7 @@ class TestSweepCommand:
             return eigh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        collocation_planner._clear_caches()
+        collocation_planner._cached_design.cache_clear()
         config = write_config(
             tmp_path, REDUCED_SWEEP.replace("-20,-200", "-10,-100; -20,-200")
         )
@@ -758,10 +805,9 @@ class TestSweepCommand:
             out / "manifest.json"
         ).read_bytes()
 
-    def test_default_sweep_shares_one_chain_across_controllers(self, tmp_path, monkeypatch):
-        # The four controllers share one grid, so the chain (lambda = 0)
-        # is built once; each controller builds one design and its lag
-        # once, and every point reuses both.
+    def test_default_sweep_builds_each_design_once(self, tmp_path, monkeypatch):
+        # Each controller builds one design, with its chain (lambda = 0)
+        # and its lag, once, and every point reuses it.
         built = []
 
         def counting(times, lam):
@@ -770,12 +816,29 @@ class TestSweepCommand:
 
         for module in (collocation_planner, error_estimator):
             monkeypatch.setattr(module, "lag_response_matrix", counting)
-        collocation_planner._clear_caches()
+        collocation_planner._cached_design.cache_clear()
         assert main(["sweep", "--out", str(tmp_path / "out")]) == 0
-        assert sorted(built) == [0.0, 10.0, 20.0, 30.0, 50.0]
-        # Each cache miss constructs one grid or design.
-        assert collocation_planner._cached_grid.cache_info().misses == 1
+        assert sorted(built) == [0.0, 0.0, 0.0, 0.0, 10.0, 20.0, 30.0, 50.0]
+        # Each cache miss constructs one design.
         assert collocation_planner._cached_design.cache_info().misses == 4
+
+    @pytest.mark.parametrize("horizon", ["1e160", "1e300"])
+    def test_overflowing_horizon_fails_every_pair(self, horizon, tmp_path, capsys):
+        config = write_config(
+            tmp_path, f"[plan]\nhorizon = {horizon}\n[mu_grid]\ncount = 1\n"
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 1
+        message = (
+            f"sweep failed at mu = 0: horizon {float(horizon):g} s overflows the design"
+        )
+        slugs = ["10_100", "20_200", "30_300", "50_500"]
+        assert capsys.readouterr().err == "".join(
+            f"sweep {slug}: {message}\n" for slug in slugs
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == dict.fromkeys(slugs, message)
+        assert manifest["files"] == {}
 
     def test_zero_workers_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "never"
@@ -870,7 +933,7 @@ class TestSweepCommand:
         )
         runs = []
         for workers in ("1", "2"):
-            collocation_planner._clear_caches()
+            collocation_planner._cached_design.cache_clear()
             out = tmp_path / f"workers{workers}"
             code = main(
                 ["sweep", "--config", config, "--out", str(out), "--workers", workers]
@@ -878,7 +941,7 @@ class TestSweepCommand:
             runs.append(
                 (code, capsys.readouterr().err, (out / "manifest.json").read_bytes())
             )
-        collocation_planner._clear_caches()
+        collocation_planner._cached_design.cache_clear()
         assert runs[1] == runs[0]
         message = (
             "sweep failed at mu = 1: error block factor failed: "
@@ -975,7 +1038,7 @@ class TestSweepCommand:
             return eigh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        collocation_planner._clear_caches()
+        collocation_planner._cached_design.cache_clear()
         pairs = "; ".join(f"-{slow},-{10 * slow}" for slow in range(10, 11 + size))
         config = write_config(tmp_path, REDUCED_SWEEP.replace("-20,-200", pairs))
         out = tmp_path / "out"

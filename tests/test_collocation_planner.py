@@ -84,10 +84,10 @@ class TestTranscription:
         design = collocation_planner._design(PlanProblem())
         hessian, gradient = design.objective(0.0)
         n = 61
-        assert design.grid.times.shape == (n,)
+        assert design.times.shape == (n,)
         assert hessian.shape == (n, n)
         assert gradient.shape == (n,)
-        assert design.grid.y_map.shape == (n, n)
+        assert design.y_map.shape == (n, n)
         assert design.y_offset.shape == (n,)
         # The yf row is the only equality row left.
         assert design.eq_matrix.shape == (1, n)
@@ -96,8 +96,8 @@ class TestTranscription:
 
     def test_boundary_rows_carry_the_problem_data(self):
         design = collocation_planner._design(PlanProblem(y0=0.5, v0=-2.0, yf=4.0))
-        assert np.array_equal(design.y_offset, 0.5 - 2.0 * design.grid.times)
-        assert np.array_equal(design.eq_matrix[0], design.grid.y_map[-1])
+        assert np.array_equal(design.y_offset, 0.5 - 2.0 * design.times)
+        assert np.array_equal(design.eq_matrix[0], design.y_map[-1])
         assert design.eq_rhs[0] == 4.0 - (0.5 - 2.0 * 1.0)
 
     def test_initial_accel_row_is_optional(self):
@@ -119,7 +119,7 @@ class TestTranscription:
         assert not gradient.any()
         # No constant: 1/2 a'Qa alone is the trapezoid integral of a^2.
         a = np.random.default_rng(3).uniform(-50.0, 50.0, 61)
-        integral = trapezoid_quadrature(design.grid.times, a**2)
+        integral = trapezoid_quadrature(design.times, a**2)
         assert 0.5 * a @ (hessian @ a) == pytest.approx(integral, rel=1e-12)
 
     def test_weighted_velocity_block_is_psd(self):
@@ -140,7 +140,7 @@ class TestTranscription:
         for k in range(1, 41):
             v[k] = v[k - 1] + 0.5 * dt * (a[k] + a[k - 1])
             y[k] = y[k - 1] + 0.5 * dt * (v[k] + v[k - 1])
-        y_map = design.grid.y_map
+        y_map = design.y_map
         assert np.allclose(design.y_offset + y_map @ a, y, rtol=0, atol=1e-12)
         assert not np.triu(y_map, 1).any()
 
@@ -426,7 +426,7 @@ def test_spectral_apply_matches_a_dense_solve(template, lam):
     design = collocation_planner._design(problem)
     # The columns a working-set solve applies Q^-1 to: the equality rows
     # and box rows along the grid.
-    columns = np.column_stack([design.eq_matrix.T, design.grid.y_map[1:-1:7].T])
+    columns = np.column_stack([design.eq_matrix.T, design.y_map[1:-1:7].T])
     for mu in RunConfig().mu_grid()[1:]:
         hessian, _ = design.objective(mu)
         apply_inverse = design.inverse(mu)
@@ -453,7 +453,7 @@ def test_one_eigendecomposition_per_controller_sweep(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     monkeypatch.setattr(np.linalg, "inv", forbidden)
-    _clear_design_caches()
+    collocation_planner._cached_design.cache_clear()
     grid = RunConfig().mu_grid()
     solve(dataclasses.replace(_BOUNDED_TEMPLATE, mu=0.0))
     assert calls == []
@@ -474,10 +474,10 @@ def test_failed_factorization_is_a_planner_error(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
-    _clear_design_caches()
+    collocation_planner._cached_design.cache_clear()
     with pytest.raises(PlannerNumericalError, match="did not converge"):
         solve(PlanProblem(mu=1.0))
-    _clear_design_caches()
+    collocation_planner._cached_design.cache_clear()
 
 
 def test_active_set_iterations_follow_the_working_set_path():
@@ -498,10 +498,6 @@ def test_active_set_iterations_follow_the_working_set_path():
         for mu in grid
     )
     assert total == 171
-
-
-def _clear_design_caches():
-    collocation_planner._clear_caches()
 
 
 def _trajectory_bytes(traj):
@@ -604,18 +600,18 @@ class TestDesignCache:
     ]
 
     def test_cold_warm_and_interleaved_solves_are_byte_equal(self):
-        _clear_design_caches()
+        collocation_planner._cached_design.cache_clear()
         cold = []
         for problem in self.PROBLEMS:
-            _clear_design_caches()
+            collocation_planner._cached_design.cache_clear()
             cold.append(_trajectory_bytes(solve(problem)))
         # Warm: each problem's design was built by its predecessor with
         # the same template and lambda.
-        _clear_design_caches()
+        collocation_planner._cached_design.cache_clear()
         warm = [_trajectory_bytes(solve(problem)) for problem in self.PROBLEMS]
         # Interleaved point by point across pairs, as a latency probe
         # orders them; more designs than the cache holds.
-        _clear_design_caches()
+        collocation_planner._cached_design.cache_clear()
         order = sorted(
             range(len(self.PROBLEMS)), key=lambda i: (self.PROBLEMS[i].mu, i)
         )
@@ -629,14 +625,14 @@ class TestDesignCache:
         design = collocation_planner._design(problem)
         hessian, gradient = design.objective(problem.mu)
         shared = [
-            design.grid.times,
+            design.times,
             design.eq_matrix,
             design.eq_rhs,
-            design.grid.y_map,
+            design.y_map,
             design.y_offset,
             traj.times,
-            design.grid.quad,
-            design.grid.chain,
+            design.quad,
+            design.chain,
             design.lag,
             *design.weighted[:2],
             *design.spectral,
@@ -655,7 +651,7 @@ class TestDesignCache:
             return lag_response_matrix(times, lam)
 
         monkeypatch.setattr(collocation_planner, "lag_response_matrix", counting)
-        _clear_design_caches()
+        collocation_planner._cached_design.cache_clear()
         problem = PlanProblem(v0=2.0, dominant_lambda=20.0)
         design = collocation_planner._design(problem)
         assert built == [0.0, 20.0]
@@ -667,29 +663,29 @@ class TestDesignCache:
             estimate = error_integral_form(VelocityProfile(traj.times, traj.v), 20.0)
             assert traj.predicted_error.tobytes() == estimate.tobytes()
         assert built == [0.0, 20.0]
-        times = design.grid.times
+        times = design.times
         assert design.lag.tobytes() == lag_matrix_from_scratch(times, 20.0).tobytes()
         other = collocation_planner._design(
             dataclasses.replace(problem, dominant_lambda=30.0)
         )
         assert other is not design
-        # Another lambda is another lag on the same grid and chain.
-        assert built == [0.0, 20.0, 30.0]
+        # Another lambda is another design, with a chain and a lag of its own.
+        assert built == [0.0, 20.0, 0.0, 30.0]
         with pytest.raises(ValueError):
             lag_response_matrix(np.stack([times, times]), 20.0)
 
-    def test_controllers_share_the_grid_arrays(self):
-        _clear_design_caches()
+    def test_controllers_build_equal_grid_arrays(self):
+        collocation_planner._cached_design.cache_clear()
         problems = [
             dataclasses.replace(_BOUNDED_TEMPLATE, mu=1.0, v0=v0, dominant_lambda=lam)
             for v0 in (30.0, -5.0)
             for lam in (10.0, 20.0)
         ]
         designs = [collocation_planner._design(problem) for problem in problems]
-        grids = [design.grid for design in designs]
-        for grid in grids[1:]:
+        for design in designs[1:]:
             for name in ("times", "quad", "chain", "y_map"):
-                assert getattr(grid, name) is getattr(grids[0], name), name
+                first = getattr(designs[0], name)
+                assert getattr(design, name).tobytes() == first.tobytes(), name
         # The lag, the error block and its factor follow lambda, not the
         # boundary data; the linear error term follows v0.
         assert designs[1].lag.tobytes() != designs[0].lag.tobytes()
@@ -713,13 +709,13 @@ class TestDesignCache:
         design = collocation_planner._design(problem)
         hessian, gradient = design.objective(problem.mu)
         built = dict(
-            times=design.grid.times,
+            times=design.times,
             hessian=hessian,
             gradient=gradient,
             constant=problem.mu * design.weighted[2] if problem.mu > 0 else 0.0,
             eq_matrix=design.eq_matrix,
             eq_rhs=design.eq_rhs,
-            y_map=design.grid.y_map,
+            y_map=design.y_map,
             y_offset=design.y_offset,
             lower=design.lower,
             upper=design.upper,
@@ -729,7 +725,7 @@ class TestDesignCache:
 
     @pytest.mark.parametrize("problem", PROBLEMS[::3])
     def test_design_equals_the_formula_bit_for_bit(self, problem):
-        _clear_design_caches()
+        collocation_planner._cached_design.cache_clear()
         self.assert_design_is_the_formula(problem)  # cold
         self.assert_design_is_the_formula(problem)  # from the cache
 
@@ -754,7 +750,7 @@ class TestDesignCache:
             solve(PlanProblem(segments=segments, mu=1.0))
         info = collocation_planner._cached_design.cache_info()
         assert info.currsize <= info.maxsize
-        _clear_design_caches()  # release the large design for later tests
+        collocation_planner._cached_design.cache_clear()  # release the large design for later tests
 
 
 @st.composite

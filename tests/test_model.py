@@ -11,7 +11,7 @@ def test_default_params_match_reference_vehicle(params):
 
 
 @pytest.mark.parametrize("field", ["mass", "arm_length", "gravity"])
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
 def test_params_must_be_positive(field, bad):
     values = {"mass": 0.54, "arm_length": 0.12164, "gravity": 9.81}
     values[field] = bad

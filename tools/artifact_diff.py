@@ -16,6 +16,10 @@ DIR's, each in its own temporary directory, with
   grid, 0.7005 s in 47 segments, whose knot spacing is no round number
   (v0 = 1.3, pairs -10,-100 and -30,-300, four weights), and ``plan``
   and ``track`` on it for -30,-300 at mu = 3.5;
+- ``sweep`` under ``--workers 1`` and ``--workers 2`` on a nine-pair
+  INI, -10,-100 through -18,-180 at one weight, one pair more than the
+  planner's design cache holds, so the last pair builds its design
+  after the sweep's build-ahead;
 - ``sweep`` under ``--workers 1`` and ``--workers 2`` on a dip INI,
   the default climb started at v0 = -30, whose planner pins knots to
   both bounds (101 of its 124 points pin a lower and an upper knot),
@@ -64,6 +68,7 @@ BOUNDED_INI = "bounded.ini"
 FAILING_INI = "failing.ini"
 AWKWARD_INI = "awkward.ini"
 DIP_INI = "dip.ini"
+NINE_PAIRS_INI = "nine_pairs.ini"
 # -50,-500 gets the step 1/167 s, where |lambda_fast| h = 2.99 > 2.78.
 FAILING_SWEEP = """\
 [controllers]
@@ -90,6 +95,15 @@ v0 = 1.3
 
 [mu_grid]
 count = 4
+"""
+
+# One pair more than the planner caches designs.
+NINE_PAIRS = f"""\
+[controllers]
+pairs = {'; '.join(f'-{slow},-{10 * slow}' for slow in range(10, 19))}
+
+[mu_grid]
+count = 1
 """
 
 # Starting downward at 30 m/s, the climb dips to the floor and then
@@ -162,6 +176,8 @@ def commands() -> list[list[str]]:
                      "--workers", workers])
         runs.append(["sweep", "--config", DIP_INI, "--out", f"dip_w{workers}",
                      "--workers", workers])
+        runs.append(["sweep", "--config", NINE_PAIRS_INI,
+                     "--out", f"nine_pairs_w{workers}", "--workers", workers])
     runs.append(["plan", "--config", AWKWARD_INI, "--pair", "-30,-300", "--mu", "3.5",
                  "--out", "plan_awkward"])
     runs.append(["track", "plan_awkward/trajectory.csv", "--config", AWKWARD_INI,
@@ -202,6 +218,7 @@ def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
     (work / FAILING_INI).write_text(FAILING_SWEEP)
     (work / AWKWARD_INI).write_text(AWKWARD_GRID)
     (work / DIP_INI).write_text(DIP)
+    (work / NINE_PAIRS_INI).write_text(NINE_PAIRS)
     for name, text in PLANNER_ERROR_INIS.items():
         (work / name).write_text(text)
     for name, text in (MALFORMED_TRAJECTORIES | MALFORMED_FRONTIERS).items():
