@@ -2,46 +2,10 @@
 
     python3 tools/artifact_diff.py --parent DIR
 
-Runs one fixed command set with this checkout's ``src`` and again with
-DIR's, each in its own temporary directory, with
-``PYTHONPATH=<checkout>/src`` and ``PYTHONDONTWRITEBYTECODE=1``:
-
-- ``sweep`` on the built-in config, on the bounded_sweep INI
-  (``perfbench/workloads.py bounded_sweep 0``) and on a failing INI
-  whose second pair (-50,-500) breaks the RK4 step rule, each under
-  ``--workers 1`` and ``--workers 2``; the failing sweep exits 1 and
-  writes the first pair's files and a manifest with a ``failures``
-  entry;
-- ``sweep`` under ``--workers 1`` and ``--workers 2`` on an awkward
-  grid, 0.7005 s in 47 segments, whose knot spacing is no round number
-  (v0 = 1.3, pairs -10,-100 and -30,-300, four weights), and ``plan``
-  and ``track`` on it for -30,-300 at mu = 3.5;
-- ``sweep`` under ``--workers 1`` and ``--workers 2`` on a nine-pair
-  INI, -10,-100 through -18,-180 at one weight, one pair more than the
-  planner's design cache holds, so the last pair builds its design
-  after the sweep's build-ahead;
-- ``sweep`` under ``--workers 1`` and ``--workers 2`` on a dip INI,
-  the default climb started at v0 = -30, whose planner pins knots to
-  both bounds (101 of its 124 points pin a lower and an upper knot),
-  and ``plan`` and ``track`` on it for -10,-100 at mu = 100;
-- ``plan`` and ``track`` for the four default pairs at mu = 0, 3.5
-  and 1e3;
-- ``stiffness`` on each pair's frontier from the one-worker default
-  sweep;
-- ``track`` of the -10,-100 mu = 3.5 trajectory and ``stiffness`` of
-  -10,-100's default frontier, each copied with a comment line, an empty
-  line and a trailing ``# note`` on its first row, which the readers skip;
-- ``track`` of six small malformed trajectory CSVs, written next to
-  the INIs: a t column shifted off 0, a non-uniform one and a
-  decreasing one, a column renamed ``acc``, an extra header column and
-  a header with no rows; and ``stiffness`` of two malformed frontier
-  CSVs: a renamed column and an ``inf`` cell.  Each exits 1 with one
-  ``error:`` line on stderr and writes nothing;
-- ``plan`` on three problems the planner rejects: -10,-100 at
-  mu = 1e308, an INI whose ``yf`` lies above ``y_max``, and an INI with
-  v0 = 1e9 for -50,-500 at mu = 1e304, where only the objective's
-  constant overflows.  Each exits 1 with one ``error:`` line and writes
-  nothing.
+Runs the plantrack commands of ``RUNS`` in order, once with this
+checkout's ``src`` and once with DIR's, each time in a new temporary
+directory that starts with the files of ``INPUTS``, with
+``PYTHONPATH=<checkout>/src`` and ``PYTHONDONTWRITEBYTECODE=1``.
 
 Exit codes, stdout, stderr and every file written are compared byte for
 byte.  For a file that differs, the largest relative difference between
@@ -62,85 +26,43 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PAIRS = ("-10,-100", "-20,-200", "-30,-300", "-50,-500")
-MUS = ("0", "3.5", "1e3")
-BOUNDED_INI = "bounded.ini"
-FAILING_INI = "failing.ini"
-AWKWARD_INI = "awkward.ini"
-DIP_INI = "dip.ini"
-NINE_PAIRS_INI = "nine_pairs.ini"
-# -50,-500 gets the step 1/167 s, where |lambda_fast| h = 2.99 > 2.78.
-FAILING_SWEEP = """\
-[controllers]
-pairs = -10,-100; -50,-500
-
-[sim]
-max_step = 0.016
-pole_fraction = 3.0
-
-[mu_grid]
-count = 3
-"""
-
-# Knots 0.7005 / 47 s apart: the planner, the reader and the simulator
-# must all take that spacing with the same bits.
-AWKWARD_GRID = """\
-[controllers]
-pairs = -10,-100; -30,-300
-
-[plan]
-horizon = 0.7005
-segments = 47
-v0 = 1.3
-
-[mu_grid]
-count = 4
-"""
-
-# One pair more than the planner caches designs.
-NINE_PAIRS = f"""\
-[controllers]
-pairs = {'; '.join(f'-{slow},-{10 * slow}' for slow in range(10, 19))}
-
-[mu_grid]
-count = 1
-"""
-
-# Starting downward at 30 m/s, the climb dips to the floor and then
-# overshoots the ceiling: working sets with lower and upper knots.
-DIP = """\
-[plan]
-v0 = -30
-"""
-
-# Planner inputs rejected before the active-set loop: yf outside [y_min, y_max],
-# and a start so fast that mu = 1e304 overflows the objective's constant.
-OUTSIDE_BOX_INI = "outside_box.ini"
-FAST_START_INI = "fast_start.ini"
-PLANNER_ERROR_INIS = {
-    OUTSIDE_BOX_INI: "[plan]\nyf = 6.0\n",
-    FAST_START_INI: "[plan]\nv0 = 1e9\n",
-}
-
-# Trajectory CSVs whose t column the reader rejects, one check each.
-MALFORMED_TIMES = {
-    "shifted.csv": (0.5, 1.0, 1.5),
-    "nonuniform.csv": (0.0, 0.5, 1.25),
-    "decreasing.csv": (0.0, 1.0, 0.5),
-}
 TRAJECTORY_HEADER = "t,y,v,a,u,e_pred\n"
 FRONTIER_HEADER = ("mu,designed_cost,predicted_error_sq_integral,actual_cost,"
                    "actual_error_sq_integral\n")
-# CSVs whose header or cells the readers reject: trajectories for track,
-# frontiers for stiffness.
-MALFORMED_TRAJECTORIES = {
-    **{name: TRAJECTORY_HEADER + "".join(f"{t!r},0,0,0,0,0\n" for t in times)
-       for name, times in MALFORMED_TIMES.items()},
+
+# The files each run directory starts with, name -> text.  None stands for
+# the INI that ``perfbench/workloads.py bounded_sweep 0`` prints, read in main.
+INPUTS = {
+    # perfbench's bounded sweep: the toss clamps at y_max.
+    "bounded.ini": None,
+    # -50,-500 gets the step 1/167 s, where |lambda_fast| h = 2.99 > 2.78.
+    "failing.ini": "[controllers]\npairs = -10,-100; -50,-500\n\n[sim]\nmax_step = 0.016\n"
+                   "pole_fraction = 3.0\n\n[mu_grid]\ncount = 3\n",
+    # Knots 0.7005 / 47 s apart: the planner, the reader and the simulator
+    # must all take that spacing with the same bits.
+    "awkward.ini": "[controllers]\npairs = -10,-100; -30,-300\n\n[plan]\nhorizon = 0.7005\n"
+                   "segments = 47\nv0 = 1.3\n\n[mu_grid]\ncount = 4\n",
+    # Starting downward at 30 m/s, the climb dips to the floor and then
+    # overshoots the ceiling: working sets with lower and upper knots.
+    "dip.ini": "[plan]\nv0 = -30\n",
+    # One pair more than the planner caches designs, at one weight.
+    "nine_pairs.ini": "[controllers]\npairs = "
+                      + "; ".join(f"-{slow},-{10 * slow}" for slow in range(10, 19))
+                      + "\n\n[mu_grid]\ncount = 1\n",
+    # Planner inputs rejected before the active-set loop: yf outside [y_min, y_max],
+    # and a start so fast that mu = 1e304 overflows the objective's constant.
+    "outside_box.ini": "[plan]\nyf = 6.0\n",
+    "fast_start.ini": "[plan]\nv0 = 1e9\n",
+    # Trajectory CSVs the reader rejects, one check each: a t column shifted
+    # off 0, a non-uniform and a decreasing one, a renamed and an extra
+    # header column, and a header with no rows.
+    "shifted.csv": TRAJECTORY_HEADER + "0.5,0,0,0,0,0\n1.0,0,0,0,0,0\n1.5,0,0,0,0,0\n",
+    "nonuniform.csv": TRAJECTORY_HEADER + "0.0,0,0,0,0,0\n0.5,0,0,0,0,0\n1.25,0,0,0,0,0\n",
+    "decreasing.csv": TRAJECTORY_HEADER + "0.0,0,0,0,0,0\n1.0,0,0,0,0,0\n0.5,0,0,0,0,0\n",
     "renamed.csv": "t,y,v,acc,u,e_pred\n0,0,0,0,0,0\n0.5,0,0,0,0,0\n",
     "extra_column.csv": "t,y,v,a,u,e_pred,junk\n0,0,0,0,0,0,0\n0.5,0,0,0,0,0,0\n",
     "header_only.csv": TRAJECTORY_HEADER,
-}
-MALFORMED_FRONTIERS = {
+    # Frontier CSVs the reader rejects: a renamed column and an inf cell.
     "frontier_renamed.csv": FRONTIER_HEADER.replace("designed_cost", "designed")
     + "0,75,1,80,1\n10,76,0.5,78,1\n",
     "frontier_inf.csv": FRONTIER_HEADER + "0,75,1,80,1\n10,76,inf,78,1\n",
@@ -159,70 +81,78 @@ def decorate(text: str) -> str:
             + "\n" + "".join(rest))
 
 
+ONCE = ({},)
+WORKERS = ({"w": "1"}, {"w": "2"})
+DEFAULT_PAIRS = tuple({"pair": pair, "slug": pair.replace("-", "").replace(",", "_")}
+                      for pair in ("-10,-100", "-20,-200", "-30,-300", "-50,-500"))
+
+# The runs in order, as groups (fields, rows): a group's rows are run in
+# turn for each of its fields, so every sweep runs under --workers 1 first.
+RUNS = (
+    (WORKERS, (
+        "sweep --out default_w{w} --workers {w}",
+        "sweep --config bounded.ini --out bounded_w{w} --workers {w}",
+        # Exits 1 and writes the first pair's files and a failures entry.
+        "sweep --config failing.ini --out failing_w{w} --workers {w}",
+        "sweep --config awkward.ini --out awkward_w{w} --workers {w}",
+        # 101 of the 124 points pin a lower and an upper knot.
+        "sweep --config dip.ini --out dip_w{w} --workers {w}",
+        # The last pair builds its design after the sweep's build-ahead.
+        "sweep --config nine_pairs.ini --out nine_pairs_w{w} --workers {w}",
+    )),
+    (ONCE, (
+        # The awkward knot spacing and the two-sided working sets through track.
+        "plan --config awkward.ini --pair -30,-300 --mu 3.5 --out plan_awkward",
+        "track plan_awkward/trajectory.csv --config awkward.ini --pair -30,-300 --mu 3.5"
+        " --out track_awkward",
+        "plan --config dip.ini --pair -10,-100 --mu 100 --out plan_dip",
+        "track plan_dip/trajectory.csv --config dip.ini --pair -10,-100 --mu 100"
+        " --out track_dip",
+    )),
+    (DEFAULT_PAIRS, (
+        # Each default pair at three weights, and the spring of its frontier.
+        "plan --pair {pair} --mu 0 --out plan_{slug}_0",
+        "track plan_{slug}_0/trajectory.csv --pair {pair} --mu 0 --out track_{slug}_0",
+        "plan --pair {pair} --mu 3.5 --out plan_{slug}_3.5",
+        "track plan_{slug}_3.5/trajectory.csv --pair {pair} --mu 3.5 --out track_{slug}_3.5",
+        "plan --pair {pair} --mu 1e3 --out plan_{slug}_1e3",
+        "track plan_{slug}_1e3/trajectory.csv --pair {pair} --mu 1e3 --out track_{slug}_1e3",
+        "stiffness default_w1/frontier_{slug}.csv --pair {pair} --out stiffness",
+    )),
+    (ONCE, (
+        # The DECORATED copies, which the readers must read as the originals.
+        "track decorated_trajectory.csv --pair -10,-100 --mu 3.5 --out track_decorated",
+        "stiffness decorated_frontier.csv --pair -10,-100 --out stiffness_decorated",
+        # Malformed CSVs: each exits 1 with one error: line and writes nothing.
+        "track shifted.csv --pair -20,-200 --out track_shifted",
+        "track nonuniform.csv --pair -20,-200 --out track_nonuniform",
+        "track decreasing.csv --pair -20,-200 --out track_decreasing",
+        "track renamed.csv --pair -20,-200 --out track_renamed",
+        "track extra_column.csv --pair -20,-200 --out track_extra_column",
+        "track header_only.csv --pair -20,-200 --out track_header_only",
+        "stiffness frontier_renamed.csv --out stiffness_frontier_renamed",
+        "stiffness frontier_inf.csv --out stiffness_frontier_inf",
+        # Problems the planner rejects, the same way.
+        "plan --pair -10,-100 --mu 1e308 --out plan_huge_mu",
+        "plan --config outside_box.ini --pair -10,-100 --out plan_outside_box",
+        "plan --config fast_start.ini --pair -50,-500 --mu 1e304 --out plan_fast_start",
+    )),
+)
+
 # A decimal number standing alone: not part of a word such as a checksum.
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 def commands() -> list[list[str]]:
     """The plantrack argument lists, run in order in one directory."""
-    runs = []
-    for workers in ("1", "2"):
-        runs.append(["sweep", "--out", f"default_w{workers}", "--workers", workers])
-        runs.append(["sweep", "--config", BOUNDED_INI, "--out", f"bounded_w{workers}",
-                     "--workers", workers])
-        runs.append(["sweep", "--config", FAILING_INI, "--out", f"failing_w{workers}",
-                     "--workers", workers])
-        runs.append(["sweep", "--config", AWKWARD_INI, "--out", f"awkward_w{workers}",
-                     "--workers", workers])
-        runs.append(["sweep", "--config", DIP_INI, "--out", f"dip_w{workers}",
-                     "--workers", workers])
-        runs.append(["sweep", "--config", NINE_PAIRS_INI,
-                     "--out", f"nine_pairs_w{workers}", "--workers", workers])
-    runs.append(["plan", "--config", AWKWARD_INI, "--pair", "-30,-300", "--mu", "3.5",
-                 "--out", "plan_awkward"])
-    runs.append(["track", "plan_awkward/trajectory.csv", "--config", AWKWARD_INI,
-                 "--pair", "-30,-300", "--mu", "3.5", "--out", "track_awkward"])
-    runs.append(["plan", "--config", DIP_INI, "--pair", "-10,-100", "--mu", "100",
-                 "--out", "plan_dip"])
-    runs.append(["track", "plan_dip/trajectory.csv", "--config", DIP_INI,
-                 "--pair", "-10,-100", "--mu", "100", "--out", "track_dip"])
-    for pair in PAIRS:
-        slug = pair.replace("-", "").replace(",", "_")
-        for mu in MUS:
-            plan, track = f"plan_{slug}_{mu}", f"track_{slug}_{mu}"
-            runs.append(["plan", "--pair", pair, "--mu", mu, "--out", plan])
-            runs.append(["track", f"{plan}/trajectory.csv", "--pair", pair,
-                         "--mu", mu, "--out", track])
-        runs.append(["stiffness", f"default_w1/frontier_{slug}.csv", "--pair", pair,
-                     "--out", "stiffness"])
-    runs.append(["track", "decorated_trajectory.csv", "--pair", "-10,-100", "--mu", "3.5",
-                 "--out", "track_decorated"])
-    runs.append(["stiffness", "decorated_frontier.csv", "--pair", "-10,-100",
-                 "--out", "stiffness_decorated"])
-    for name in MALFORMED_TRAJECTORIES:
-        runs.append(["track", name, "--pair", "-20,-200",
-                     "--out", "track_" + name.removesuffix(".csv")])
-    for name in MALFORMED_FRONTIERS:
-        runs.append(["stiffness", name, "--out", "stiffness_" + name.removesuffix(".csv")])
-    runs.append(["plan", "--pair", "-10,-100", "--mu", "1e308", "--out", "plan_huge_mu"])
-    runs.append(["plan", "--config", OUTSIDE_BOX_INI, "--pair", "-10,-100",
-                 "--out", "plan_outside_box"])
-    runs.append(["plan", "--config", FAST_START_INI, "--pair", "-50,-500",
-                 "--mu", "1e304", "--out", "plan_fast_start"])
-    return runs
+    return [row.format(**fields).split()
+            for each, rows in RUNS for fields in each for row in rows]
 
 
 def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
     """Run every command against ``checkout``'s src inside ``work``."""
-    (work / BOUNDED_INI).write_text(bounded_ini)
-    (work / FAILING_INI).write_text(FAILING_SWEEP)
-    (work / AWKWARD_INI).write_text(AWKWARD_GRID)
-    (work / DIP_INI).write_text(DIP)
-    (work / NINE_PAIRS_INI).write_text(NINE_PAIRS)
-    for name, text in PLANNER_ERROR_INIS.items():
-        (work / name).write_text(text)
-    for name, text in (MALFORMED_TRAJECTORIES | MALFORMED_FRONTIERS).items():
-        (work / name).write_text(text)
+    for name, text in INPUTS.items():
+        (work / name).write_text(bounded_ini if text is None else text)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     results = []
     for args in commands():
