@@ -98,6 +98,11 @@ class RunConfig:
                     f" share the file label {slug!r}"
                 )
             labels[slug] = pair
+            # The vehicle's mass scales the gains, which can overflow.
+            try:
+                design_controller(pair, self.params)
+            except ValueError as exc:
+                raise ConfigError(f"pair {_pair_text(pair)}: {exc}") from exc
         try:
             self.problem_template()
         except ValueError as exc:

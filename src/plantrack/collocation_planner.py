@@ -207,10 +207,17 @@ class _Design:
 
         self.lag = lag_response_matrix(self.times, lam)
         self.v0 = v0
-        self.y_offset = y0 + v0 * self.times
+        # A finite start speed can still overflow the coasting altitude
+        # y0 + v0 t or the climb left to the final knot.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.y_offset = y0 + v0 * self.times
+            rhs = [yf - self.y_offset[n - 1]]
+        if not (np.isfinite(self.y_offset).all() and np.isfinite(rhs[0])):
+            raise PlannerNumericalError(
+                f"v0 {v0:g} m/s over horizon {horizon:g} s overflows the design"
+            )
 
         rows = [y_map[n - 1]]
-        rhs = [yf - self.y_offset[n - 1]]
         if pin:
             rows.append(np.eye(1, n)[0])
             rhs.append(0.0)
@@ -531,7 +538,7 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
     y[side > 0] = design.upper
     predicted = apply_lag(design.lag, v)
     params = problem.params
-    # Finite constants can still overflow the thrust (a mass of 1e308 does).
+    # Finite constants can still overflow the thrust (a mass of 1e307 does).
     with np.errstate(over="ignore"):
         thrust = params.mass * (a + params.gravity)
     if not np.isfinite(thrust).all():

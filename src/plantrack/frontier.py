@@ -25,17 +25,17 @@ from .tracking_sim import SimConfig, simulate
 class SweepError(RuntimeError):
     """A planner or simulator failure inside a sweep; carries mu.
 
-    It pickles as (mu, the cause's message), so a failure inside a pool
-    worker reaches the parent whether or not the cause itself pickles.
+    Its args are (mu, the cause's message), so a failure inside a pool
+    worker pickles to the parent whether or not the cause itself pickles.
     """
 
     def __init__(self, mu: float, cause: Exception | str):
-        super().__init__(f"sweep failed at mu = {mu:g}: {cause}")
         self.mu = mu
         self.reason = str(cause)
+        super().__init__(mu, self.reason)
 
-    def __reduce__(self):
-        return type(self), (self.mu, self.reason)
+    def __str__(self):
+        return f"sweep failed at mu = {self.mu:g}: {self.reason}"
 
 
 @dataclass(frozen=True)

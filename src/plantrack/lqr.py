@@ -50,8 +50,8 @@ class ControllerSpec:
     k2: float
 
     def __post_init__(self):
-        if not (self.k1 > 0 and self.k2 > 0):
-            raise ValueError("gains must be strictly positive for a stable pair")
+        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
+            raise ValueError("gains must be positive and finite for a stable pair")
 
     @property
     def n1(self) -> float:

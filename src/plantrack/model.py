@@ -23,6 +23,10 @@ class ModelParams:
         constants = (self.mass, self.arm_length, self.gravity)
         if not all(0 < value < math.inf for value in constants):
             raise ValueError("mass, arm_length and gravity must be positive and finite")
+        if not math.isfinite(self.hover_thrust):
+            raise ValueError(
+                f"hover thrust mass * gravity overflows ({self.mass!r} * {self.gravity!r})"
+            )
 
     @property
     def hover_thrust(self) -> float:

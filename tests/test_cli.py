@@ -54,6 +54,33 @@ REDUCED_SWEEP = """\
 """
 
 
+# A start so fast that the coasting altitude y0 + v0 t overflows.
+OVERFLOWING_START = """\
+    [plan]
+    horizon = 1e120
+    v0 = 1e200
+    y_min = -1e300
+    y_max = 1e300
+"""
+
+
+def too_long(horizon, steps, step="0.001"):
+    """select_step's message for a flight over the step bound."""
+    return (
+        f"a {horizon} s flight takes {steps} RK4 steps of {step} s,"
+        " over the bound of 1000000"
+    )
+
+
+def too_long_for_each_pair(horizon: float) -> dict[str, str]:
+    """too_long by default pair: each flies its own raw RK4 step."""
+    return {
+        slug: too_long(f"{horizon:g}", f"{horizon / step:.3g}", f"{step:g}")
+        for slug, step in (("10_100", 1e-3), ("20_200", 1e-3),
+                           ("30_300", 0.2 / 300), ("50_500", 0.2 / 500))
+    }
+
+
 @pytest.fixture(scope="module")
 def sweep_artifacts(tmp_path_factory):
     """One reduced sweep (single pair, grid {0, 100, 2000}) for reuse."""
@@ -382,13 +409,56 @@ class TestPlanCommand:
         assert not out.exists()
 
     def test_overflowing_thrust_exits_without_files(self, tmp_path, capsys):
-        config = write_config(tmp_path, "[model]\nmass = 1e308\n")
+        # M g and the gains of the slow pair stay finite; M (a + g) does not.
+        config = write_config(
+            tmp_path, "[model]\nmass = 1e307\n[controllers]\npairs = -1,-2\n"
+        )
         out = tmp_path / "never"
         code = main(
-            ["plan", "--config", config, "--pair", "-20,-200", "--out", str(out)]
+            ["plan", "--config", config, "--pair", "-1,-2", "--out", str(out)]
         )
         assert code == 1
         assert capsys.readouterr().err == "error: planned thrust M (a + g) overflows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mass,message",
+        [
+            # The hover thrust M g overflows.
+            ("1e308", "hover thrust mass * gravity overflows (1e+308 * 9.81)"),
+            # M g is finite; the first pair's gain k1 = M lambda_s lambda_f is not.
+            ("1e307", "pair -10.0,-100.0: gains must be positive and finite"
+                      " for a stable pair"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["plan", "track"])
+    def test_overflowing_model_products_are_config_errors(
+        self, command, mass, message, tmp_path, capsys
+    ):
+        plan = tmp_path / "plan"
+        assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
+        config = write_config(tmp_path, f"[model]\nmass = {mass}\n")
+        inputs = [str(plan / "trajectory.csv")] if command == "track" else []
+        out = tmp_path / "never"
+        code = main(
+            [command, *inputs, "--config", config, "--pair", "-10,-100",
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_overflowing_start_exits_without_files(self, tmp_path, capsys):
+        # Y is finite at 1e120 s; y0 + v0 t is not.
+        config = write_config(tmp_path, OVERFLOWING_START)
+        out = tmp_path / "never"
+        code = main(
+            ["plan", "--config", config, "--pair", "-10,-100", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: v0 1e+200 m/s over horizon 1e+120 s overflows the design\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -663,6 +733,23 @@ class TestTrackCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_too_long_flight_exits_without_files(self, tmp_path, capsys):
+        # The planner's 1e100 s plan is finite; its flight at the 1e-3 s
+        # step would hold 1e103 samples.
+        config = write_config(tmp_path, "[plan]\nhorizon = 1e100\n")
+        plan = tmp_path / "plan"
+        assert main(
+            ["plan", "--config", config, "--pair", "-10,-100", "--out", str(plan)]
+        ) == 0
+        out = tmp_path / "never"
+        code = main(
+            ["track", str(plan / "trajectory.csv"), "--config", config,
+             "--pair", "-10,-100", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {too_long('1e+100', '1e+103')}\n"
+        assert not out.exists()
+
     def test_missing_trajectory_file_exits_one(self, tmp_path, capsys):
         code = main(["track", str(tmp_path / "absent.csv"), "--pair", "-10,-100",
                      "--out", str(tmp_path / "x")])
@@ -822,22 +909,34 @@ class TestSweepCommand:
         # Each cache miss constructs one design.
         assert collocation_planner._cached_design.cache_info().misses == 4
 
-    @pytest.mark.parametrize("horizon", ["1e160", "1e300"])
+    # Each pair's step rule rejects the flight before any point is planned,
+    # also where the design would overflow (1e160 s and more) and where
+    # horizon / step overflows (1e306 s).
+    @pytest.mark.parametrize("horizon", ["1e100", "1e160", "1e300", "1e306"])
     def test_overflowing_horizon_fails_every_pair(self, horizon, tmp_path, capsys):
         config = write_config(
             tmp_path, f"[plan]\nhorizon = {horizon}\n[mu_grid]\ncount = 1\n"
         )
         out = tmp_path / "out"
         assert main(["sweep", "--config", config, "--out", str(out)]) == 1
-        message = (
-            f"sweep failed at mu = 0: horizon {float(horizon):g} s overflows the design"
-        )
-        slugs = ["10_100", "20_200", "30_300", "50_500"]
+        failures = too_long_for_each_pair(float(horizon))
         assert capsys.readouterr().err == "".join(
-            f"sweep {slug}: {message}\n" for slug in slugs
+            f"sweep {slug}: {message}\n" for slug, message in failures.items()
         )
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["failures"] == dict.fromkeys(slugs, message)
+        assert manifest["failures"] == failures
+        assert manifest["files"] == {}
+
+    def test_overflowing_start_fails_every_pair(self, tmp_path, capsys):
+        config = write_config(tmp_path, OVERFLOWING_START + "[mu_grid]\ncount = 1\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 1
+        failures = too_long_for_each_pair(1e120)
+        assert capsys.readouterr().err == "".join(
+            f"sweep {slug}: {message}\n" for slug, message in failures.items()
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == failures
         assert manifest["files"] == {}
 
     def test_zero_workers_is_a_usage_error(self, tmp_path, capsys):

@@ -74,7 +74,7 @@ def test_controller_spec_holds_the_gains_only(params):
     assert [f.name for f in dataclasses.fields(spec)] == ["pair", "k1", "k2"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.n1 = 0.0
-    for k1, k2 in ((0.0, 59.4), (540.0, -1.0)):
+    for k1, k2 in ((0.0, 59.4), (540.0, -1.0), (np.inf, 59.4), (540.0, np.inf)):
         with pytest.raises(ValueError):
             ControllerSpec(pair=pair, k1=k1, k2=k2)
 

@@ -19,6 +19,13 @@ def test_params_must_be_positive(field, bad):
         ModelParams(**values)
 
 
+def test_hover_thrust_must_be_finite():
+    # Each constant is finite; their product M g is not.
+    with pytest.raises(ValueError) as err:
+        ModelParams(mass=1e308)
+    assert str(err.value) == "hover thrust mass * gravity overflows (1e+308 * 9.81)"
+
+
 def test_hover_trim_gives_zero_accelerations(params):
     half = params.hover_thrust / 2.0
     x_ddot, y_ddot, q_ddot = nonlinear_derivative(0.0, half, half, params)

@@ -21,6 +21,7 @@ from plantrack.cli import RunConfig
 from plantrack.collocation_planner import PlanProblem, solve
 from plantrack.lqr import EigenvaluePair, control_law, design_controller
 from plantrack.tracking_sim import (
+    MAX_FLIGHT_STEPS,
     TRACKING_COLUMNS,
     SimConfig,
     SimulationDivergedError,
@@ -121,6 +122,35 @@ class TestSimConfigValidation:
         ref = constant_reference(0.0, 1.0, knots=3)
         with pytest.raises(ValueError):
             SimConfig(step=0.3, reference=ref, controller=slow_controller)
+
+    def test_too_long_flight_rejected_before_allocating(self, slow_controller):
+        # 1e9 steps would hold about 420 GB.
+        traj = solve(PlanProblem(horizon=1e6))
+        message = (
+            "a 1e+06 s flight takes 1e+09 RK4 steps of 0.001 s,"
+            " over the bound of 1000000"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimConfig(step=1e-3, reference=traj, controller=slow_controller)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            select_step(slow_controller, traj.horizon)
+
+    def test_overflowing_step_count_rejected(self, slow_controller):
+        # horizon / step is inf; rounding it would raise OverflowError.
+        ref = constant_reference(0.0, 1e306)
+        with pytest.raises(ValueError, match="takes inf RK4 steps"):
+            SimConfig(step=1e-3, reference=ref, controller=slow_controller)
+        with pytest.raises(ValueError, match="takes inf RK4 steps"):
+            select_step(slow_controller, 1e306)
+
+    def test_step_bound_is_inclusive(self, slow_controller):
+        # select_step and SimConfig agree on a flight of exactly the bound.
+        ref = constant_reference(0.0, 1000.0)
+        config = SimConfig(step=select_step(slow_controller, ref.horizon),
+                           reference=ref, controller=slow_controller)
+        assert config.steps == MAX_FLIGHT_STEPS
+        with pytest.raises(ValueError, match="over the bound of 1000000"):
+            select_step(slow_controller, 1000.01)
 
 
 class TestReferenceLookup:

@@ -53,6 +53,16 @@ INPUTS = {
     # and a start so fast that mu = 1e304 overflows the objective's constant.
     "outside_box.ini": "[plan]\nyf = 6.0\n",
     "fast_start.ini": "[plan]\nv0 = 1e9\n",
+    # Flights too long to hold: 1e100 s is 1e103 RK4 steps, and at 1e306 s
+    # horizon / step overflows.
+    "horizon_1e100.ini": "[plan]\nhorizon = 1e100\n\n[mu_grid]\ncount = 1\n",
+    "horizon_1e306.ini": "[plan]\nhorizon = 1e306\n\n[mu_grid]\ncount = 1\n",
+    # A start speed whose coasting altitude y0 + v0 t overflows the design.
+    "overflowing_start.ini": "[plan]\nhorizon = 1e120\nv0 = 1e200\ny_min = -1e300\n"
+                             "y_max = 1e300\n",
+    # Vehicle products that overflow: the gains at 1e307 kg, M g at 1e308 kg.
+    "mass_1e307.ini": "[model]\nmass = 1e307\n",
+    "mass_1e308.ini": "[model]\nmass = 1e308\n",
     # Trajectory CSVs the reader rejects, one check each: a t column shifted
     # off 0, a non-uniform and a decreasing one, a renamed and an extra
     # header column, and a header with no rows.
@@ -99,6 +109,9 @@ RUNS = (
         "sweep --config dip.ini --out dip_w{w} --workers {w}",
         # The last pair builds its design after the sweep's build-ahead.
         "sweep --config nine_pairs.ini --out nine_pairs_w{w} --workers {w}",
+        # Every pair's step rule rejects the flight before any point is planned.
+        "sweep --config horizon_1e100.ini --out horizon_1e100_w{w} --workers {w}",
+        "sweep --config horizon_1e306.ini --out horizon_1e306_w{w} --workers {w}",
     )),
     (ONCE, (
         # The awkward knot spacing and the two-sided working sets through track.
@@ -136,6 +149,16 @@ RUNS = (
         "plan --pair -10,-100 --mu 1e308 --out plan_huge_mu",
         "plan --config outside_box.ini --pair -10,-100 --out plan_outside_box",
         "plan --config fast_start.ini --pair -50,-500 --mu 1e304 --out plan_fast_start",
+        # Inputs too large to fly or to plan, and vehicle constants whose
+        # products overflow, which the config rejects at load.
+        "plan --config horizon_1e100.ini --pair -10,-100 --out plan_1e100",
+        "track plan_1e100/trajectory.csv --config horizon_1e100.ini --pair -10,-100"
+        " --out track_1e100",
+        "plan --config overflowing_start.ini --pair -10,-100 --out plan_overflowing_start",
+        "track plan_10_100_3.5/trajectory.csv --config mass_1e307.ini --pair -10,-100"
+        " --mu 3.5 --out track_mass_1e307",
+        "track plan_10_100_3.5/trajectory.csv --config mass_1e308.ini --pair -10,-100"
+        " --mu 3.5 --out track_mass_1e308",
     )),
 )
 
