@@ -26,7 +26,7 @@ from pathlib import Path
 from . import collocation_planner as planner
 from . import frontier as frontier_mod
 from . import tracking_sim as sim
-from .lqr import EigenvaluePair, design_controller
+from .lqr import ControllerSpec, EigenvaluePair, design_controller
 from .model import ModelParams
 
 _PAPER_PAIRS = (
@@ -67,6 +67,8 @@ class RunConfig:
     max_step: float = 1e-3
     pole_fraction: float = 0.2
     out_dir: str = "out"
+    # Derived at load: each pair's file label -> its controller, in order.
+    controllers: dict[str, ControllerSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pairs:
@@ -89,20 +91,20 @@ class RunConfig:
             )
         if not math.isfinite(grid[-1]):
             raise ConfigError("mu grid must be finite")
-        labels: dict[str, EigenvaluePair] = {}
+        controllers: dict[str, ControllerSpec] = {}
         for pair in self.pairs:
             slug = _pair_slug(pair)
-            if slug in labels:
+            if slug in controllers:
                 raise ConfigError(
-                    f"pairs {_pair_text(labels[slug])} and {_pair_text(pair)}"
+                    f"pairs {_pair_text(controllers[slug].pair)} and {_pair_text(pair)}"
                     f" share the file label {slug!r}"
                 )
-            labels[slug] = pair
             # The vehicle's mass scales the gains, which can overflow.
             try:
-                design_controller(pair, self.params)
+                controllers[slug] = design_controller(pair, self.params)
             except ValueError as exc:
                 raise ConfigError(f"pair {_pair_text(pair)}: {exc}") from exc
+        object.__setattr__(self, "controllers", controllers)
         try:
             self.problem_template()
         except ValueError as exc:
@@ -129,7 +131,6 @@ class RunConfig:
             yf=self.yf,
             y_bounds=(self.y_min, self.y_max),
             mu=0.0,
-            dominant_lambda=-self.pairs[0].lambda_slow,
             params=self.params,
             enforce_initial_accel_zero=self.enforce_initial_accel_zero,
         )
@@ -317,7 +318,7 @@ def _parse_pair_flag(raw: str, config: RunConfig, parser) -> EigenvaluePair:
 
 
 def cmd_plan(config: RunConfig, out_dir: Path, mu: float, pair: EigenvaluePair) -> int:
-    controller = design_controller(pair, config.params)
+    controller = config.controllers[_pair_slug(pair)]
     problem = replace(
         config.problem_template(), mu=mu, dominant_lambda=controller.dominant_lambda
     )
@@ -346,7 +347,7 @@ def cmd_track(
     if mu is not None and not 0 <= mu < math.inf:
         raise ValueError("mu must be finite and nonnegative")
     traj = planner.read_trajectory_csv(trajectory_path)
-    controller = design_controller(pair, config.params)
+    controller = config.controllers[_pair_slug(pair)]
     result = sim.simulate(
         sim.SimConfig(
             step=config.step_for(controller, traj.horizon),
@@ -388,13 +389,12 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     files: dict[str, str] = {}
     failures: dict[str, str] = {}
 
-    controllers = [design_controller(pair, config.params) for pair in config.pairs]
-
     # Pool workers fork from this process and inherit the designs built
     # here, so none runs the eigensolver, whose BLAS threads stall for
     # milliseconds per call while the other workers hold the cores.
     planner.prepare(
-        replace(template, dominant_lambda=c.dominant_lambda) for c in controllers
+        replace(template, dominant_lambda=c.dominant_lambda)
+        for c in config.controllers.values()
     )
 
     executor = None
@@ -414,8 +414,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
         pair_errors += (BrokenExecutor,)
     try:
         mapper = executor.map if executor is not None else map
-        for controller in controllers:
-            slug = _pair_slug(controller.pair)
+        for slug, controller in config.controllers.items():
             try:
                 points = frontier_mod.sweep(
                     controller, grid, template, config.step_for(controller), mapper
@@ -512,24 +511,20 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out) if args.out else Path(config.out_dir)
+    # plan and track require --pair, stiffness takes it, sweep has none.
+    raw_pair = getattr(args, "pair", None)
+    pair = None if raw_pair is None else _parse_pair_flag(raw_pair, config, parser)
 
     try:
         if args.command == "plan":
-            pair = _parse_pair_flag(args.pair, config, parser)
             return cmd_plan(config, out_dir, args.mu, pair)
         if args.command == "track":
-            pair = _parse_pair_flag(args.pair, config, parser)
             return cmd_track(config, out_dir, args.trajectory, pair, args.mu)
         if args.command == "sweep":
             if args.workers < 1:
                 parser.error("--workers must be at least 1")
             return cmd_sweep(config, out_dir, args.workers)
         if args.command == "stiffness":
-            pair = (
-                _parse_pair_flag(args.pair, config, parser)
-                if args.pair is not None
-                else None
-            )
             return cmd_stiffness(out_dir, args.frontier, pair)
     except (
         planner.PlannerNumericalError,

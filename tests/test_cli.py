@@ -18,7 +18,7 @@ import pytest
 
 import plantrack
 from conftest import make_reference
-from plantrack import collocation_planner, error_estimator, frontier, tracking_sim
+from plantrack import cli, collocation_planner, error_estimator, frontier, tracking_sim
 from plantrack.cli import ConfigError, RunConfig, load_config, main
 from plantrack.collocation_planner import (
     PlanProblem,
@@ -101,6 +101,30 @@ class TestConfigLoading:
         assert hashlib.sha256(config.canonical_text().encode()).hexdigest() == (
             "83d880f9de8f32b29cfa7c6dfee2f1172663f618a21df60bf18910446c4273dc"
         )
+
+    def test_controllers_are_the_designed_pairs_by_label(self):
+        config = RunConfig()
+        slugs = ["10_100", "20_200", "30_300", "50_500"]
+        assert list(config.controllers.items()) == [
+            (slug, design_controller(pair, config.params))
+            for slug, pair in zip(slugs, config.pairs)
+        ]
+
+    # The config designs each pair at load; no command designs one again.
+    @pytest.mark.parametrize(
+        "argv", [["sweep"], ["plan", "--pair", "-20,-200"]], ids=["sweep", "plan"]
+    )
+    def test_each_pair_is_designed_once_per_process(self, argv, tmp_path, monkeypatch):
+        pairs = list(RunConfig().pairs)
+        designed = []
+
+        def counting(pair, params):
+            designed.append(pair)
+            return design_controller(pair, params)
+
+        monkeypatch.setattr(cli, "design_controller", counting)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert designed == pairs
 
     def test_round_trips_every_field(self, tmp_path):
         path = write_config(
