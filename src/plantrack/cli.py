@@ -83,14 +83,17 @@ class RunConfig:
             raise ConfigError("mu_min must not exceed mu_max")
         if not (0 < self.max_step < math.inf and 0 < self.pole_fraction < math.inf):
             raise ConfigError("step rule fields must be positive and finite")
-        grid = self.mu_grid()
+        try:
+            grid = self.mu_grid()
+        except OverflowError as exc:  # a log grid's ratio**i past the largest float
+            raise ConfigError("mu grid must be finite") from exc
+        if not all(map(math.isfinite, grid)):
+            raise ConfigError("mu grid must be finite")
         if not all(b > a for a, b in zip(grid, grid[1:])):
             raise ConfigError(
                 "mu grid must be strictly ascending: mu_min > 0, and"
                 " mu_min < mu_max when count > 1"
             )
-        if not math.isfinite(grid[-1]):
-            raise ConfigError("mu grid must be finite")
         controllers: dict[str, ControllerSpec] = {}
         for pair in self.pairs:
             slug = _pair_slug(pair)

@@ -27,6 +27,11 @@ class ModelParams:
             raise ValueError(
                 f"hover thrust mass * gravity overflows ({self.mass!r} * {self.gravity!r})"
             )
+        # The pitch acceleration divides by M d.
+        if not self.mass * self.arm_length > 0:
+            raise ValueError(
+                f"mass * arm_length underflows ({self.mass!r} * {self.arm_length!r})"
+            )
 
     @property
     def hover_thrust(self) -> float:

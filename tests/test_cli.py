@@ -302,8 +302,14 @@ class TestRunConfigValidation:
             # An ascending grid with a weight no design problem accepts:
             # {0, 0.1, inf}.
             {"mu_count": 2, "mu_max": float("inf")},
+            # Finite bounds whose log grid overflows: ratio**i past the
+            # largest float, and a ratio that is inf; and a nan bound.
+            {"mu_count": 5, "mu_min": 1.0, "mu_max": 1.7976931348623157e308},
+            {"mu_min": 1e-308, "mu_max": 1e300},
+            {"mu_max": float("nan")},
             # Plan fields that no design problem accepts.
             {"segments": 1},
+            {"segments": 2001},
             {"horizon": 0.0},
             {"y_min": 5.0},
         ],
@@ -470,6 +476,63 @@ class TestPlanCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "count = 5\nmin = 1\nmax = 1.7976931348623157e308\n",
+            "min = 1e-308\nmax = 1e300\n",
+            "max = nan\n",
+        ],
+        ids=["power-overflows", "ratio-overflows", "nan"],
+    )
+    def test_overflowing_mu_grid_is_a_config_error(self, grid, tmp_path, capsys):
+        config = write_config(tmp_path, f"[mu_grid]\n{grid}")
+        out = tmp_path / "never"
+        code = main(
+            ["plan", "--config", config, "--pair", "-10,-100", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "config error: mu grid must be finite\n"
+        assert not out.exists()
+
+    # A design of a million segments would hold terabytes.
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", "--pair", "-10,-100"], ["sweep", "--workers", "1"],
+         ["sweep", "--workers", "2"]],
+        ids=["plan", "sweep-w1", "sweep-w2"],
+    )
+    def test_too_many_segments_is_a_config_error(self, argv, tmp_path, capsys):
+        config = write_config(tmp_path, "[plan]\nsegments = 1000000\n")
+        out = tmp_path / "never"
+        code = main([*argv, "--config", config, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: 1000000 segments is over the bound of 2000\n"
+        )
+        assert not out.exists()
+
+    # M d rounds to 0, and the pitch acceleration divides by it.
+    @pytest.mark.parametrize("command", ["plan", "track", "sweep"])
+    def test_underflowing_pitch_lever_is_a_config_error(
+        self, command, tmp_path, capsys
+    ):
+        plan = tmp_path / "plan"
+        assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
+        config = write_config(tmp_path, "[model]\nmass = 0.1\narm_length = 5e-324\n")
+        args = {
+            "plan": ["--pair", "-10,-100"],
+            "track": [str(plan / "trajectory.csv"), "--pair", "-10,-100"],
+            "sweep": [],
+        }[command]
+        out = tmp_path / "never"
+        code = main([command, *args, "--config", config, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: mass * arm_length underflows (0.1 * 5e-324)\n"
+        )
         assert not out.exists()
 
     def test_overflowing_start_exits_without_files(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from plantrack._artifact_csv import SchemaError
 from plantrack.cli import RunConfig
 from plantrack.collocation_planner import (
     KKT_TOLERANCE,
+    MAX_SEGMENTS,
     TRAJECTORY_COLUMNS,
     InfeasibleProblemError,
     PlanProblem,
@@ -66,6 +67,14 @@ class TestProblemValidation:
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PlanProblem(**kwargs)
+
+    def test_segment_bound_is_inclusive(self):
+        assert PlanProblem(segments=MAX_SEGMENTS).segments == MAX_SEGMENTS
+        with pytest.raises(ValueError) as err:
+            PlanProblem(segments=MAX_SEGMENTS + 1)
+        assert str(err.value) == (
+            f"{MAX_SEGMENTS + 1} segments is over the bound of {MAX_SEGMENTS}"
+        )
 
     def test_defaults_are_the_standard_problem(self):
         problem = PlanProblem()

@@ -26,6 +26,14 @@ def test_hover_thrust_must_be_finite():
     assert str(err.value) == "hover thrust mass * gravity overflows (1e+308 * 9.81)"
 
 
+def test_pitch_lever_must_not_underflow():
+    # Each constant is positive; their product M d, the divisor of the
+    # pitch acceleration, rounds to 0.
+    with pytest.raises(ValueError) as err:
+        ModelParams(mass=0.1, arm_length=5e-324)
+    assert str(err.value) == "mass * arm_length underflows (0.1 * 5e-324)"
+
+
 def test_hover_trim_gives_zero_accelerations(params):
     half = params.hover_thrust / 2.0
     x_ddot, y_ddot, q_ddot = nonlinear_derivative(0.0, half, half, params)

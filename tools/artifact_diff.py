@@ -63,6 +63,12 @@ INPUTS = {
     # Vehicle products that overflow: the gains at 1e307 kg, M g at 1e308 kg.
     "mass_1e307.ini": "[model]\nmass = 1e307\n",
     "mass_1e308.ini": "[model]\nmass = 1e308\n",
+    # M d underflows to 0, and the pitch acceleration divides by it.
+    "arm_5e-324.ini": "[model]\nmass = 0.1\narm_length = 5e-324\n",
+    # A log grid whose last weight ratio**4 passes the largest float.
+    "mu_overflow.ini": "[mu_grid]\ncount = 5\nmin = 1\nmax = 1.7976931348623157e308\n",
+    # A design of 10^12 knot pairs, over the segment bound.
+    "segments_1e6.ini": "[plan]\nsegments = 1000000\n",
     # Trajectory CSVs the reader rejects, one check each: a t column shifted
     # off 0, a non-uniform and a decreasing one, a renamed and an extra
     # header column, and a header with no rows.
@@ -112,6 +118,8 @@ RUNS = (
         # Every pair's step rule rejects the flight before any point is planned.
         "sweep --config horizon_1e100.ini --out horizon_1e100_w{w} --workers {w}",
         "sweep --config horizon_1e306.ini --out horizon_1e306_w{w} --workers {w}",
+        # The config rejects the design before anything is built.
+        "sweep --config segments_1e6.ini --out segments_1e6_w{w} --workers {w}",
     )),
     (ONCE, (
         # The awkward knot spacing and the two-sided working sets through track.
@@ -159,6 +167,12 @@ RUNS = (
         " --mu 3.5 --out track_mass_1e307",
         "track plan_10_100_3.5/trajectory.csv --config mass_1e308.ini --pair -10,-100"
         " --mu 3.5 --out track_mass_1e308",
+        "track plan_10_100_3.5/trajectory.csv --config arm_5e-324.ini --pair -10,-100"
+        " --mu 3.5 --out track_arm_5e-324",
+        # A mu grid that overflows and a design too large to hold, both
+        # rejected at load.
+        "plan --config mu_overflow.ini --pair -10,-100 --out plan_mu_overflow",
+        "plan --config segments_1e6.ini --pair -10,-100 --out plan_segments_1e6",
     )),
 )
 
