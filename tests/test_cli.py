@@ -18,6 +18,7 @@ import pytest
 
 import plantrack
 from conftest import make_reference
+from failure_cases import CASES, REDUCED_SWEEP, argvs
 from plantrack import cli, collocation_planner, error_estimator, frontier, tracking_sim
 from plantrack.cli import ConfigError, RunConfig, load_config, main
 from plantrack.collocation_planner import (
@@ -31,54 +32,10 @@ from plantrack.frontier import read_frontier_points
 from plantrack.lqr import EigenvaluePair, design_controller
 
 
-def shift_t(row, by):
-    """A trajectory CSV row with its t cell moved by ``by``."""
-    t, rest = row.split(",", 1)
-    return f"{float(t) + by!r},{rest}"
-
-
 def write_config(tmp_path, body, name="run.ini"):
     path = tmp_path / name
     path.write_text(dedent(body))
     return str(path)
-
-
-REDUCED_SWEEP = """\
-    [controllers]
-    pairs = -20,-200
-
-    [mu_grid]
-    count = 2
-    min = 100
-    max = 2000
-"""
-
-
-# A start so fast that the coasting altitude y0 + v0 t overflows.
-OVERFLOWING_START = """\
-    [plan]
-    horizon = 1e120
-    v0 = 1e200
-    y_min = -1e300
-    y_max = 1e300
-"""
-
-
-def too_long(horizon, steps, step="0.001"):
-    """select_step's message for a flight over the step bound."""
-    return (
-        f"a {horizon} s flight takes {steps} RK4 steps of {step} s,"
-        " over the bound of 1000000"
-    )
-
-
-def too_long_for_each_pair(horizon: float) -> dict[str, str]:
-    """too_long by default pair: each flies its own raw RK4 step."""
-    return {
-        slug: too_long(f"{horizon:g}", f"{horizon / step:.3g}", f"{step:g}")
-        for slug, step in (("10_100", 1e-3), ("20_200", 1e-3),
-                           ("30_300", 0.2 / 300), ("50_500", 0.2 / 500))
-    }
 
 
 @pytest.fixture(scope="module")
@@ -202,74 +159,10 @@ class TestConfigLoading:
             """
         )
 
-    def test_unknown_section_rejected(self, tmp_path):
-        path = write_config(tmp_path, "[plot]\ncolor = red\n")
-        with pytest.raises(ConfigError, match=r"unknown config section"):
-            load_config(path)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = write_config(tmp_path, "[plan]\nextra = 1\n")
-        with pytest.raises(ConfigError, match=r"unknown key 'extra'"):
-            load_config(path)
-
-    def test_bad_boolean_rejected(self, tmp_path):
-        path = write_config(
-            tmp_path, "[plan]\nenforce_initial_accel_zero = maybe\n"
-        )
-        with pytest.raises(ConfigError, match=r"not a boolean"):
-            load_config(path)
-
     @pytest.mark.parametrize("raw", ["off", "false", "no", "0"])
     def test_false_boolean_spellings_load_false(self, raw, tmp_path):
         path = write_config(tmp_path, f"[plan]\nenforce_initial_accel_zero = {raw}\n")
         assert load_config(path).enforce_initial_accel_zero is False
-
-    def test_bad_pair_rejected(self, tmp_path):
-        path = write_config(tmp_path, "[controllers]\npairs = -10\n")
-        with pytest.raises(ConfigError, match=r"not 'slow,fast'"):
-            load_config(path)
-
-    def test_repeated_pair_rejected(self, tmp_path):
-        path = write_config(tmp_path, "[controllers]\npairs = -10,-10; -20,-200\n")
-        with pytest.raises(
-            ConfigError,
-            match=r"^\[controllers\] pairs: pair '-10,-10': repeated eigenvalue pair",
-        ):
-            load_config(path)
-
-    def test_empty_pair_list_rejected(self, tmp_path):
-        path = write_config(tmp_path, "[controllers]\npairs =\n")
-        with pytest.raises(ConfigError, match=r"pair list is empty"):
-            load_config(path)
-
-    def test_unparsable_file_rejected(self, tmp_path):
-        path = tmp_path / "broken.ini"
-        path.write_text("this is not an ini file [\n")
-        with pytest.raises(ConfigError, match=r"cannot parse"):
-            load_config(path)
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"cannot read"):
-            load_config(str(tmp_path / "absent.ini"))
-
-    def test_undecodable_file_rejected(self, tmp_path):
-        path = tmp_path / "latin.ini"
-        path.write_bytes(b"[plan]\nhorizon = 1\xff\n")
-        with pytest.raises(ConfigError, match=r"^cannot read config: 'utf-8' codec"):
-            load_config(str(path))
-
-    def test_undecodable_file_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "latin.ini"
-        path.write_bytes(b"[plan]\nhorizon = 1\xff\n")
-        out = tmp_path / "never"
-        code = main(["plan", "--config", str(path), "--pair", "-10,-100",
-                     "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: cannot read config: 'utf-8' codec")
-        assert err.count("\n") == 1
-        assert not out.exists()
-
 
 class TestRunConfigValidation:
     @pytest.mark.parametrize(
@@ -368,209 +261,6 @@ class TestPlanCommand:
             weighted["predicted_error_integral"] < base["predicted_error_integral"]
         )
 
-    def test_infeasible_problem_exits_without_files(self, tmp_path, capsys):
-        config = write_config(tmp_path, "[plan]\nyf = 6.0\n")
-        out = tmp_path / "never"
-        code = main(
-            ["plan", "--config", config, "--pair", "-20,-200", "--out", str(out)]
-        )
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "pair,mu,message",
-        [
-            ("-20,-200", "nan", "mu must be finite"),
-            ("-20,-200", "inf", "mu must be finite"),
-            # Finite, but 2 mu P overflows.
-            ("-20,-200", "1e308", "mu = 1e+308 overflows the design terms"),
-            # The design terms are finite; the working-set solve overflows.
-            (
-                "-10,-100",
-                "1e300",
-                "KKT solve produced non-finite values (size 62, constraint rows 1)",
-            ),
-        ],
-    )
-    def test_unusable_weight_exits_without_files(
-        self, pair, mu, message, tmp_path, capsys
-    ):
-        out = tmp_path / "never"
-        code = main(["plan", "--pair", pair, "--mu", mu, "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
-    def test_non_finite_plan_field_is_a_config_error(self, tmp_path, capsys):
-        config = write_config(tmp_path, "[plan]\nv0 = nan\n")
-        out = tmp_path / "never"
-        code = main(
-            ["plan", "--config", config, "--pair", "-20,-200", "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == "config error: v0 must be finite\n"
-        assert not out.exists()
-
-    def test_non_positive_model_parameter_is_a_config_error(self, tmp_path, capsys):
-        config = write_config(tmp_path, "[model]\nmass = 0\n")
-        out = tmp_path / "never"
-        code = main(
-            ["plan", "--config", config, "--pair", "-20,-200", "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "config error: mass, arm_length and gravity must be positive and finite\n"
-        )
-        assert not out.exists()
-
-    # inf > 0 holds, so positivity alone does not reject it.
-    @pytest.mark.parametrize("key", ["mass", "arm_length", "gravity"])
-    def test_infinite_model_parameter_is_a_config_error(self, key, tmp_path, capsys):
-        config = write_config(tmp_path, f"[model]\n{key} = inf\n")
-        out = tmp_path / "never"
-        code = main(
-            ["plan", "--config", config, "--pair", "-20,-200", "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "config error: mass, arm_length and gravity must be positive and finite\n"
-        )
-        assert not out.exists()
-
-    def test_overflowing_thrust_exits_without_files(self, tmp_path, capsys):
-        # M g and the gains of the slow pair stay finite; M (a + g) does not.
-        config = write_config(
-            tmp_path, "[model]\nmass = 1e307\n[controllers]\npairs = -1,-2\n"
-        )
-        out = tmp_path / "never"
-        code = main(
-            ["plan", "--config", config, "--pair", "-1,-2", "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == "error: planned thrust M (a + g) overflows\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "mass,message",
-        [
-            # The hover thrust M g overflows.
-            ("1e308", "hover thrust mass * gravity overflows (1e+308 * 9.81)"),
-            # M g is finite; the first pair's gain k1 = M lambda_s lambda_f is not.
-            ("1e307", "pair -10.0,-100.0: gains must be positive and finite"
-                      " for a stable pair"),
-        ],
-    )
-    @pytest.mark.parametrize("command", ["plan", "track"])
-    def test_overflowing_model_products_are_config_errors(
-        self, command, mass, message, tmp_path, capsys
-    ):
-        plan = tmp_path / "plan"
-        assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
-        config = write_config(tmp_path, f"[model]\nmass = {mass}\n")
-        inputs = [str(plan / "trajectory.csv")] if command == "track" else []
-        out = tmp_path / "never"
-        code = main(
-            [command, *inputs, "--config", config, "--pair", "-10,-100",
-             "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            "count = 5\nmin = 1\nmax = 1.7976931348623157e308\n",
-            "min = 1e-308\nmax = 1e300\n",
-            "max = nan\n",
-        ],
-        ids=["power-overflows", "ratio-overflows", "nan"],
-    )
-    def test_overflowing_mu_grid_is_a_config_error(self, grid, tmp_path, capsys):
-        config = write_config(tmp_path, f"[mu_grid]\n{grid}")
-        out = tmp_path / "never"
-        code = main(
-            ["plan", "--config", config, "--pair", "-10,-100", "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == "config error: mu grid must be finite\n"
-        assert not out.exists()
-
-    # A design of a million segments would hold terabytes.
-    @pytest.mark.parametrize(
-        "argv",
-        [["plan", "--pair", "-10,-100"], ["sweep", "--workers", "1"],
-         ["sweep", "--workers", "2"]],
-        ids=["plan", "sweep-w1", "sweep-w2"],
-    )
-    def test_too_many_segments_is_a_config_error(self, argv, tmp_path, capsys):
-        config = write_config(tmp_path, "[plan]\nsegments = 1000000\n")
-        out = tmp_path / "never"
-        code = main([*argv, "--config", config, "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "config error: 1000000 segments is over the bound of 2000\n"
-        )
-        assert not out.exists()
-
-    # M d rounds to 0, and the pitch acceleration divides by it.
-    @pytest.mark.parametrize("command", ["plan", "track", "sweep"])
-    def test_underflowing_pitch_lever_is_a_config_error(
-        self, command, tmp_path, capsys
-    ):
-        plan = tmp_path / "plan"
-        assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
-        config = write_config(tmp_path, "[model]\nmass = 0.1\narm_length = 5e-324\n")
-        args = {
-            "plan": ["--pair", "-10,-100"],
-            "track": [str(plan / "trajectory.csv"), "--pair", "-10,-100"],
-            "sweep": [],
-        }[command]
-        out = tmp_path / "never"
-        code = main([command, *args, "--config", config, "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "config error: mass * arm_length underflows (0.1 * 5e-324)\n"
-        )
-        assert not out.exists()
-
-    def test_overflowing_start_exits_without_files(self, tmp_path, capsys):
-        # Y is finite at 1e120 s; y0 + v0 t is not.
-        config = write_config(tmp_path, OVERFLOWING_START)
-        out = tmp_path / "never"
-        code = main(
-            ["plan", "--config", config, "--pair", "-10,-100", "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: v0 1e+200 m/s over horizon 1e+120 s overflows the design\n"
-        )
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "horizon,mu,message",
-        [
-            # Y grows as dt^2 and overflows at the design build.
-            ("1e160", "0", "horizon 1e+160 s overflows the design"),
-            ("1e300", "0", "horizon 1e+300 s overflows the design"),
-            # Y is finite; the error terms grow as dt^3 and overflow.
-            ("1e100", "1", "the error terms overflow the design"),
-        ],
-    )
-    def test_overflowing_horizon_exits_without_files(
-        self, horizon, mu, message, tmp_path, capsys
-    ):
-        config = write_config(tmp_path, f"[plan]\nhorizon = {horizon}\n")
-        out = tmp_path / "never"
-        code = main(
-            ["plan", "--config", config, "--pair", "-10,-100", "--mu", mu,
-             "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
     def test_unknown_pair_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["plan", "--pair", "-11,-111", "--out", str(tmp_path / "x")])
@@ -589,15 +279,6 @@ class TestPlanCommand:
         assert capsys.readouterr().err.endswith(
             f"plantrack: error: --pair expects one 'slow,fast' pair, got {raw!r}\n"
         )
-
-    def test_malformed_config_exits_one(self, tmp_path, capsys):
-        config = write_config(tmp_path, "[plan]\nbogus = 1\n")
-        code = main(
-            ["plan", "--config", config, "--pair", "-20,-200",
-             "--out", str(tmp_path / "x")]
-        )
-        assert code == 1
-        assert "config error" in capsys.readouterr().err
 
     def test_default_out_dir_comes_from_config(self, tmp_path):
         target = tmp_path / "from_config"
@@ -678,171 +359,6 @@ class TestTrackCommand:
         assert score["mu"] is None
         assert score["actual_cost"] == 0.0
         assert score["actual_error_integral"] == 0.0
-
-    def test_schema_mismatch_names_the_column(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,y,v,acc,u,e_pred\n0,0,0,0,0,0\n")
-        code = main(["track", str(path), "--pair", "-10,-100",
-                     "--out", str(tmp_path / "x")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "column 3" in err
-        assert "'acc'" in err
-
-    @pytest.mark.parametrize(
-        "edit,message",
-        [
-            (lambda rows: [shift_t(row, 0.5) for row in rows],
-             "profile must start at t = 0"),
-            (lambda rows: rows[:5] + [shift_t(rows[5], 1e-4)] + rows[6:],
-             "grid is not uniform"),
-            (lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:],
-             "times must be strictly increasing"),
-            (lambda rows: rows[:1], "need at least 2 samples"),
-        ],
-        ids=["shifted", "nudged", "swapped", "single-row"],
-    )
-    def test_malformed_t_grid_exits_one(self, edit, message, tmp_path, capsys):
-        plan = tmp_path / "plan"
-        assert main(["plan", "--pair", "-20,-200", "--mu", "100", "--out", str(plan)]) == 0
-        header, *rows = (plan / "trajectory.csv").read_text().splitlines()
-        path = tmp_path / "malformed.csv"
-        path.write_text("\n".join([header, *edit(rows)]) + "\n")
-        out = tmp_path / "x"
-        code = main(["track", str(path), "--pair", "-20,-200", "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: column 't': {message}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "row,column,value,message",
-        [
-            (None, None, None, "no data rows after the header"),
-            # With no row, the value is the whole body.
-            (None, None, "# only a comment", "no data rows after the header"),
-            (None, None, " ", "row 1: expected 6 columns, found 1"),
-            (5, 3, "inf", "row 5, column 'a': inf is not finite"),
-            (9, 1, "nan", "row 9, column 'y': nan is not finite"),
-            # Finite, but its square overflows the designed cost.
-            (5, 3, "1e200", "column 'a': the integral of its square is not finite"),
-        ],
-    )
-    def test_unusable_trajectory_exits_without_files(
-        self, row, column, value, message, tmp_path, capsys
-    ):
-        plan = tmp_path / "plan"
-        assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
-        lines = (plan / "trajectory.csv").read_text().splitlines()
-        if row is None:
-            lines = lines[:1] if value is None else [lines[0], value]
-        else:
-            fields = lines[row].split(",")
-            fields[column] = value
-            lines[row] = ",".join(fields)
-        path = tmp_path / "bad.csv"
-        path.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "never"
-        code = main(["track", str(path), "--pair", "-10,-100", "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "edit,message",
-        [
-            (lambda row: row[:3], "row 3: expected 6 columns, found 3"),
-            (lambda row: [row[0], "abc", *row[2:]],
-             "row 3, column 'y': 'abc' is not a number"),
-            (lambda row: [*row, ""], "row 3: expected 6 columns, found 7"),
-        ],
-        ids=["short", "text-cell", "trailing-comma"],
-    )
-    def test_malformed_row_is_named(self, edit, message, tmp_path, capsys):
-        plan = tmp_path / "plan"
-        assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
-        lines = (plan / "trajectory.csv").read_text().splitlines()
-        lines[3] = ",".join(edit(lines[3].split(",")))
-        path = tmp_path / "bad.csv"
-        path.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "never"
-        code = main(["track", str(path), "--pair", "-10,-100", "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("mu", ["nan", "inf", "-5"])
-    def test_unusable_weight_exits_without_files(self, mu, tmp_path, capsys):
-        plan = tmp_path / "plan"
-        assert main(["plan", "--pair", "-10,-100", "--out", str(plan)]) == 0
-        out = tmp_path / "never"
-        code = main(
-            ["track", str(plan / "trajectory.csv"), "--pair", "-10,-100",
-             "--mu", mu, "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == "error: mu must be finite and nonnegative\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "pair,sim,message",
-        [
-            # 1/167 s at the -500 pole: |lambda| h = 2.99.
-            (
-                "-50,-500",
-                "max_step = 0.016\npole_fraction = 3.0",
-                "sim step 0.005988023952095809 s is not RK4-stable"
-                " (|lambda_fast| * step > 2.78)",
-            ),
-            # A 0.02 s step on a 1/60 s knot grid.
-            (
-                "-1,-10",
-                "max_step = 0.02",
-                "sim step 0.02 s exceeds the knot spacing 0.016666666666666666 s",
-            ),
-        ],
-    )
-    def test_step_rule_exits_without_files(
-        self, pair, sim, message, tmp_path, capsys
-    ):
-        config = write_config(
-            tmp_path, f"[controllers]\npairs = {pair}\n[sim]\n{sim}\n"
-        )
-        plan = tmp_path / "plan"
-        assert main(
-            ["plan", "--config", config, "--pair", pair, "--out", str(plan)]
-        ) == 0
-        out = tmp_path / "never"
-        code = main(
-            ["track", str(plan / "trajectory.csv"), "--config", config,
-             "--pair", pair, "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
-    def test_too_long_flight_exits_without_files(self, tmp_path, capsys):
-        # The planner's 1e100 s plan is finite; its flight at the 1e-3 s
-        # step would hold 1e103 samples.
-        config = write_config(tmp_path, "[plan]\nhorizon = 1e100\n")
-        plan = tmp_path / "plan"
-        assert main(
-            ["plan", "--config", config, "--pair", "-10,-100", "--out", str(plan)]
-        ) == 0
-        out = tmp_path / "never"
-        code = main(
-            ["track", str(plan / "trajectory.csv"), "--config", config,
-             "--pair", "-10,-100", "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {too_long('1e+100', '1e+103')}\n"
-        assert not out.exists()
-
-    def test_missing_trajectory_file_exits_one(self, tmp_path, capsys):
-        code = main(["track", str(tmp_path / "absent.csv"), "--pair", "-10,-100",
-                     "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
 
 class TestSweepCommand:
     def test_reduced_sweep_artifacts(self, sweep_artifacts):
@@ -996,36 +512,6 @@ class TestSweepCommand:
         # Each cache miss constructs one design.
         assert collocation_planner._cached_design.cache_info().misses == 4
 
-    # Each pair's step rule rejects the flight before any point is planned,
-    # also where the design would overflow (1e160 s and more) and where
-    # horizon / step overflows (1e306 s).
-    @pytest.mark.parametrize("horizon", ["1e100", "1e160", "1e300", "1e306"])
-    def test_overflowing_horizon_fails_every_pair(self, horizon, tmp_path, capsys):
-        config = write_config(
-            tmp_path, f"[plan]\nhorizon = {horizon}\n[mu_grid]\ncount = 1\n"
-        )
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", config, "--out", str(out)]) == 1
-        failures = too_long_for_each_pair(float(horizon))
-        assert capsys.readouterr().err == "".join(
-            f"sweep {slug}: {message}\n" for slug, message in failures.items()
-        )
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["failures"] == failures
-        assert manifest["files"] == {}
-
-    def test_overflowing_start_fails_every_pair(self, tmp_path, capsys):
-        config = write_config(tmp_path, OVERFLOWING_START + "[mu_grid]\ncount = 1\n")
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", config, "--out", str(out)]) == 1
-        failures = too_long_for_each_pair(1e120)
-        assert capsys.readouterr().err == "".join(
-            f"sweep {slug}: {message}\n" for slug, message in failures.items()
-        )
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["failures"] == failures
-        assert manifest["files"] == {}
-
     def test_zero_workers_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "never"
         with pytest.raises(SystemExit) as err:
@@ -1035,43 +521,6 @@ class TestSweepCommand:
             "plantrack: error: --workers must be at least 1\n"
         )
         assert not out.exists()
-
-    def test_failures_are_recorded_and_exit_nonzero(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            REDUCED_SWEEP + "\n[plan]\nyf = 6.0\ny_max = 5.5\n",
-        )
-        out = tmp_path / "out"
-        code = main(["sweep", "--config", config, "--out", str(out)])
-        assert code == 1
-        assert "mu = 0" in capsys.readouterr().err
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert list(manifest["failures"]) == ["20_200"]
-        assert manifest["files"] == {}
-        assert not (out / "frontier_20_200.csv").exists()
-
-    def test_worker_failure_reports_like_a_serial_one(self, tmp_path, capsys):
-        # A box that excludes the goal fails every point inside the
-        # process that plans it.
-        config = write_config(
-            tmp_path,
-            REDUCED_SWEEP + "\n[plan]\nyf = 6.0\ny_max = 5.5\n",
-        )
-        runs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"workers{workers}"
-            code = main(
-                ["sweep", "--config", config, "--out", str(out), "--workers", workers]
-            )
-            runs.append(
-                (code, capsys.readouterr().err, (out / "manifest.json").read_bytes())
-            )
-        assert runs[1] == runs[0]
-        assert runs[0][:2] == (
-            1,
-            "sweep 20_200: sweep failed at mu = 0: boundary altitudes y0=0.0, "
-            "yf=6.0 must lie within the bounds [0.0, 5.5]\n",
-        )
 
     def test_dead_pool_worker_fails_its_pairs_in_the_manifest(
         self, tmp_path, capsys, monkeypatch
@@ -1137,77 +586,6 @@ class TestSweepCommand:
         manifest = json.loads(runs[0][2])
         assert manifest["failures"] == {"10_100": message, "20_200": message}
         assert manifest["files"] == {}
-
-    @pytest.mark.parametrize(
-        "pairs,sim,failed,ran,message",
-        [
-            # 1/167 s at the -500 pole: |lambda| h = 2.99.  No point of
-            # the pair is planned.
-            (
-                "-10,-100; -50,-500",
-                "max_step = 0.016\npole_fraction = 3.0",
-                "50_500",
-                "10_100",
-                "sim step 0.005988023952095809 s is not RK4-stable"
-                " (|lambda_fast| * step > 2.78)",
-            ),
-            # A 0.02 s step on the 1/60 s knot grid: the pair's first
-            # point is planned and cannot be flown.
-            (
-                "-1,-10; -20,-200",
-                "max_step = 0.02",
-                "1_10",
-                "20_200",
-                "sweep failed at mu = 0: "
-                "sim step 0.02 s exceeds the knot spacing 0.016666666666666666 s",
-            ),
-        ],
-    )
-    def test_step_rule_fails_only_its_pair(
-        self, pairs, sim, failed, ran, message, tmp_path, capsys
-    ):
-        # Recorded in the manifest like any failed pair, the same way under
-        # any worker count; the other pair runs.
-        config = write_config(
-            tmp_path,
-            REDUCED_SWEEP.replace("-20,-200", pairs) + f"\n[sim]\n{sim}\n",
-        )
-        runs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"workers{workers}"
-            code = main(
-                ["sweep", "--config", config, "--out", str(out), "--workers", workers]
-            )
-            manifest = (out / "manifest.json").read_bytes()
-            runs.append((code, capsys.readouterr().err, manifest))
-        assert runs[1] == runs[0]
-        assert runs[0][:2] == (1, f"sweep {failed}: {message}\n")
-        manifest = json.loads(runs[0][2])
-        assert manifest["failures"] == {failed: message}
-        assert sorted(manifest["files"]) == [f"frontier_{ran}.csv", f"spring_{ran}.json"]
-
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_failed_spring_fit_fails_only_its_pair(self, workers, tmp_path, capsys):
-        # A zero climb plans and flies, but its head actual cost is 0, so
-        # the spring cannot be fitted: no file of the pair is written, the
-        # next pair still runs, and the manifest records both.
-        config = write_config(
-            tmp_path,
-            REDUCED_SWEEP.replace("-20,-200", "-10,-100; -20,-200")
-            + "\n[plan]\nyf = 0.0\n",
-        )
-        out = tmp_path / "out"
-        code = main(
-            ["sweep", "--config", config, "--out", str(out), "--workers", workers]
-        )
-        message = "head actual cost must be positive"
-        assert (code, capsys.readouterr().err) == (
-            1, f"sweep 10_100: {message}\nsweep 20_200: {message}\n"
-        )
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["failures"] == {"10_100": message, "20_200": message}
-        assert manifest["files"] == {}
-        assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
 
     def test_sweep_builds_each_design_once_past_the_cache_size(
         self, tmp_path, monkeypatch
@@ -1289,45 +667,6 @@ class TestStiffnessCommand:
         assert record["a"] == a
         assert record["k"] == pytest.approx(32.0**2 / (2.0 * a**3), rel=1e-11)
 
-    def test_schema_error_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("mu,designed,predicted,actual,err\n0,1,1,1,1\n")
-        code = main(["stiffness", str(path), "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert "column 1" in capsys.readouterr().err
-
-    def test_header_only_frontier_exits_without_files(self, tmp_path, capsys):
-        from plantrack.frontier import FRONTIER_COLUMNS
-
-        path = tmp_path / "empty.csv"
-        path.write_text(",".join(FRONTIER_COLUMNS) + "\n")
-        out = tmp_path / "never"
-        assert main(["stiffness", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: no data rows after the header\n"
-        assert not out.exists()
-
-    def test_comment_only_frontier_exits_without_files(self, tmp_path, capsys):
-        from plantrack.frontier import FRONTIER_COLUMNS
-
-        path = tmp_path / "comments.csv"
-        path.write_text(",".join(FRONTIER_COLUMNS) + "\n\n# no points\n\n# yet\n")
-        out = tmp_path / "never"
-        assert main(["stiffness", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: no data rows after the header\n"
-        assert not out.exists()
-
-    def test_malformed_row_exits_without_files(self, tmp_path, capsys):
-        from plantrack.frontier import FRONTIER_COLUMNS
-
-        path = tmp_path / "bad.csv"
-        path.write_text(",".join(FRONTIER_COLUMNS) + "\n0,75,1,80,1\n10,76,x,78,1\n")
-        out = tmp_path / "never"
-        assert main(["stiffness", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: row 2, column 'predicted_error_sq_integral': 'x' is not a number\n"
-        )
-        assert not out.exists()
-
     def test_decimal_pair_slug(self, tmp_path):
         from plantrack.frontier import FRONTIER_COLUMNS
 
@@ -1342,6 +681,44 @@ class TestStiffnessCommand:
              "--config", config, "--out", str(out)]
         ) == 0
         assert (out / "spring_12p5_125.json").exists()
+
+
+def files_under(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# Each row of tests/failure_cases.py, one command at a time: exit 1, the
+# exact stderr and the exact files under --out, the same bytes under each
+# worker count of a sweep, and for a sweep the manifest's failures.
+@pytest.mark.parametrize(
+    "case,command",
+    [(case, command) for case in CASES for command in case.commands],
+    ids=[f"{case.id}-{i}" for case in CASES for i in range(len(case.commands))],
+)
+def test_failing_input(case, command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in case.files.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    for setup in case.setup:
+        assert main(setup.split()) == 0
+    capsys.readouterr()
+    runs = []
+    for argv in argvs(command):
+        out = tmp_path / f"out{len(runs)}"
+        code = main([*argv, "--out", out.name])
+        runs.append((code, capsys.readouterr().err, out.exists(), files_under(out)))
+    assert all(run == runs[0] for run in runs)
+    code, err, written, files = runs[0]
+    assert (code, err, written, set(files)) == (
+        1, case.stderr + "\n", bool(case.written), case.written
+    )
+    if case.failures is not None:
+        manifest = json.loads(files["manifest.json"])
+        assert manifest["failures"] == case.failures
+        assert manifest["files"] == {
+            name: hashlib.sha256(files[name]).hexdigest() for name in files
+            if name != "manifest.json"
+        }
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

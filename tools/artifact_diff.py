@@ -2,10 +2,11 @@
 
     python3 tools/artifact_diff.py --parent DIR
 
-Runs the plantrack commands of ``RUNS`` in order, once with this
+Runs the passing plantrack commands of ``RUNS`` and the failing ones of
+the rows of ``tests/failure_cases.py`` in order, once with this
 checkout's ``src`` and once with DIR's, each time in a new temporary
-directory that starts with the files of ``INPUTS``, with
-``PYTHONPATH=<checkout>/src`` and ``PYTHONDONTWRITEBYTECODE=1``.
+directory that starts with the files of ``INPUTS`` and of those rows,
+with ``PYTHONPATH=<checkout>/src`` and ``PYTHONDONTWRITEBYTECODE=1``.
 
 Exit codes, stdout, stderr and every file written are compared byte for
 byte.  For a file that differs, the largest relative difference between
@@ -25,19 +26,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The failure rows, plain data that imports nothing from plantrack.
+sys.path.insert(0, str(ROOT / "tests"))
+from failure_cases import CASES, argvs  # noqa: E402
 
-TRAJECTORY_HEADER = "t,y,v,a,u,e_pred\n"
-FRONTIER_HEADER = ("mu,designed_cost,predicted_error_sq_integral,actual_cost,"
-                   "actual_error_sq_integral\n")
-
-# The files each run directory starts with, name -> text.  None stands for
-# the INI that ``perfbench/workloads.py bounded_sweep 0`` prints, read in main.
+# The files each run directory starts with besides those of the failure
+# rows, name -> text.  None stands for the INI that
+# ``perfbench/workloads.py bounded_sweep 0`` prints, read in main.
 INPUTS = {
     # perfbench's bounded sweep: the toss clamps at y_max.
     "bounded.ini": None,
-    # -50,-500 gets the step 1/167 s, where |lambda_fast| h = 2.99 > 2.78.
-    "failing.ini": "[controllers]\npairs = -10,-100; -50,-500\n\n[sim]\nmax_step = 0.016\n"
-                   "pole_fraction = 3.0\n\n[mu_grid]\ncount = 3\n",
     # Knots 0.7005 / 47 s apart: the planner, the reader and the simulator
     # must all take that spacing with the same bits.
     "awkward.ini": "[controllers]\npairs = -10,-100; -30,-300\n\n[plan]\nhorizon = 0.7005\n"
@@ -49,39 +47,6 @@ INPUTS = {
     "nine_pairs.ini": "[controllers]\npairs = "
                       + "; ".join(f"-{slow},-{10 * slow}" for slow in range(10, 19))
                       + "\n\n[mu_grid]\ncount = 1\n",
-    # Planner inputs rejected before the active-set loop: yf outside [y_min, y_max],
-    # and a start so fast that mu = 1e304 overflows the objective's constant.
-    "outside_box.ini": "[plan]\nyf = 6.0\n",
-    "fast_start.ini": "[plan]\nv0 = 1e9\n",
-    # Flights too long to hold: 1e100 s is 1e103 RK4 steps, and at 1e306 s
-    # horizon / step overflows.
-    "horizon_1e100.ini": "[plan]\nhorizon = 1e100\n\n[mu_grid]\ncount = 1\n",
-    "horizon_1e306.ini": "[plan]\nhorizon = 1e306\n\n[mu_grid]\ncount = 1\n",
-    # A start speed whose coasting altitude y0 + v0 t overflows the design.
-    "overflowing_start.ini": "[plan]\nhorizon = 1e120\nv0 = 1e200\ny_min = -1e300\n"
-                             "y_max = 1e300\n",
-    # Vehicle products that overflow: the gains at 1e307 kg, M g at 1e308 kg.
-    "mass_1e307.ini": "[model]\nmass = 1e307\n",
-    "mass_1e308.ini": "[model]\nmass = 1e308\n",
-    # M d underflows to 0, and the pitch acceleration divides by it.
-    "arm_5e-324.ini": "[model]\nmass = 0.1\narm_length = 5e-324\n",
-    # A log grid whose last weight ratio**4 passes the largest float.
-    "mu_overflow.ini": "[mu_grid]\ncount = 5\nmin = 1\nmax = 1.7976931348623157e308\n",
-    # A design of 10^12 knot pairs, over the segment bound.
-    "segments_1e6.ini": "[plan]\nsegments = 1000000\n",
-    # Trajectory CSVs the reader rejects, one check each: a t column shifted
-    # off 0, a non-uniform and a decreasing one, a renamed and an extra
-    # header column, and a header with no rows.
-    "shifted.csv": TRAJECTORY_HEADER + "0.5,0,0,0,0,0\n1.0,0,0,0,0,0\n1.5,0,0,0,0,0\n",
-    "nonuniform.csv": TRAJECTORY_HEADER + "0.0,0,0,0,0,0\n0.5,0,0,0,0,0\n1.25,0,0,0,0,0\n",
-    "decreasing.csv": TRAJECTORY_HEADER + "0.0,0,0,0,0,0\n1.0,0,0,0,0,0\n0.5,0,0,0,0,0\n",
-    "renamed.csv": "t,y,v,acc,u,e_pred\n0,0,0,0,0,0\n0.5,0,0,0,0,0\n",
-    "extra_column.csv": "t,y,v,a,u,e_pred,junk\n0,0,0,0,0,0,0\n0.5,0,0,0,0,0,0\n",
-    "header_only.csv": TRAJECTORY_HEADER,
-    # Frontier CSVs the reader rejects: a renamed column and an inf cell.
-    "frontier_renamed.csv": FRONTIER_HEADER.replace("designed_cost", "designed")
-    + "0,75,1,80,1\n10,76,0.5,78,1\n",
-    "frontier_inf.csv": FRONTIER_HEADER + "0,75,1,80,1\n10,76,inf,78,1\n",
 }
 
 # Valid CSVs from earlier commands, copied with lines the readers skip.
@@ -108,18 +73,11 @@ RUNS = (
     (WORKERS, (
         "sweep --out default_w{w} --workers {w}",
         "sweep --config bounded.ini --out bounded_w{w} --workers {w}",
-        # Exits 1 and writes the first pair's files and a failures entry.
-        "sweep --config failing.ini --out failing_w{w} --workers {w}",
         "sweep --config awkward.ini --out awkward_w{w} --workers {w}",
         # 101 of the 124 points pin a lower and an upper knot.
         "sweep --config dip.ini --out dip_w{w} --workers {w}",
         # The last pair builds its design after the sweep's build-ahead.
         "sweep --config nine_pairs.ini --out nine_pairs_w{w} --workers {w}",
-        # Every pair's step rule rejects the flight before any point is planned.
-        "sweep --config horizon_1e100.ini --out horizon_1e100_w{w} --workers {w}",
-        "sweep --config horizon_1e306.ini --out horizon_1e306_w{w} --workers {w}",
-        # The config rejects the design before anything is built.
-        "sweep --config segments_1e6.ini --out segments_1e6_w{w} --workers {w}",
     )),
     (ONCE, (
         # The awkward knot spacing and the two-sided working sets through track.
@@ -138,41 +96,12 @@ RUNS = (
         "track plan_{slug}_3.5/trajectory.csv --pair {pair} --mu 3.5 --out track_{slug}_3.5",
         "plan --pair {pair} --mu 1e3 --out plan_{slug}_1e3",
         "track plan_{slug}_1e3/trajectory.csv --pair {pair} --mu 1e3 --out track_{slug}_1e3",
-        "stiffness default_w1/frontier_{slug}.csv --pair {pair} --out stiffness",
+        "stiffness default_w1/frontier_{slug}.csv --pair {pair} --out stiffness_{slug}",
     )),
     (ONCE, (
         # The DECORATED copies, which the readers must read as the originals.
         "track decorated_trajectory.csv --pair -10,-100 --mu 3.5 --out track_decorated",
         "stiffness decorated_frontier.csv --pair -10,-100 --out stiffness_decorated",
-        # Malformed CSVs: each exits 1 with one error: line and writes nothing.
-        "track shifted.csv --pair -20,-200 --out track_shifted",
-        "track nonuniform.csv --pair -20,-200 --out track_nonuniform",
-        "track decreasing.csv --pair -20,-200 --out track_decreasing",
-        "track renamed.csv --pair -20,-200 --out track_renamed",
-        "track extra_column.csv --pair -20,-200 --out track_extra_column",
-        "track header_only.csv --pair -20,-200 --out track_header_only",
-        "stiffness frontier_renamed.csv --out stiffness_frontier_renamed",
-        "stiffness frontier_inf.csv --out stiffness_frontier_inf",
-        # Problems the planner rejects, the same way.
-        "plan --pair -10,-100 --mu 1e308 --out plan_huge_mu",
-        "plan --config outside_box.ini --pair -10,-100 --out plan_outside_box",
-        "plan --config fast_start.ini --pair -50,-500 --mu 1e304 --out plan_fast_start",
-        # Inputs too large to fly or to plan, and vehicle constants whose
-        # products overflow, which the config rejects at load.
-        "plan --config horizon_1e100.ini --pair -10,-100 --out plan_1e100",
-        "track plan_1e100/trajectory.csv --config horizon_1e100.ini --pair -10,-100"
-        " --out track_1e100",
-        "plan --config overflowing_start.ini --pair -10,-100 --out plan_overflowing_start",
-        "track plan_10_100_3.5/trajectory.csv --config mass_1e307.ini --pair -10,-100"
-        " --mu 3.5 --out track_mass_1e307",
-        "track plan_10_100_3.5/trajectory.csv --config mass_1e308.ini --pair -10,-100"
-        " --mu 3.5 --out track_mass_1e308",
-        "track plan_10_100_3.5/trajectory.csv --config arm_5e-324.ini --pair -10,-100"
-        " --mu 3.5 --out track_arm_5e-324",
-        # A mu grid that overflows and a design too large to hold, both
-        # rejected at load.
-        "plan --config mu_overflow.ini --pair -10,-100 --out plan_mu_overflow",
-        "plan --config segments_1e6.ini --pair -10,-100 --out plan_segments_1e6",
     )),
 )
 
@@ -181,15 +110,28 @@ _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w
 
 
 def commands() -> list[list[str]]:
-    """The plantrack argument lists, run in order in one directory."""
-    return [row.format(**fields).split()
+    """The plantrack argument lists, run in order in one directory: the RUNS,
+    then for each failure row its setup commands not yet run and its first
+    ``gate`` commands, each given the out directory ``<row id>_<n>``."""
+    runs = [row.format(**fields).split()
             for each, rows in RUNS for fields in each for row in rows]
+    for case in CASES:
+        runs += [argv for argv in map(str.split, case.setup) if argv not in runs]
+        failing = [argv for command in case.commands[:case.gate] for argv in argvs(command)]
+        runs += [[*argv, "--out", f"{case.id}_{n}"] for n, argv in enumerate(failing)]
+    return runs
+
+
+def input_files() -> dict:
+    """Every file a run directory starts with, name -> text or bytes."""
+    return INPUTS | {name: text for case in CASES for name, text in case.files.items()}
 
 
 def run_all(checkout: Path, work: Path, bounded_ini: str) -> list[tuple]:
     """Run every command against ``checkout``'s src inside ``work``."""
-    for name, text in INPUTS.items():
-        (work / name).write_text(bounded_ini if text is None else text)
+    for name, text in input_files().items():
+        text = bounded_ini if text is None else text
+        (work / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     results = []
     for args in commands():
