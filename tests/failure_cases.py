@@ -150,6 +150,10 @@ CASES = (
     # A design of 10^12 knot pairs, over the segment bound.
     config_error("segments_1e6", "[plan]\nsegments = 1000000\n",
                  "1000000 segments is over the bound of 2000", gate=("plan", "sweep")),
+    # A grid one weight over the bound, rejected before it is built.  Never
+    # gate its sweep: a checkout without the bound plans every weight.
+    config_error("mu_count_over_bound", "[mu_grid]\ncount = 1000001\n",
+                 "mu grid count 1000001 is over the bound of 1000000"),
     # Problems the planner rejects before the active-set loop.
     Case("outside_box", ("plan --config outside_box.ini --pair -10,-100",
                          "plan --config outside_box.ini --pair -20,-200"),
