@@ -169,7 +169,8 @@ CASES = (
          "error: KKT solve produced non-finite values (size 62, constraint rows 1)"),
     # A start so fast that mu = 1e304 overflows the objective's constant.
     Case("fast_start", ("plan --config fast_start.ini --pair -50,-500 --mu 1e304",),
-         "error: mu = 1e+304 overflows the design terms", {"fast_start.ini": "[plan]\nv0 = 1e9\n"}),
+         "error: mu = 1e+304 overflows the design terms",
+         {"fast_start.ini": "[plan]\nv0 = 1e9\n"}),
     # M g and the gains of the slow pair stay finite; M (a + g) does not.
     Case("thrust_overflow", ("plan --config thrust_overflow.ini --pair -1,-2",),
          "error: planned thrust M (a + g) overflows",
@@ -196,12 +197,13 @@ CASES = (
     Case("header_only", ("track header_only.csv --pair -20,-200",
                          "track header_only.csv --pair -10,-100"),
          "error: no data rows after the header", {"header_only.csv": TRAJECTORY_HEADER}),
-    # With no row, the value is the whole body.
+    # A body of one comment, and one of one space: a row of one empty cell.
     Case("comment_body", ("track comment_body.csv --pair -10,-100",),
          "error: no data rows after the header",
          {"comment_body.csv": TRAJECTORY_HEADER + "# only a comment\n"}),
     Case("space_body", ("track space_body.csv --pair -10,-100",),
-         "error: row 1: expected 6 columns, found 1", {"space_body.csv": TRAJECTORY_HEADER + " \n"}),
+         "error: row 1: expected 6 columns, found 1",
+         {"space_body.csv": TRAJECTORY_HEADER + " \n"}),
     Case("cell_inf", ("track cell_inf.csv --pair -10,-100",),
          "error: row 5, column 'a': inf is not finite",
          {"cell_inf.csv": trajectory({5: "1.0,0,0,inf,0,0"})}),

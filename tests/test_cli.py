@@ -467,14 +467,19 @@ class TestSweepCommand:
         ) == 0
         assert calls.read_text().split() == [str(os.getpid())] * 2
 
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """The max_workers of each process pool, which runs its jobs inline."""
+    # The pool is capped at the CPU count too; os.cpu_count() is None
+    # where the count cannot be told.
+    @pytest.mark.parametrize("cpus,size", [(64, 3), (2, 2), (None, 1)])
+    def test_pool_has_no_more_workers_than_grid_points(
+        self, cpus, size, sweep_artifacts, tmp_path, monkeypatch
+    ):
         import concurrent.futures
 
         sizes = []
 
         class RecordingPool:
+            """Stands in for the process pool and runs the jobs inline."""
+
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 self.map = map
@@ -483,33 +488,16 @@ class TestSweepCommand:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return sizes
-
-    def test_pool_has_no_more_workers_than_grid_points(
-        self, sweep_artifacts, pool_sizes, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         config, out = sweep_artifacts
         pooled = tmp_path / "pooled"
         assert main(
             ["sweep", "--config", config, "--out", str(pooled), "--workers", "1000"]
         ) == 0
-        assert pool_sizes == [3]
+        assert sizes == [size]
         assert (pooled / "manifest.json").read_bytes() == (
             out / "manifest.json"
         ).read_bytes()
-
-    # os.cpu_count() is None where the count cannot be told.
-    @pytest.mark.parametrize("cpus,size", [(2, 2), (None, 1)])
-    def test_pool_has_no_more_workers_than_cpus(
-        self, cpus, size, sweep_artifacts, pool_sizes, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        config, _ = sweep_artifacts
-        assert main(
-            ["sweep", "--config", config, "--out", str(tmp_path), "--workers", "1000"]
-        ) == 0
-        assert pool_sizes == [size]
 
     def test_default_sweep_builds_each_design_once(self, tmp_path, monkeypatch):
         # Each controller builds one design, with its chain (lambda = 0)
