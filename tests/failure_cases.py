@@ -117,6 +117,8 @@ CASES = (
                  "[controllers] pairs: pair '-10,-10': repeated eigenvalue pair"
                  " is not supported"),
     config_error("empty_pairs", "[controllers]\npairs =\n", "controller pair list is empty"),
+    # Today's three-line configparser text, a FOUND fault in CHANGES.md: its
+    # fix makes this stderr one line.
     config_error("unparsable", "this is not an ini file [\n",
                  "cannot parse config: File contains no section headers.\n"
                  "file: 'unparsable.ini', line: 1\n'this is not an ini file [\\n'"),
@@ -223,13 +225,17 @@ CASES = (
     Case("trailing_comma", ("track trailing_comma.csv --pair -10,-100",),
          "error: row 3: expected 6 columns, found 7",
          {"trailing_comma.csv": trajectory({3: "0.5,0,0,0,0,0,"})}),
-    # A t column shifted off 0, a non-uniform and a decreasing one, and one sample.
+    # A t column shifted off 0, a non-uniform one (and one with a single t
+    # moved by 1e-4 s), a decreasing one, and one sample.
     Case("shifted", ("track shifted.csv --pair -20,-200",),
          "error: column 't': profile must start at t = 0",
          {"shifted.csv": TRAJECTORY_HEADER + "0.5,0,0,0,0,0\n1.0,0,0,0,0,0\n1.5,0,0,0,0,0\n"}),
     Case("nonuniform", ("track nonuniform.csv --pair -20,-200",),
          "error: column 't': grid is not uniform",
          {"nonuniform.csv": TRAJECTORY_HEADER + "0.0,0,0,0,0,0\n0.5,0,0,0,0,0\n1.25,0,0,0,0,0\n"}),
+    Case("nudged", ("track nudged.csv --pair -20,-200",),
+         "error: column 't': grid is not uniform",
+         {"nudged.csv": trajectory({6: "1.2501,0,0,0,0,0"})}),
     Case("decreasing", ("track decreasing.csv --pair -20,-200",),
          "error: column 't': times must be strictly increasing",
          {"decreasing.csv": TRAJECTORY_HEADER + "0.0,0,0,0,0,0\n1.0,0,0,0,0,0\n0.5,0,0,0,0,0\n"}),
