@@ -182,12 +182,10 @@ def _render(value) -> str:
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _parse_pairs(text: str) -> tuple[EigenvaluePair, ...]:
@@ -242,32 +240,39 @@ _FORMAT = {
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Load and validate an INI config; None gives the defaults."""
+    """Load and validate an INI config; None gives the defaults.
+
+    The format is `key = value` lines under `[section]` headers, names
+    exactly as `_FORMAT` spells them, and `#` comments, whole-line or
+    inline; `;` is not a comment, so it can separate pairs.  There is no
+    interpolation, and `[DEFAULT]` is an unknown section like any other.
+    """
     if path is None:
         return RunConfig()
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(
+        delimiters=("=",), comment_prefixes=("#",), inline_comment_prefixes=("#",),
+        interpolation=None, default_section="",
+    )
+    parser.optionxform = str
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+        # configparser's text spans lines; keep it, line number included, on one.
+        raise ConfigError(f"cannot parse config: {' '.join(str(exc).split())}") from exc
 
+    values, params = {}, {}
     for section in parser.sections():
         if section not in _FORMAT:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
+        for key, raw in parser.items(section):
             if key not in _FORMAT[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    values, params = {}, {}
-    for section, keys in _FORMAT.items():
-        for key, (name, parse) in keys.items():
-            if not parser.has_option(section, key):
-                continue
+            name, parse = _FORMAT[section][key]
             try:
-                value = parse(parser.get(section, key))
+                value = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
             if name.startswith("params."):
@@ -422,10 +427,12 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
 
         # Under the fork start method the executor starts all max_workers
         # processes at the first submit, and a pair has one job per weight;
-        # a worker past the CPU count only adds a process.
-        executor = ProcessPoolExecutor(
-            max_workers=min(workers, len(grid), os.cpu_count() or 1)
-        )
+        # a worker past the CPUs this process may use only adds a process.
+        # An affinity mask or a container's cpuset can leave it fewer CPUs
+        # than the machine has.
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        executor = ProcessPoolExecutor(max_workers=min(workers, len(grid), cpus))
         # A worker that dies breaks the pool: its pair and every later
         # one fail with the pool's message.
         pair_errors += (BrokenExecutor,)

@@ -117,11 +117,24 @@ CASES = (
                  "[controllers] pairs: pair '-10,-10': repeated eigenvalue pair"
                  " is not supported"),
     config_error("empty_pairs", "[controllers]\npairs =\n", "controller pair list is empty"),
-    # Today's three-line configparser text, a FOUND fault in CHANGES.md: its
-    # fix makes this stderr one line.
+    # configparser's three-line text, on one line.
     config_error("unparsable", "this is not an ini file [\n",
-                 "cannot parse config: File contains no section headers.\n"
-                 "file: 'unparsable.ini', line: 1\n'this is not an ini file [\\n'"),
+                 "cannot parse config: File contains no section headers."
+                 " file: 'unparsable.ini', line: 1 'this is not an ini file [\\n'"),
+    # configparser forms the format leaves out: [DEFAULT], % interpolation,
+    # keys in another letter case, ':' as delimiter and ';' comments.
+    config_error("default_section", "[DEFAULT]\nhorizon = 2\n",
+                 "unknown config section [DEFAULT]"),
+    config_error("percent", "[plan]\nhorizon = 1%\n",
+                 "[plan] horizon: could not convert string to float: '1%'"),
+    config_error("interpolation", "[plan]\nyf = 4.0\ny_max = %(yf)s\n",
+                 "[plan] y_max: could not convert string to float: '%(yf)s'"),
+    config_error("key_case", "[plan]\nHorizon = 2\n", "unknown key 'Horizon' in section [plan]"),
+    config_error("colon", "[plan]\nhorizon: 2\n",
+                 "cannot parse config: Source contains parsing errors: 'colon.ini'"
+                 " [line 2]: 'horizon: 2\\n'"),
+    config_error("semicolon_comment", "[model]\nmass = 0.54 ; kg\n",
+                 "[model] mass: could not convert string to float: '0.54 ; kg'"),
     config_error("absent", None,
                  "cannot read config: [Errno 2] No such file or directory: 'absent.ini'"),
     config_error("undecodable", b"[plan]\nhorizon = 1\xff\n",

@@ -2,8 +2,9 @@
 
 - ``error_integral_form`` is the planner's lag path (``lag_response_matrix``
   then ``apply_lag``) on a checked ``VelocityProfile``; criterion 2 holds it
-  to an RK4 integration of the lag ODE.  The finite-n forms converge to it,
-  and criterion 3 holds ``error_discrete_limit_form`` to the closed value.
+  to ``rk4_lag_at_knots``, an RK4 integration of the lag ODE.  The finite-n
+  forms converge to it, and criterion 3 holds ``error_discrete_limit_form``
+  to the closed value.
 - ``frontier_gap``, the mean |actual - designed| cost, is criterion 7's
   statistic.
 - ``trapezoid_quadrature`` checks that a grid is uniform, as the readers
@@ -79,6 +80,36 @@ def error_integral_form(profile: VelocityProfile, lam: float) -> np.ndarray:
     if lam <= 0:
         raise ValueError("lam must be a positive decay rate")
     return apply_lag(lag_response_matrix(profile.times, lam), profile.values)
+
+
+def rk4_lag_at_knots(
+    times: np.ndarray, values: np.ndarray, lam: float, substeps: int = 40
+) -> np.ndarray:
+    """RK4 of the lag ODE e' = v(t) - lam e, e(0) = 0, at every knot.
+
+    ``values`` is one velocity profile on the uniform grid ``times``, or
+    one per row; each is linear between knots and is integrated, all rows
+    at once, with ``substeps`` RK4 steps per knot interval.  Returns e at
+    the knots, shaped as ``values``.
+    """
+    values = np.asarray(values, dtype=float)
+    rows = np.atleast_2d(values)
+    steps = (times.size - 1) * substeps
+    h = (times[1] - times[0]) / substeps
+    half_grid = np.linspace(0.0, times[-1], 2 * steps + 1)
+    v = np.array([np.interp(half_grid, times, row) for row in rows])
+    e = np.zeros(rows.shape[0])
+    knot_values = [e]
+    for step in range(steps):
+        v0, vm, v1 = v[:, 2 * step], v[:, 2 * step + 1], v[:, 2 * step + 2]
+        k1 = v0 - lam * e
+        k2 = vm - lam * (e + 0.5 * h * k1)
+        k3 = vm - lam * (e + 0.5 * h * k2)
+        k4 = v1 - lam * (e + h * k3)
+        e = e + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (step + 1) % substeps == 0:
+            knot_values.append(e)
+    return np.array(knot_values).T.reshape(values.shape)
 
 
 def error_discrete_limit_form(profile: VelocityProfile, lam: float, n: int) -> float:

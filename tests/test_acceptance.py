@@ -22,6 +22,7 @@ from oracles import (
     error_discrete_limit_form,
     error_integral_form,
     frontier_gap,
+    rk4_lag_at_knots,
     simulate_planar,
 )
 from plantrack import collocation_planner as planner
@@ -92,27 +93,9 @@ def test_criterion_02_estimator_agrees_with_lag_ode_integration():
     )
 
     # RK4 of e' = v(t) - lam e on a 40x finer grid, all profiles at once.
-    nsub = 40
-    h = dt / nsub
-    half_grid = np.linspace(0.0, 1.0, 60 * nsub * 2 + 1)
-    v_half = np.array([np.interp(half_grid, knots, v) for v in profiles])
-
     worst_ratio = 0.0
     for lam in (10.0, 20.0, 30.0, 50.0):
-        e = np.zeros(profiles.shape[0])
-        knot_values = [e.copy()]
-        for step in range(60 * nsub):
-            v0 = v_half[:, 2 * step]
-            vm = v_half[:, 2 * step + 1]
-            v1 = v_half[:, 2 * step + 2]
-            k1 = v0 - lam * e
-            k2 = vm - lam * (e + 0.5 * h * k1)
-            k3 = vm - lam * (e + 0.5 * h * k2)
-            k4 = v1 - lam * (e + h * k3)
-            e = e + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if (step + 1) % nsub == 0:
-                knot_values.append(e.copy())
-        oracle = np.array(knot_values).T
+        oracle = rk4_lag_at_knots(knots, profiles, lam)
         for i, v in enumerate(profiles):
             series = error_integral_form(VelocityProfile(times=knots, values=v), lam)
             dev = np.max(np.abs(series - oracle[i]))

@@ -164,6 +164,36 @@ class TestConfigLoading:
         path = write_config(tmp_path, f"[plan]\nenforce_initial_accel_zero = {raw}\n")
         assert load_config(path).enforce_initial_accel_zero is False
 
+    # ';' separates pairs and is never a comment, spaced or at the start
+    # of a continuation line.
+    @pytest.mark.parametrize(
+        "pairs", ["-10,-100 ; -20,-200", "-10,-100\n    ; -20,-200"], ids=["spaced", "continued"]
+    )
+    def test_semicolon_separates_pairs(self, pairs, tmp_path):
+        path = write_config(tmp_path, f"[controllers]\npairs = {pairs}\n")
+        assert [p.as_tuple() for p in load_config(path).pairs] == [
+            (-10.0, -100.0), (-20.0, -200.0)
+        ]
+
+    def test_hash_comments_on_their_own_line_or_inline(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            """\
+            # a whole-line comment
+            [plan]  # after a header
+            horizon = 2.0  # after a value
+                # indented
+            segments = 80
+
+            [controllers]
+            pairs = -5,-50  # one pair
+            """,
+        )
+        config = load_config(path)
+        assert (config.horizon, config.segments) == (2.0, 80)
+        assert [p.as_tuple() for p in config.pairs] == [(-5.0, -50.0)]
+
+
 class TestRunConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -467,11 +497,16 @@ class TestSweepCommand:
         ) == 0
         assert calls.read_text().split() == [str(os.getpid())] * 2
 
-    # The pool is capped at the CPU count too; os.cpu_count() is None
-    # where the count cannot be told.
-    @pytest.mark.parametrize("cpus,size", [(64, 3), (2, 2), (None, 1)])
+    # The pool is capped at the CPUs the process may use too: its affinity
+    # set, or where os has no sched_getaffinity the machine's count, which
+    # os.cpu_count() gives as None where it cannot be told.
+    @pytest.mark.parametrize(
+        "affinity,cpus,size",
+        [({0, 1, 2, 3}, 64, 3), ({5}, 64, 1), (None, 64, 3), (None, 2, 2), (None, None, 1)],
+        ids=["affinity4-64-3", "affinity1-64-1", "64-3", "2-2", "None-1"],
+    )
     def test_pool_has_no_more_workers_than_grid_points(
-        self, cpus, size, sweep_artifacts, tmp_path, monkeypatch
+        self, affinity, cpus, size, sweep_artifacts, tmp_path, monkeypatch
     ):
         import concurrent.futures
 
@@ -488,6 +523,10 @@ class TestSweepCommand:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         config, out = sweep_artifacts
         pooled = tmp_path / "pooled"

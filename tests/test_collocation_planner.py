@@ -489,6 +489,34 @@ def test_failed_factorization_is_a_planner_error(monkeypatch):
     collocation_planner._cached_design.cache_clear()
 
 
+def test_failed_working_set_solve_is_a_planner_error(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    with pytest.raises(PlannerNumericalError) as info:
+        solve(PlanProblem())
+    assert str(info.value) == "KKT solve failed: Singular matrix"
+
+
+def test_active_set_loop_stops_at_its_addition_limit(monkeypatch):
+    # With its bound multipliers negated, every bound the loop adds comes
+    # back wrong-signed and is dropped, so the toss adds the same knot
+    # again and again until it passes 10 n additions.
+    problem = PlanProblem(segments=20, v0=30.0, yf=0.0)
+    m_base = collocation_planner._design(problem).eq_matrix.shape[0]
+    real = collocation_planner._solve_working_set
+
+    def negated(*args):
+        a, mult = real(*args)
+        return a, np.concatenate([mult[:m_base], -mult[m_base:]])
+
+    monkeypatch.setattr(collocation_planner, "_solve_working_set", negated)
+    with pytest.raises(PlannerNumericalError) as info:
+        solve(problem)
+    assert str(info.value) == "active-set loop exceeded 210 bound additions"
+
+
 def test_active_set_iterations_follow_the_working_set_path():
     # One working-set solve per default point (the equality optimum is
     # inside the box); the bounded toss takes 171 over its 62 points.

@@ -8,6 +8,7 @@ from oracles import (
     error_discrete_limit_form,
     error_integral_form,
     error_sum_discretization,
+    rk4_lag_at_knots,
     trapezoid_quadrature,
 )
 from plantrack.error_estimator import lag_response_matrix, trapezoid_weights
@@ -16,29 +17,6 @@ from plantrack.error_estimator import lag_response_matrix, trapezoid_weights
 def uniform_profile(values, horizon=1.0):
     values = np.asarray(values, dtype=float)
     return VelocityProfile(np.linspace(0.0, horizon, values.size), values)
-
-
-def rk4_lag_at_knots(profile, lam, substeps=40):
-    """Independent oracle: RK4 on e' = v_ref - lam e with hat interpolation."""
-    times, values = profile.times, profile.values
-    dt = profile.dt
-    h = dt / substeps
-
-    def v_at(t):
-        return float(np.interp(t, times, values))
-
-    e = 0.0
-    out = np.zeros(times.size)
-    for k in range(times.size - 1):
-        for j in range(substeps):
-            t = times[k] + j * h
-            k1 = v_at(t) - lam * e
-            k2 = v_at(t + h / 2) - lam * (e + h / 2 * k1)
-            k3 = v_at(t + h / 2) - lam * (e + h / 2 * k2)
-            k4 = v_at(t + h) - lam * (e + h * k3)
-            e += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = e
-    return out
 
 
 class TestTrapezoidQuadrature:
@@ -111,7 +89,7 @@ class TestIntegralForm:
         t = np.linspace(0.0, 1.0, 61)
         prof = VelocityProfile(t, 15 * t - 15 * t**2)
         series = error_integral_form(prof, 20.0)
-        oracle = rk4_lag_at_knots(prof, 20.0)
+        oracle = rk4_lag_at_knots(t, prof.values, 20.0)
         deviation = np.max(np.abs(series - oracle))
         assert deviation < 10.0 * prof.dt**2 * np.max(np.abs(prof.values))
         assert deviation < 2e-3
@@ -121,14 +99,15 @@ class TestIntegralForm:
         t = np.linspace(0.0, 1.0, 61)
         dt = t[1] - t[0]
         for lam in (10.0, 20.0, 30.0, 50.0):
-            for _ in range(20):
-                v = rng.uniform(-3, 3) + sum(
+            profiles = np.array([
+                rng.uniform(-3, 3) + sum(
                     rng.uniform(-4, 4) * np.sin(2 * np.pi * rng.uniform(0.5, 3) * t + rng.uniform(0, 2 * np.pi))
                     for _ in range(4)
                 )
-                prof = VelocityProfile(t, v)
-                series = error_integral_form(prof, lam)
-                oracle = rk4_lag_at_knots(prof, lam)
+                for _ in range(20)
+            ])
+            for v, oracle in zip(profiles, rk4_lag_at_knots(t, profiles, lam)):
+                series = error_integral_form(VelocityProfile(t, v), lam)
                 bound = 10.0 * dt**2 * np.max(np.abs(v))
                 assert np.max(np.abs(series - oracle)) < bound
 

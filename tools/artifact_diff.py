@@ -47,6 +47,8 @@ INPUTS = {
     "nine_pairs.ini": "[controllers]\npairs = "
                       + "; ".join(f"-{slow},-{10 * slow}" for slow in range(10, 19))
                       + "\n\n[mu_grid]\ncount = 1\n",
+    # Pairs separated by a spaced ';', which is not a comment.
+    "spaced_pairs.ini": "[controllers]\npairs = -10,-100 ; -20,-200\n\n[mu_grid]\ncount = 2\n",
 }
 
 # Valid CSVs from earlier commands, copied with lines the readers skip.
@@ -78,6 +80,7 @@ RUNS = (
         "sweep --config dip.ini --out dip_w{w} --workers {w}",
         # The last pair builds its design after the sweep's build-ahead.
         "sweep --config nine_pairs.ini --out nine_pairs_w{w} --workers {w}",
+        "sweep --config spaced_pairs.ini --out spaced_pairs_w{w} --workers {w}",
     )),
     (ONCE, (
         # The awkward knot spacing and the two-sided working sets through track.
