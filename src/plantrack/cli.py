@@ -80,6 +80,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.pairs:
             raise ConfigError("controller pair list is empty")
+        # Path("") is the working directory, which would take the artifacts.
+        if not self.out_dir:
+            raise ConfigError("output directory must not be empty")
         if self.mu_scale not in ("log", "linear"):
             raise ConfigError("mu scale must be 'log' or 'linear'")
         if self.mu_count < 1:
@@ -408,31 +411,30 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     files: dict[str, str] = {}
     failures: dict[str, str] = {}
 
-    # Pool workers fork from this process and inherit the designs built
-    # here, so none runs the eigensolver, whose BLAS threads stall for
-    # milliseconds per call while the other workers hold the cores.
-    planner.prepare(
-        replace(template, dominant_lambda=c.dominant_lambda)
-        for c in config.controllers.values()
-    )
-
     executor = None
     # An RK4-unstable step (select_step's ValueError) or a spring fit that
     # fails (spring_fit_from_points's ValueError) fails only its pair.
     pair_errors = (ValueError, frontier_mod.SweepError)
-    if workers > 1:
+    # Under the fork start method the executor starts all its workers at
+    # the first submit, and a pair has one job per weight; a worker past
+    # the CPUs this process may use only adds a process.  An affinity mask
+    # or a container's cpuset can leave it fewer CPUs than the machine has.
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    pool_size = min(workers, len(grid), cpus)
+    if pool_size > 1:
         # The pool machinery (multiprocessing, logging, sockets) is about
-        # a tenth of a cold start, and one worker never needs it.
+        # a tenth of a cold start, and a pool of one never needs it.
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        # Under the fork start method the executor starts all max_workers
-        # processes at the first submit, and a pair has one job per weight;
-        # a worker past the CPUs this process may use only adds a process.
-        # An affinity mask or a container's cpuset can leave it fewer CPUs
-        # than the machine has.
-        affinity = getattr(os, "sched_getaffinity", None)
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(grid), cpus))
+        # Pool workers fork from this process and inherit the designs built
+        # here, so none runs the eigensolver, whose BLAS threads stall for
+        # milliseconds per call while the other workers hold the cores.
+        planner.prepare(
+            replace(template, dominant_lambda=c.dominant_lambda)
+            for c in config.controllers.values()
+        )
+        executor = ProcessPoolExecutor(max_workers=pool_size)
         # A worker that dies breaks the pool: its pair and every later
         # one fail with the pool's message.
         pair_errors += (BrokenExecutor,)
@@ -529,12 +531,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.out == "":
+        parser.error("--out must not be empty")
     try:
         config = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out) if args.out else Path(config.out_dir)
+    out_dir = Path(config.out_dir if args.out is None else args.out)
     # plan and track require --pair, stiffness takes it, sweep has none.
     raw_pair = getattr(args, "pair", None)
     pair = None if raw_pair is None else _parse_pair_flag(raw_pair, config, parser)

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import trapezoid_quadrature
-from plantrack.collocation_planner import PlannedTrajectory
+from oracles import simulate_planar, trapezoid_quadrature
+from plantrack.cli import RunConfig
+from plantrack.collocation_planner import PlannedTrajectory, solve
 from plantrack.lqr import EigenvaluePair
 from plantrack.model import ModelParams
+from plantrack.tracking_sim import SimConfig
 
 PAPER_PAIRS = (
     (-10.0, -100.0),
@@ -47,6 +51,25 @@ def constant_reference(level, horizon, knots=61, params=None) -> PlannedTrajecto
         np.zeros(knots),
         params,
     )
+
+
+def sim_configs(config):
+    """One SimConfig per point of a config's sweep grid, planned as the sweep does."""
+    template = config.problem_template()
+    for controller in config.controllers.values():
+        step = config.step_for(controller)
+        for mu in config.mu_grid():
+            traj = solve(replace(template, mu=mu, dominant_lambda=controller.dominant_lambda))
+            yield SimConfig(
+                step=step, reference=traj, controller=controller, params=config.params
+            )
+
+
+@pytest.fixture(scope="session")
+def default_flights():
+    """The 124 points of the default sweep grid, each as (SimConfig, its
+    six-state simulate_planar flight)."""
+    return [(config, simulate_planar(config)) for config in sim_configs(RunConfig())]
 
 
 @pytest.fixture

@@ -3,9 +3,10 @@
 A row names its input files (name -> text, or bytes), the commands that
 must succeed first (``setup``), and the failing commands, each written
 without ``--out``: a runner appends its own.  Every failing command of a
-row exits 1 with the row's exact ``stderr`` and writes exactly the files
-of ``written`` under its ``--out``; a sweep's manifest also records
-``failures`` by pair.  A sweep command runs once per worker count of
+row exits with the row's ``status`` (1, or 2 for a usage error) and its
+exact ``stderr``, and writes exactly the files of ``written`` under its
+``--out``; a sweep's manifest also records ``failures`` by pair.  A sweep
+command that names no ``--workers`` runs once per worker count of
 ``WORKERS``, and its runs must agree byte for byte.
 
 tests/test_cli.py runs every command of every row in process;
@@ -31,12 +32,20 @@ class Case(NamedTuple):
     failures: dict | None = None
     written: frozenset = frozenset()
     gate: int = 1
+    status: int = 1
 
 
 def argvs(command: str) -> list[list[str]]:
-    """The argument lists one command stands for: a sweep once per worker count."""
+    """The argument lists one command stands for: a sweep that names no
+    worker count once per worker count."""
     words = command.split()
-    return [[*words, "--workers", w] for w in WORKERS] if words[0] == "sweep" else [words]
+    if words[0] != "sweep" or "--workers" in words:
+        return [words]
+    return [[*words, "--workers", w] for w in WORKERS]
+
+
+# The first of the two lines argparse prints for a usage error.
+USAGE = "usage: plantrack [-h] {plan,track,sweep,stiffness} ..."
 
 
 TRAJECTORY_HEADER = "t,y,v,a,u,e_pred\n"
@@ -71,6 +80,11 @@ def config_error(id: str, text, message: str, gate=("plan",)) -> Case:
                 f"config error: {message}", files, (PLAN,), gate=len(gate))
 
 
+def usage_error(id: str, command: str, message: str) -> Case:
+    """A command argparse refuses with exit status 2, writing nothing."""
+    return Case(id, (command,), f"{USAGE}\nplantrack: error: {message}", status=2)
+
+
 def sweep_failure(id: str, name: str, text: str, failures: dict, ran=()) -> Case:
     """A sweep whose pairs in ``failures`` fail and whose pairs in ``ran`` write
     their frontier and spring."""
@@ -103,6 +117,9 @@ RK4_UNSTABLE = ("sim step 0.005988023952095809 s is not RK4-stable"
 # A 0.02 s step on the 1/60 s knot grid.
 OVER_KNOTS = "sim step 0.02 s exceeds the knot spacing 0.016666666666666666 s"
 MODEL_RANGE = "mass, arm_length and gravity must be positive and finite"
+STEP_RULE = "step rule fields must be positive and finite"
+NOT_ASCENDING = ("mu grid must be strictly ascending: mu_min > 0, and"
+                 " mu_min < mu_max when count > 1")
 
 CASES = (
     # Configs rejected at load.
@@ -162,6 +179,37 @@ CASES = (
     config_error("mu_ratio_overflow", "[mu_grid]\nmin = 1e-308\nmax = 1e300\n",
                  "mu grid must be finite"),
     config_error("mu_nan", "[mu_grid]\nmax = nan\n", "mu grid must be finite"),
+    # An ascending grid with a weight no design problem accepts: {0, 0.1, inf}.
+    config_error("mu_max_inf", "[mu_grid]\ncount = 2\nmax = inf\n", "mu grid must be finite"),
+    config_error("mu_scale_cubic", "[mu_grid]\nscale = cubic\n",
+                 "mu scale must be 'log' or 'linear'"),
+    config_error("mu_count_0", "[mu_grid]\ncount = 0\n", "mu grid count must be at least 1"),
+    config_error("mu_min_0", "[mu_grid]\nmin = 0\n", "log mu grid needs mu_min > 0"),
+    config_error("mu_min_over_max", "[mu_grid]\nmin = 10\nmax = 1\n",
+                 "mu_min must not exceed mu_max"),
+    # Grids a sweep could not order: {0, 0, ...} and {0, 5, 5, 5}.
+    config_error("linear_mu_min_0", "[mu_grid]\nscale = linear\nmin = 0\n", NOT_ASCENDING),
+    config_error("mu_flat", "[mu_grid]\ncount = 3\nmin = 5\nmax = 5\n", NOT_ASCENDING),
+    # Step rules no step can be chosen from.
+    *(config_error(f"{key}_{value}", f"[sim]\n{key} = {value}\n", STEP_RULE)
+      for key, values in (("max_step", ("0", "nan", "inf")), ("pole_fraction", ("0", "inf")))
+      for value in values),
+    # Plan fields no design problem accepts.
+    config_error("horizon_nan", "[plan]\nhorizon = nan\n", "horizon must be finite"),
+    config_error("horizon_inf", "[plan]\nhorizon = inf\n", "horizon must be finite"),
+    config_error("horizon_0", "[plan]\nhorizon = 0\n", "horizon must be positive"),
+    config_error("segments_1", "[plan]\nsegments = 1\n", "need at least 2 segments"),
+    config_error("segments_2001", "[plan]\nsegments = 2001\n",
+                 "2001 segments is over the bound of 2000"),
+    config_error("y_min_5", "[plan]\ny_min = 5\n", "y_bounds must satisfy lo < hi"),
+    # Pairs whose file labels collide would overwrite each other's files.
+    config_error("pair_twice", "[controllers]\npairs = -10,-100; -10,-100\n",
+                 "pairs -10.0,-100.0 and -10.0,-100.0 share the file label '10_100'"),
+    config_error("label_collision", "[controllers]\npairs = -10,-100; -10.0000001,-100\n",
+                 "pairs -10.0,-100.0 and -10.0000001,-100.0 share the file label '10_100'"),
+    # Path("") is the working directory.
+    config_error("empty_directory", "[output]\ndirectory =\n",
+                 "output directory must not be empty"),
     # A design of 10^12 knot pairs, over the segment bound.
     config_error("segments_1e6", "[plan]\nsegments = 1000000\n",
                  "1000000 segments is over the bound of 2000", gate=("plan", "sweep")),
@@ -169,6 +217,14 @@ CASES = (
     # gate its sweep: a checkout without the bound plans every weight.
     config_error("mu_count_over_bound", "[mu_grid]\ncount = 1000001\n",
                  "mu grid count 1000001 is over the bound of 1000000"),
+    # Flags argparse refuses.
+    usage_error("unknown_pair", "plan --pair -11,-111",
+                "pair '-11,-111' is not in the configured set"
+                " (-10,-100; -20,-200; -30,-300; -50,-500)"),
+    usage_error("malformed_pair", "plan --pair -11", "pair '-11' is not 'slow,fast'"),
+    usage_error("two_pairs", "plan --pair -10,-100;-20,-200",
+                "--pair expects one 'slow,fast' pair, got '-10,-100;-20,-200'"),
+    usage_error("zero_workers", "sweep --workers 0", "--workers must be at least 1"),
     # Problems the planner rejects before the active-set loop.
     Case("outside_box", ("plan --config outside_box.ini --pair -10,-100",
                          "plan --config outside_box.ini --pair -20,-200"),
@@ -206,6 +262,9 @@ CASES = (
     Case("renamed", ("track renamed.csv --pair -20,-200", "track renamed.csv --pair -10,-100"),
          "error: column 3: expected 'a', found 'acc'",
          {"renamed.csv": "t,y,v,acc,u,e_pred\n0,0,0,0,0,0\n0.5,0,0,0,0,0\n"}),
+    Case("missing_column", ("track missing_column.csv --pair -10,-100",),
+         "error: column 5: expected 'e_pred', found 'nothing'",
+         {"missing_column.csv": "t,y,v,a,u\n0,0,0,0,0\n"}),
     Case("extra_column", ("track extra_column.csv --pair -20,-200",),
          "error: unexpected extra columns ('junk',)",
          {"extra_column.csv": "t,y,v,a,u,e_pred,junk\n0,0,0,0,0,0,0\n0.5,0,0,0,0,0,0\n"}),
@@ -229,6 +288,12 @@ CASES = (
     Case("square_overflow", ("track square_overflow.csv --pair -10,-100",),
          "error: column 'a': the integral of its square is not finite",
          {"square_overflow.csv": trajectory({5: "1.0,0,0,1e200,0,0"})}),
+    # The first fault in file order: row 2 holds a nan and row 4 is short;
+    # the comment is no row.
+    Case("first_fault", ("track first_fault.csv --pair -10,-100",),
+         "error: row 2, column 'y': nan is not finite",
+         {"first_fault.csv": TRAJECTORY_HEADER
+          + "0,0,0,0,0,0\n# note\n0.5,nan,0,0,0,0\n1,0,0,0,0,0\n1.5,0,0\n"}),
     Case("short_row", ("track short_row.csv --pair -10,-100",),
          "error: row 3: expected 6 columns, found 3",
          {"short_row.csv": trajectory({3: "0.5,0,0"})}),
@@ -313,6 +378,18 @@ CASES = (
     Case("frontier_short_names", ("stiffness frontier_short_names.csv",),
          "error: column 1: expected 'designed_cost', found 'designed'",
          {"frontier_short_names.csv": "mu,designed,predicted,actual,err\n0,1,1,1,1\n"}),
+    Case("frontier_missing_column", ("stiffness frontier_missing_column.csv",),
+         "error: column 4: expected 'actual_error_sq_integral', found 'nothing'",
+         {"frontier_missing_column.csv": FRONTIER_HEADER.replace(",actual_error_sq_integral", "")
+          + "0,1,1,1\n"}),
+    Case("frontier_wide", ("stiffness frontier_wide.csv",),
+         "error: row 1: expected 5 columns, found 6",
+         {"frontier_wide.csv": FRONTIER_HEADER + "0,1,1,1,1,9\n1,1,1,1,1,9\n"}),
+    # The empty line is no row; float() reads "1_0", but a cell with an
+    # underscore is not a number.
+    Case("frontier_underscore", ("stiffness frontier_underscore.csv",),
+         "error: row 2, column 'designed_cost': '1_0' is not a number",
+         {"frontier_underscore.csv": FRONTIER_HEADER + "0,1,1,1,1\n\n1,1_0,1,1,1\n"}),
     Case("frontier_inf", ("stiffness frontier_inf.csv",),
          "error: row 2, column 'predicted_error_sq_integral': inf is not finite",
          {"frontier_inf.csv": FRONTIER_HEADER + "0,75,1,80,1\n10,76,inf,78,1\n"}),

@@ -4,7 +4,6 @@ Every test prints a single PASS/FAIL line (visible with -s or on
 failure) and then asserts, so the suite doubles as a checklist.
 """
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -23,7 +22,6 @@ from oracles import (
     error_integral_form,
     frontier_gap,
     rk4_lag_at_knots,
-    simulate_planar,
 )
 from plantrack import collocation_planner as planner
 from plantrack import tracking_sim as sim
@@ -182,33 +180,16 @@ def test_criterion_08_stiffness_grows_with_faster_poles(default_sweeps):
     report(8, "spring k " + " < ".join(f"{k:.0f}" for k in ks), ok)
 
 
-def test_criterion_09_sweep_simulations_stay_vertical(config):
-    template = config.problem_template()
+def test_criterion_09_sweep_simulations_stay_vertical(default_flights):
+    # The six-state model: the altitude-only simulate keeps x and q at
+    # zero by construction, which would make this check vacuous.
     worst = 0.0
-    for pair in config.pairs:
-        controller = design_controller(pair, config.params)
-        step = config.step_for(controller)
-        for mu in config.mu_grid():
-            traj = planner.solve(
-                dataclasses.replace(
-                    template, mu=mu, dominant_lambda=controller.dominant_lambda
-                )
-            )
-            # The six-state model: the altitude-only simulate keeps x and q
-            # at zero by construction, which would make this check vacuous.
-            result = simulate_planar(
-                sim.SimConfig(
-                    step=step,
-                    reference=traj,
-                    controller=controller,
-                    params=config.params,
-                )
-            )
-            worst = max(
-                worst,
-                float(np.max(np.abs(result.x))),
-                float(np.max(np.abs(result.q))),
-            )
+    for _, result in default_flights:
+        worst = max(
+            worst,
+            float(np.max(np.abs(result.x))),
+            float(np.max(np.abs(result.q))),
+        )
     report(9, f"max |x|,|q| over 124 simulations = {worst:.1e}", worst < 1e-9)
 
 

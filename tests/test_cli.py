@@ -8,6 +8,7 @@ import check needs a fresh one.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +19,10 @@ import pytest
 
 import plantrack
 from conftest import make_reference
-from failure_cases import CASES, REDUCED_SWEEP, argvs
+from failure_cases import CASES, REDUCED_SWEEP, USAGE, argvs
 from plantrack import cli, collocation_planner, error_estimator, frontier, tracking_sim
-from plantrack.cli import ConfigError, RunConfig, load_config, main
+from plantrack.cli import RunConfig, load_config, main
 from plantrack.collocation_planner import (
-    PlanProblem,
     read_trajectory_csv,
     solve,
     write_trajectory_csv,
@@ -36,6 +36,26 @@ def write_config(tmp_path, body, name="run.ini"):
     path = tmp_path / name
     path.write_text(dedent(body))
     return str(path)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for the process pool and runs its jobs inline; gives the
+    list of the sizes it was built with."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            self.map = map
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -195,52 +215,6 @@ class TestConfigLoading:
 
 
 class TestRunConfigValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"pairs": ()},
-            {"mu_scale": "cubic"},
-            {"mu_count": 0},
-            {"mu_min": 0.0},
-            {"mu_min": 10.0, "mu_max": 1.0},
-            {"max_step": 0.0},
-            {"pole_fraction": 0.0},
-            # No step can be chosen from these.
-            {"max_step": float("nan")},
-            {"max_step": float("inf")},
-            {"pole_fraction": float("inf")},
-            {"horizon": float("nan")},
-            {"horizon": float("inf")},
-            # Pairs whose file labels collide would overwrite each other.
-            {"pairs": (EigenvaluePair(lambda_slow=-10.0, lambda_fast=-100.0),) * 2},
-            {
-                "pairs": (
-                    EigenvaluePair(lambda_slow=-10.0, lambda_fast=-100.0),
-                    EigenvaluePair(lambda_slow=-10.0000001, lambda_fast=-100.0),
-                )
-            },
-            # Grids the sweep would reject: {0, 0, ...} and {0, 5, 5, 5}.
-            {"mu_scale": "linear", "mu_min": 0.0},
-            {"mu_count": 3, "mu_min": 5.0, "mu_max": 5.0},
-            # An ascending grid with a weight no design problem accepts:
-            # {0, 0.1, inf}.
-            {"mu_count": 2, "mu_max": float("inf")},
-            # Finite bounds whose log grid overflows: ratio**i past the
-            # largest float, and a ratio that is inf; and a nan bound.
-            {"mu_count": 5, "mu_min": 1.0, "mu_max": 1.7976931348623157e308},
-            {"mu_min": 1e-308, "mu_max": 1e300},
-            {"mu_max": float("nan")},
-            # Plan fields that no design problem accepts.
-            {"segments": 1},
-            {"segments": 2001},
-            {"horizon": 0.0},
-            {"y_min": 5.0},
-        ],
-    )
-    def test_bad_fields_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
-            RunConfig(**kwargs)
-
     def test_default_grid_shape(self):
         grid = RunConfig().mu_grid()
         assert len(grid) == 31
@@ -291,25 +265,6 @@ class TestPlanCommand:
             weighted["predicted_error_integral"] < base["predicted_error_integral"]
         )
 
-    def test_unknown_pair_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["plan", "--pair", "-11,-111", "--out", str(tmp_path / "x")])
-        assert err.value.code == 2
-
-    def test_malformed_pair_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["plan", "--pair", "-11", "--out", str(tmp_path / "x")])
-        assert err.value.code == 2
-
-    def test_two_pairs_are_a_usage_error(self, tmp_path, capsys):
-        raw = "-10,-100; -20,-200"
-        with pytest.raises(SystemExit) as err:
-            main(["plan", "--pair", raw, "--out", str(tmp_path / "x")])
-        assert err.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            f"plantrack: error: --pair expects one 'slow,fast' pair, got {raw!r}\n"
-        )
-
     def test_default_out_dir_comes_from_config(self, tmp_path):
         target = tmp_path / "from_config"
         config = write_config(
@@ -317,6 +272,17 @@ class TestPlanCommand:
         )
         assert main(["plan", "--config", config, "--pair", "-10,-100"]) == 0
         assert (target / "trajectory.csv").exists()
+
+    # A row's command is split on whitespace, so it cannot carry "".
+    def test_empty_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(["plan", "--pair", "-10,-100", "--out", ""])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            f"{USAGE}\nplantrack: error: --out must not be empty\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrackCommand:
@@ -499,30 +465,17 @@ class TestSweepCommand:
 
     # The pool is capped at the CPUs the process may use too: its affinity
     # set, or where os has no sched_getaffinity the machine's count, which
-    # os.cpu_count() gives as None where it cannot be told.
+    # os.cpu_count() gives as None where it cannot be told.  Where one
+    # process would run, the sweep runs inline and starts no pool.
     @pytest.mark.parametrize(
-        "affinity,cpus,size",
-        [({0, 1, 2, 3}, 64, 3), ({5}, 64, 1), (None, 64, 3), (None, 2, 2), (None, None, 1)],
+        "affinity,cpus,sizes",
+        [({0, 1, 2, 3}, 64, [3]), ({5}, 64, []), (None, 64, [3]), (None, 2, [2]),
+         (None, None, [])],
         ids=["affinity4-64-3", "affinity1-64-1", "64-3", "2-2", "None-1"],
     )
     def test_pool_has_no_more_workers_than_grid_points(
-        self, affinity, cpus, size, sweep_artifacts, tmp_path, monkeypatch
+        self, affinity, cpus, sizes, inline_pool, sweep_artifacts, tmp_path, monkeypatch
     ):
-        import concurrent.futures
-
-        sizes = []
-
-        class RecordingPool:
-            """Stands in for the process pool and runs the jobs inline."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                self.map = map
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
@@ -533,7 +486,7 @@ class TestSweepCommand:
         assert main(
             ["sweep", "--config", config, "--out", str(pooled), "--workers", "1000"]
         ) == 0
-        assert sizes == [size]
+        assert inline_pool == sizes
         assert (pooled / "manifest.json").read_bytes() == (
             out / "manifest.json"
         ).read_bytes()
@@ -554,16 +507,6 @@ class TestSweepCommand:
         assert sorted(built) == [0.0, 0.0, 0.0, 0.0, 10.0, 20.0, 30.0, 50.0]
         # Each cache miss constructs one design.
         assert collocation_planner._cached_design.cache_info().misses == 4
-
-    def test_zero_workers_is_a_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "never"
-        with pytest.raises(SystemExit) as err:
-            main(["sweep", "--workers", "0", "--out", str(out)])
-        assert err.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            "plantrack: error: --workers must be at least 1\n"
-        )
-        assert not out.exists()
 
     def test_dead_pool_worker_fails_its_pairs_in_the_manifest(
         self, tmp_path, capsys, monkeypatch
@@ -597,8 +540,8 @@ class TestSweepCommand:
     def test_failed_build_ahead_is_reported_by_every_pair(
         self, tmp_path, capsys, monkeypatch
     ):
-        # The factor fails ahead of the points, in the sweep's own
-        # process, and again at each pair's first mu > 0 point, which
+        # Under a pool the factor fails ahead of the points, in the sweep's
+        # own process, and again at each pair's first mu > 0 point, which
         # reports it the same way under either worker count.
         def failing(matrix, *args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -631,11 +574,11 @@ class TestSweepCommand:
         assert manifest["files"] == {}
 
     def test_sweep_builds_each_design_once_past_the_cache_size(
-        self, tmp_path, monkeypatch
+        self, inline_pool, tmp_path, monkeypatch
     ):
         # One pair more than the planner caches: the designs built ahead
-        # of the points must not be evicted before their pairs run, and
-        # the last pair builds its own.
+        # of a pool's points must not be evicted before their pairs run,
+        # and the last pair builds its own.
         size = collocation_planner._DESIGN_CACHE_SIZE
         calls = []
         eigh = np.linalg.eigh
@@ -645,13 +588,15 @@ class TestSweepCommand:
             return eigh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         collocation_planner._cached_design.cache_clear()
         pairs = "; ".join(f"-{slow},-{10 * slow}" for slow in range(10, 11 + size))
         config = write_config(tmp_path, REDUCED_SWEEP.replace("-20,-200", pairs))
         out = tmp_path / "out"
         assert main(
-            ["sweep", "--config", config, "--out", str(out), "--workers", "1"]
+            ["sweep", "--config", config, "--out", str(out), "--workers", "2"]
         ) == 0
+        assert inline_pool == [2]
         assert calls == [(61, 61)] * (size + 1)
 
 
@@ -730,9 +675,9 @@ def files_under(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-# Each row of tests/failure_cases.py, one command at a time: exit 1, the
-# exact stderr and the exact files under --out, the same bytes under each
-# worker count of a sweep, and for a sweep the manifest's failures.
+# Each row of tests/failure_cases.py, one command at a time: the row's exit
+# status, the exact stderr and the exact files under --out, the same bytes
+# under each worker count of a sweep, and for a sweep the manifest's failures.
 @pytest.mark.parametrize(
     "case,command",
     [(case, command) for case in CASES for command in case.commands],
@@ -756,12 +701,15 @@ def test_failing_input(case, command, tmp_path, monkeypatch, capsys):
     runs = []
     for argv in argvs(command):
         out = tmp_path / f"out{len(runs)}"
-        code = main([*argv, "--out", out.name])
+        try:
+            code = main([*argv, "--out", out.name])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
         runs.append((code, capsys.readouterr().err, out.exists(), files_under(out)))
     assert all(run == runs[0] for run in runs)
     code, err, written, files = runs[0]
     assert (code, err, written, set(files)) == (
-        1, case.stderr + "\n", bool(case.written), case.written
+        case.status, case.stderr + "\n", bool(case.written), case.written
     )
     if case.failures is not None:
         manifest = json.loads(files["manifest.json"])
@@ -770,6 +718,20 @@ def test_failing_input(case, command, tmp_path, monkeypatch, capsys):
             name: hashlib.sha256(files[name]).hexdigest() for name in files
             if name != "manifest.json"
         }
+
+
+def test_every_refusal_is_one_line():
+    # A refused input ends as one diagnostic line, one per failed pair of a
+    # sweep; a usage error as argparse's usage line and its error line.
+    for case in CASES:
+        lines = case.stderr.split("\n")
+        if case.status == 2:
+            assert lines[0] == USAGE and len(lines) == 2, case.id
+            assert lines[1].startswith("plantrack: error: "), case.id
+        else:
+            assert case.status == 1, case.id
+            for line in lines:
+                assert re.match(r"(config error|error|sweep \w+): ", line), (case.id, line)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import constant_reference, make_reference
+from conftest import constant_reference, make_reference, sim_configs
 from oracles import simulate_planar, trapezoid_quadrature
 from plantrack.cli import RunConfig
 from plantrack.collocation_planner import PlanProblem, solve
@@ -392,23 +392,6 @@ def test_tracking_csv_layout(tmp_path, mid_controller):
     assert np.array_equal(data[:, 10], result.error)
 
 
-def _sim_configs(config):
-    """One SimConfig per point of a config's sweep grid, planned as the sweep does."""
-    template = config.problem_template()
-    for pair in config.pairs:
-        controller = design_controller(pair, config.params)
-        step = config.step_for(controller)
-        for mu in config.mu_grid():
-            traj = solve(
-                dataclasses.replace(
-                    template, mu=mu, dominant_lambda=controller.dominant_lambda
-                )
-            )
-            yield SimConfig(
-                step=step, reference=traj, controller=controller, params=config.params
-            )
-
-
 def _field_bytes(result):
     """Every TrackingResult field as raw bytes, so signed zeros count."""
     return {
@@ -420,18 +403,19 @@ def _field_bytes(result):
 class TestAltitudePathMatchesPlanar:
     """``simulate`` (2 states) against ``simulate_planar`` (6 states), bit for bit."""
 
-    def _assert_identical(self, configs):
+    def _assert_identical(self, flights):
+        """Each (SimConfig, simulate_planar result) against simulate; the count."""
         count = 0
-        for config in configs:
+        for config, planar in flights:
             fast = _field_bytes(simulate(config))
-            reference = _field_bytes(simulate_planar(config))
+            reference = _field_bytes(planar)
             mismatched = [name for name in reference if fast[name] != reference[name]]
             assert not mismatched, (config.controller.pair, config.reference.mu, mismatched)
             count += 1
         return count
 
-    def test_default_grid(self):
-        assert self._assert_identical(_sim_configs(RunConfig())) == 124
+    def test_default_grid(self, default_flights):
+        assert self._assert_identical(default_flights) == 124
 
     def test_bounded_grid(self):
         # The toss clamps at y_max, so the planner's active set engages.
@@ -445,11 +429,12 @@ class TestAltitudePathMatchesPlanar:
             v0=30.0,
             yf=0.0,
         )
-        assert self._assert_identical(_sim_configs(config)) == 62
+        flights = ((c, simulate_planar(c)) for c in sim_configs(config))
+        assert self._assert_identical(flights) == 62
 
     def test_tracking_csv(self, tmp_path):
         # Every default pair at mu = 0 and mu = 100.
-        for i, sim_config in enumerate(_sim_configs(RunConfig(mu_count=1, mu_min=100.0))):
+        for i, sim_config in enumerate(sim_configs(RunConfig(mu_count=1, mu_min=100.0))):
             fast = tmp_path / f"fast_{i}.csv"
             reference = tmp_path / f"planar_{i}.csv"
             write_tracking_csv(simulate(sim_config), fast)
