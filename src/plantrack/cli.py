@@ -92,9 +92,9 @@ class RunConfig:
                 f"mu grid count {self.mu_count} is over the bound of {MAX_MU_COUNT}"
             )
         if self.mu_min <= 0 and self.mu_scale == "log":
-            raise ConfigError("log mu grid needs mu_min > 0")
+            raise ConfigError("log mu grid needs [mu_grid] min > 0")
         if self.mu_min > self.mu_max:
-            raise ConfigError("mu_min must not exceed mu_max")
+            raise ConfigError("[mu_grid] min must not exceed max")
         if not (0 < self.max_step < math.inf and 0 < self.pole_fraction < math.inf):
             raise ConfigError("step rule fields must be positive and finite")
         try:
@@ -105,8 +105,8 @@ class RunConfig:
             raise ConfigError("mu grid must be finite")
         if not all(b > a for a, b in zip(grid, grid[1:])):
             raise ConfigError(
-                "mu grid must be strictly ascending: mu_min > 0, and"
-                " mu_min < mu_max when count > 1"
+                "mu grid must be strictly ascending: [mu_grid] min > 0, and"
+                " min < max when count > 1"
             )
         controllers: dict[str, ControllerSpec] = {}
         for pair in self.pairs:
@@ -122,6 +122,13 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"pair {_pair_text(pair)}: {exc}") from exc
         object.__setattr__(self, "controllers", controllers)
+        # PlanProblem checks the bounds too, but names its own field.
+        if not (math.isfinite(self.y_min) and math.isfinite(self.y_max)):
+            raise ConfigError("[plan] y_min and y_max must be finite")
+        if self.y_min >= self.y_max:
+            raise ConfigError(
+                f"[plan] y_min ({self.y_min!r}) must be below y_max ({self.y_max!r})"
+            )
         try:
             self.problem_template()
         except ValueError as exc:
@@ -404,6 +411,83 @@ def _spring_record(pair: EigenvaluePair | None, fit: frontier_mod.SpringFit) -> 
     }
 
 
+def _sweep_share(jobs, grid, template, indices) -> list:
+    """One share of a sweep: for each (controller, step) of ``jobs``, its
+    points at the grid ``indices`` in order, up to the share's first
+    failure, as (points, failure); failure is None or (index, message)."""
+    outcomes = []
+    for controller, step in jobs:
+        points, failure = [], None
+        for index in indices:
+            try:
+                points.append(frontier_mod.evaluate_point(
+                    controller, grid[index], template, step, index
+                ))
+            except frontier_mod.SweepError as exc:
+                failure = (index, str(exc))
+                break
+        outcomes.append((points, failure))
+    return outcomes
+
+
+def _fan_out(sweep_share, shares) -> list:
+    """sweep_share(share) of every share, in order.  The last share runs in
+    this process; each other one in a child forked for it, which sends its
+    result back pickled through a pipe and leaves by os._exit.  A child
+    that exits non-zero, dies by a signal or sends bytes that do not
+    unpickle gives a one-line message in place of its result.  Every child
+    is reaped, and if this process's own share raises, killed first."""
+    # pickle is loaded with numpy already; the import only binds the name.
+    import pickle
+
+    children = []  # (pid, read end of its pipe)
+    outputs, statuses = [], []
+    try:
+        for share in shares[:-1]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(sweep_share(share), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, open(read, "rb")))
+            os.close(write)
+        own = sweep_share(shares[-1])
+        for _, pipe in children:
+            outputs.append(pipe.read())
+    except BaseException:
+        from signal import SIGKILL
+
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+    results = []
+    for status, output in zip(statuses, outputs):
+        if status > 0:
+            results.append(f"sweep worker exited with status {status}")
+        elif status < 0:
+            results.append(f"sweep worker was killed by signal {-status}")
+        else:
+            try:
+                results.append(pickle.loads(output))
+            # Bytes that are no pickle raise any of several exception types.
+            except Exception as exc:
+                results.append(
+                    f"sweep worker's result does not unpickle ({type(exc).__name__})"
+                )
+    return results + [own]
+
+
 def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = config.mu_grid()
@@ -411,56 +495,67 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     files: dict[str, str] = {}
     failures: dict[str, str] = {}
 
-    executor = None
-    # An RK4-unstable step (select_step's ValueError) or a spring fit that
-    # fails (spring_fit_from_points's ValueError) fails only its pair.
-    pair_errors = (ValueError, frontier_mod.SweepError)
-    # Under the fork start method the executor starts all its workers at
-    # the first submit, and a pair has one job per weight; a worker past
-    # the CPUs this process may use only adds a process.  An affinity mask
-    # or a container's cpuset can leave it fewer CPUs than the machine has.
+    # An RK4-unstable step (select_step's ValueError) fails its pair
+    # before any point is planned.
+    jobs: dict[str, tuple[ControllerSpec, float]] = {}
+    for slug, controller in config.controllers.items():
+        try:
+            jobs[slug] = (controller, config.step_for(controller))
+        except ValueError as exc:
+            failures[slug] = str(exc)
+
+    # Each design is built here, its eigendecomposition included, so the
+    # children fork with it and none runs the eigensolver, whose BLAS
+    # threads stall for milliseconds per call while other processes hold
+    # the cores.
+    planner.prepare(
+        replace(template, dominant_lambda=controller.dominant_lambda)
+        for controller, _ in jobs.values()
+    )
+    # P processes: no more than the weights, nor than the CPUs this process
+    # may use (its affinity set, which a mask or a container's cpuset can
+    # leave smaller than the machine), and one where os cannot fork.
+    # Share j holds the grid indices j, j + P, ..., so the last share,
+    # which this process sweeps itself, is the smallest.
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    pool_size = min(workers, len(grid), cpus)
-    if pool_size > 1:
-        # The pool machinery (multiprocessing, logging, sockets) is about
-        # a tenth of a cold start, and a pool of one never needs it.
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    processes = min(workers, len(grid), cpus) if hasattr(os, "fork") else 1
+    shares = [range(j, len(grid), processes) for j in range(processes)]
+    results = _fan_out(
+        lambda share: _sweep_share(jobs.values(), grid, template, share), shares
+    )
+    dead = next((result for result in results if isinstance(result, str)), None)
 
-        # Pool workers fork from this process and inherit the designs built
-        # here, so none runs the eigensolver, whose BLAS threads stall for
-        # milliseconds per call while the other workers hold the cores.
-        planner.prepare(
-            replace(template, dominant_lambda=c.dominant_lambda)
-            for c in config.controllers.values()
-        )
-        executor = ProcessPoolExecutor(max_workers=pool_size)
-        # A worker that dies breaks the pool: its pair and every later
-        # one fail with the pool's message.
-        pair_errors += (BrokenExecutor,)
-    try:
-        mapper = executor.map if executor is not None else map
-        for slug, controller in config.controllers.items():
-            try:
-                points = frontier_mod.sweep(
-                    controller, grid, template, config.step_for(controller), mapper
-                )
-                spring = _spring_record(
-                    controller.pair, frontier_mod.spring_fit_from_points(points)
-                )
-            except pair_errors as exc:
-                failures[slug] = str(exc)
-                continue
-            frontier_name = f"frontier_{slug}.csv"
-            spring_name = f"spring_{slug}.json"
-            frontier_mod.write_frontier_csv(points, out_dir / frontier_name)
-            _write_json(out_dir / spring_name, spring)
-            files[frontier_name] = _sha256_file(out_dir / frontier_name)
-            files[spring_name] = _sha256_file(out_dir / spring_name)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for job, (slug, (controller, _)) in enumerate(jobs.items()):
+        if dead is not None:
+            failures[slug] = dead
+            continue
+        # The pair's failure is the earliest over the shares, where one
+        # process sweeping the whole grid would have stopped.
+        outcomes = [result[job] for result in results]
+        failed = [failure for _, failure in outcomes if failure is not None]
+        if failed:
+            failures[slug] = min(failed)[1]
+            continue
+        points = [outcomes[i % processes][0][i // processes] for i in range(len(grid))]
+        # A spring fit that fails (spring_fit_from_points's ValueError)
+        # fails only its pair.
+        try:
+            spring = _spring_record(
+                controller.pair, frontier_mod.spring_fit_from_points(points)
+            )
+        except ValueError as exc:
+            failures[slug] = str(exc)
+            continue
+        frontier_name = f"frontier_{slug}.csv"
+        spring_name = f"spring_{slug}.json"
+        frontier_mod.write_frontier_csv(points, out_dir / frontier_name)
+        _write_json(out_dir / spring_name, spring)
+        files[frontier_name] = _sha256_file(out_dir / frontier_name)
+        files[spring_name] = _sha256_file(out_dir / spring_name)
 
+    # Failures in pair order, as the pairs are configured.
+    failures = {slug: failures[slug] for slug in config.controllers if slug in failures}
     manifest = {
         "config_sha256": _sha256(config.canonical_text().encode()),
         "files": files,

@@ -178,6 +178,11 @@ def _read_only(owner) -> None:
             array.flags.writeable = False
 
 
+# The knots and bounds of the empty working set.
+_NO_KNOTS = np.zeros(0, dtype=np.intp)
+_NO_BOUNDS = np.zeros(0)
+
+
 class _Design:
     """The condensed design QP of one controller, at every mu.
 
@@ -311,7 +316,11 @@ class _Design:
         """(rows, rhs, knots, bounds) of the working set side, which holds
         -1 (lower bound), +1 (upper) or 0 (free) by knot: the equality rows,
         then the lower knots ascending, then the upper knots ascending, each
-        bound row's rhs its bound less the y offset."""
+        bound row's rhs its bound less the y offset.  The empty working
+        set, where most points start and many end, gives the design's own
+        read-only equality rows."""
+        if not side.any():
+            return self.eq_matrix, self.eq_rhs, _NO_KNOTS, _NO_BOUNDS
         knots = np.concatenate([np.flatnonzero(side < 0), np.flatnonzero(side > 0)])
         bounds = np.where(side[knots] < 0, self.lower, self.upper)
         rows = np.concatenate([self.eq_matrix, self.y_map[knots]])
@@ -355,8 +364,8 @@ def prepare(problems) -> None:
 
     Each design is built with its error terms and spectral factor, so no
     point of the sweep builds them, and a process that prepares a sweep
-    before it forks pool workers builds each design once, not once per
-    worker.  At most as many designs as the cache holds are built, so
+    before it forks its share workers builds each design once, not once
+    per process.  At most as many designs as the cache holds are built, so
     none is evicted before its points run; later problems build theirs
     at their first solve.  A design whose factor fails is left for its
     points to report.

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 from operator import attrgetter
 
 from ._artifact_csv import read_rows, write_records
@@ -25,8 +24,8 @@ from .tracking_sim import SimConfig, simulate
 class SweepError(RuntimeError):
     """A planner or simulator failure inside a sweep; carries mu.
 
-    Its args are (mu, the cause's message), so a failure inside a pool
-    worker pickles to the parent whether or not the cause itself pickles.
+    Its args are (mu, the cause's message), so it pickles whether or not
+    the cause itself pickles.
     """
 
     def __init__(self, mu: float, cause: Exception | str):
@@ -114,14 +113,11 @@ def sweep(
     mu_grid,
     problem_template: PlanProblem,
     step: float,
-    mapper=map,
 ) -> tuple[FrontierPoint, ...]:
-    """The frontier points of one controller over an ascending mu grid.
+    """The frontier points of one controller over an ascending mu grid,
+    in grid order; the first point that fails raises its SweepError.
 
-    The grid must start at 0 (the unweighted head point).  `mapper` is
-    a map-compatible callable; passing an executor's map runs the per-mu
-    jobs concurrently, and since map keeps grid order the result does
-    not depend on the worker count.
+    The grid must start at 0 (the unweighted head point).
     """
     grid = [float(mu) for mu in mu_grid]
     if not grid:
@@ -130,11 +126,10 @@ def sweep(
         raise ValueError("mu grid must start at 0")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("mu grid must be strictly ascending")
-    # One job per mu: the five evaluate_point arguments, column by column.
-    columns = (
-        repeat(controller), grid, repeat(problem_template), repeat(step), range(len(grid))
+    return tuple(
+        evaluate_point(controller, mu, problem_template, step, index)
+        for index, mu in enumerate(grid)
     )
-    return tuple(mapper(evaluate_point, *columns))
 
 
 def best_compromise(points) -> FrontierPoint:

@@ -5,9 +5,9 @@ The vehicle is ``model.nonlinear_derivative`` and the altitude loop is
 feed-forward).  Integration is fixed-step RK4, with the controller
 evaluated at every stage; the reference at the three stage times of
 every step (t, t + h/2, t + h) comes from one vectorised cubic Hermite
-lookup before the loop starts.  A flight is at most MAX_FLIGHT_STEPS
-steps: ``select_step`` and ``SimConfig`` reject a longer one before
-anything is allocated.
+lookup before the loop starts, on a basis kept for the last flight
+grid.  A flight is at most MAX_FLIGHT_STEPS steps: ``select_step`` and
+``SimConfig`` reject a longer one before anything is allocated.
 
 ``simulate`` integrates the altitude states (y, y_dot) only, and that is
 exact, not an approximation.  The vehicle starts at x = x_dot = q =
@@ -35,6 +35,7 @@ reference horizon exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,7 +50,7 @@ from .model import ModelParams, nonlinear_derivative
 
 class SimulationDivergedError(RuntimeError):
     """State left the finite range; its one arg is the failure time, so
-    it pickles across from a pool worker as it is."""
+    it pickles as it is."""
 
     def __init__(self, time: float):
         super().__init__(time)
@@ -63,10 +64,11 @@ class SimulationDivergedError(RuntimeError):
 # 2.785; both altitude poles are real.
 RK4_STABILITY_LIMIT = 2.78
 
-# A flight holds about 420 bytes per RK4 step at its peak (stage
-# references, state history and the result's channels: peak RSS grew by
-# 422 B/step over a 1e5-step flight on x86-64 Linux), so the bound keeps
-# one flight under about 0.4 GB.
+# A flight holds about 400 bytes per RK4 step at its peak (the stage
+# basis, references and state history, and the result's channels): the
+# peak RSS of a `plantrack track` grew by 399 B/step from a 1e3-step to a
+# 1e5-step flight, and a 1e6-step one peaked at 403 MiB on x86-64 Linux,
+# so the bound keeps one flight under about 0.4 GB.
 MAX_FLIGHT_STEPS = 10**6
 
 
@@ -159,6 +161,31 @@ class TrackingResult:
     actual_error_integral: float
 
 
+def _hermite_basis(t: np.ndarray, dt: float, horizon: float, knots: int):
+    """The cubic Hermite basis at times t on ``knots`` knots dt apart:
+    (k, h00, h10 dt, h01, h11 dt, after, before), where k is each time's
+    segment, the four weights multiply y[k], v[k], y[k+1] and v[k+1], and
+    the masks mark the times held at the last knot and at the first.  It
+    depends on the times and the grid alone, not on y or v."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.minimum((np.clip(t, 0.0, horizon) / dt).astype(np.intp), knots - 2)
+        s = (t - k * dt) / dt
+        one = 1.0 - s
+        h00 = (1.0 + 2.0 * s) * one * one
+        h10 = s * one * one * dt
+        h01 = s * s * (3.0 - 2.0 * s)
+        h11 = s * s * (s - 1.0) * dt
+    return k, h00, h10, h01, h11, t >= horizon, t <= 0.0
+
+
+def _hermite_values(basis, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The interpolant of knot positions y and velocities v on a basis."""
+    k, h00, h10, h01, h11, after, before = basis
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = h00 * y[k] + h10 * v[k] + h01 * y[k + 1] + h11 * v[k + 1]
+    return np.where(after, y[-1], np.where(before, y[0], inner))
+
+
 def reference_lookup(traj: PlannedTrajectory, t):
     """Reference altitude at time(s) t by cubic Hermite interpolation.
 
@@ -168,22 +195,25 @@ def reference_lookup(traj: PlannedTrajectory, t):
     gives a float; an array gives an array of the same shape, each
     element rounded exactly as the scalar call would round it.
     """
-    y = traj.y
-    v = traj.v
-    dt = traj.knot_spacing
-    horizon = traj.horizon
     t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = np.minimum((np.clip(t, 0.0, horizon) / dt).astype(np.intp), y.size - 2)
-        s = (t - k * dt) / dt
-        one = 1.0 - s
-        h00 = (1.0 + 2.0 * s) * one * one
-        h10 = s * one * one
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        inner = h00 * y[k] + h10 * dt * v[k] + h01 * y[k + 1] + h11 * dt * v[k + 1]
-    values = np.where(t >= horizon, y[-1], np.where(t <= 0.0, y[0], inner))
+    basis = _hermite_basis(t, traj.knot_spacing, traj.horizon, traj.y.size)
+    values = _hermite_values(basis, traj.y, traj.v)
     return float(values) if values.ndim == 0 else values
+
+
+# One entry: a process flies a sweep pair by pair, and every point of a
+# pair shares its flight grid.  The entry holds about 130 bytes per RK4
+# step (one index and four weights per stage time, and the two masks),
+# 130 MB at MAX_FLIGHT_STEPS, so it keeps no more than the last grid.
+@functools.lru_cache(maxsize=1)
+def _stage_basis(step: float, steps: int, spacing: float, horizon: float, knots: int):
+    """The Hermite basis at every RK4 stage time of a flight grid, read-only."""
+    times = np.arange(steps + 1) * step
+    stage_times = np.stack((times, times + 0.5 * step, times + step))
+    basis = _hermite_basis(stage_times, spacing, horizon, knots)
+    for array in basis:
+        array.flags.writeable = False
+    return basis
 
 
 def _stage_references(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -194,9 +224,12 @@ def _stage_references(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     point i * step + step differs from (i + 1) * step in general.
     """
     step = config.step
+    reference = config.reference
+    basis = _stage_basis(
+        step, config.steps, reference.knot_spacing, reference.horizon, reference.y.size
+    )
     times = np.arange(config.steps + 1) * step
-    stage_times = np.stack((times, times + 0.5 * step, times + step))
-    return times, reference_lookup(config.reference, stage_times)
+    return times, _hermite_values(basis, reference.y, reference.v)
 
 
 def _result(times, channels) -> TrackingResult:
@@ -245,8 +278,7 @@ def simulate(config: SimConfig) -> TrackingResult:
 
     times, references = _stage_references(config)
     with np.errstate(over="ignore", invalid="ignore"):
-        drive = n1 * references
-    start, middle, end = drive[:, :-1].tolist()
+        start, middle, end = (n1 * references)[:, :-1].tolist()
 
     ys = [0.0]
     yds = [0.0]
@@ -266,6 +298,8 @@ def simulate(config: SimConfig) -> TrackingResult:
 
     y = np.array(ys)
     y_dot = np.array(yds)
+    # The five lists hold 160 bytes a step, room the record needs.
+    del start, middle, end, ys, yds
     # A non-finite altitude never turns finite again, so the first one
     # is where the step-by-step check would have stopped.
     diverged = np.flatnonzero(~np.isfinite(y))

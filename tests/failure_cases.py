@@ -118,8 +118,8 @@ RK4_UNSTABLE = ("sim step 0.005988023952095809 s is not RK4-stable"
 OVER_KNOTS = "sim step 0.02 s exceeds the knot spacing 0.016666666666666666 s"
 MODEL_RANGE = "mass, arm_length and gravity must be positive and finite"
 STEP_RULE = "step rule fields must be positive and finite"
-NOT_ASCENDING = ("mu grid must be strictly ascending: mu_min > 0, and"
-                 " mu_min < mu_max when count > 1")
+NOT_ASCENDING = ("mu grid must be strictly ascending: [mu_grid] min > 0, and"
+                 " min < max when count > 1")
 
 CASES = (
     # Configs rejected at load.
@@ -184,9 +184,9 @@ CASES = (
     config_error("mu_scale_cubic", "[mu_grid]\nscale = cubic\n",
                  "mu scale must be 'log' or 'linear'"),
     config_error("mu_count_0", "[mu_grid]\ncount = 0\n", "mu grid count must be at least 1"),
-    config_error("mu_min_0", "[mu_grid]\nmin = 0\n", "log mu grid needs mu_min > 0"),
+    config_error("mu_min_0", "[mu_grid]\nmin = 0\n", "log mu grid needs [mu_grid] min > 0"),
     config_error("mu_min_over_max", "[mu_grid]\nmin = 10\nmax = 1\n",
-                 "mu_min must not exceed mu_max"),
+                 "[mu_grid] min must not exceed max"),
     # Grids a sweep could not order: {0, 0, ...} and {0, 5, 5, 5}.
     config_error("linear_mu_min_0", "[mu_grid]\nscale = linear\nmin = 0\n", NOT_ASCENDING),
     config_error("mu_flat", "[mu_grid]\ncount = 3\nmin = 5\nmax = 5\n", NOT_ASCENDING),
@@ -201,7 +201,8 @@ CASES = (
     config_error("segments_1", "[plan]\nsegments = 1\n", "need at least 2 segments"),
     config_error("segments_2001", "[plan]\nsegments = 2001\n",
                  "2001 segments is over the bound of 2000"),
-    config_error("y_min_5", "[plan]\ny_min = 5\n", "y_bounds must satisfy lo < hi"),
+    config_error("y_min_5", "[plan]\ny_min = 5\n", "[plan] y_min (5.0) must be below y_max (5.0)"),
+    config_error("y_max_inf", "[plan]\ny_max = inf\n", "[plan] y_min and y_max must be finite"),
     # Pairs whose file labels collide would overwrite each other's files.
     config_error("pair_twice", "[controllers]\npairs = -10,-100; -10,-100\n",
                  "pairs -10.0,-100.0 and -10.0,-100.0 share the file label '10_100'"),

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from textwrap import dedent
 
@@ -39,23 +40,46 @@ def write_config(tmp_path, body, name="run.ini"):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Stands in for the process pool and runs its jobs inline; gives the
-    list of the sizes it was built with."""
-    import concurrent.futures
+def inline_shares(monkeypatch):
+    """Stands in for the sweep's fan-out and sweeps every share in this
+    process; gives the list of the process counts the sweeps asked for."""
+    counts = []
 
-    sizes = []
+    def inline(sweep_share, shares):
+        counts.append(len(shares))
+        return [sweep_share(share) for share in shares]
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            self.map = map
+    monkeypatch.setattr(cli, "_fan_out", inline)
+    return counts
 
-        def shutdown(self):
-            pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return sizes
+def record_calls(monkeypatch, module, name, path, describe):
+    """Wraps module.name to append a line to path per call: the calling
+    process's id and describe(*args).  Appends survive the fork into the
+    sweep's share workers.  Gives a function that reads the file back as
+    {process id: [description text, ...]}."""
+    path.touch()
+    function = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        with path.open("a") as handle:
+            handle.write(f"{os.getpid()} {describe(*args)}\n")
+        return function(*args, **kwargs)
+
+    def read():
+        calls = {}
+        for line in path.read_text().splitlines():
+            pid, text = line.split()
+            calls.setdefault(int(pid), []).append(text)
+        return calls
+
+    monkeypatch.setattr(module, name, recording)
+    return read
+
+
+def by_index(controller, mu, template, step, index):
+    """describe for evaluate_point: the point's grid index."""
+    return index
 
 
 @pytest.fixture(scope="module")
@@ -406,8 +430,8 @@ class TestSweepCommand:
     def test_bounded_sweep_is_byte_identical_across_reruns_and_workers(self, tmp_path):
         # A toss the box clamps at every weight, so the spectral factor
         # serves several working sets per point.  Cold caches, warm
-        # caches and two pool workers building their own designs give
-        # the same bytes.
+        # caches and two processes sweeping a share each give the same
+        # bytes.
         config = write_config(
             tmp_path,
             """\
@@ -424,7 +448,7 @@ class TestSweepCommand:
             """,
         )
         runs = {}
-        for label, workers in (("cold", "1"), ("warm", "1"), ("pool", "2")):
+        for label, workers in (("cold", "1"), ("warm", "1"), ("forked", "2")):
             if label != "warm":
                 collocation_planner._cached_design.cache_clear()
             out = tmp_path / label
@@ -434,25 +458,17 @@ class TestSweepCommand:
             runs[label] = {path.name: path.read_bytes() for path in out.iterdir()}
         assert len(runs["cold"]) == 5
         assert runs["warm"] == runs["cold"]
-        assert runs["pool"] == runs["cold"]
+        assert runs["forked"] == runs["cold"]
         points = read_frontier_points(tmp_path / "cold" / "frontier_20_200.csv")
         assert [p.mu for p in points] == [0.0, 1.0, 1e3, 1e6]
 
     def test_pool_workers_inherit_every_design(self, tmp_path, monkeypatch):
         # The sweep's own process builds each controller's design, its
-        # eigendecomposition included, before the workers fork; no worker
+        # eigendecomposition included, before it forks; no share worker
         # builds one again.
-        calls = tmp_path / "eigh_calls"
-        calls.touch()
-        eigh = np.linalg.eigh
-
-        def recording(matrix, *args, **kwargs):
-            # Appends survive the fork into pool workers.
-            with calls.open("a") as handle:
-                handle.write(f"{os.getpid()}\n")
-            return eigh(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording)
+        calls = record_calls(
+            monkeypatch, np.linalg, "eigh", tmp_path / "eigh_calls", lambda m: len(m)
+        )
         collocation_planner._cached_design.cache_clear()
         config = write_config(
             tmp_path, REDUCED_SWEEP.replace("-20,-200", "-10,-100; -20,-200")
@@ -461,20 +477,20 @@ class TestSweepCommand:
         assert main(
             ["sweep", "--config", config, "--out", str(out), "--workers", "2"]
         ) == 0
-        assert calls.read_text().split() == [str(os.getpid())] * 2
+        assert calls() == {os.getpid(): ["61", "61"]}
 
-    # The pool is capped at the CPUs the process may use too: its affinity
-    # set, or where os has no sched_getaffinity the machine's count, which
-    # os.cpu_count() gives as None where it cannot be told.  Where one
-    # process would run, the sweep runs inline and starts no pool.
+    # The sweep runs as no more processes than the grid has weights or the
+    # process may use CPUs: its affinity set, or where os has no
+    # sched_getaffinity the machine's count, which os.cpu_count() gives as
+    # None where it cannot be told.  One process forks none.
     @pytest.mark.parametrize(
-        "affinity,cpus,sizes",
-        [({0, 1, 2, 3}, 64, [3]), ({5}, 64, []), (None, 64, [3]), (None, 2, [2]),
-         (None, None, [])],
+        "affinity,cpus,processes",
+        [({0, 1, 2, 3}, 64, [3]), ({5}, 64, [1]), (None, 64, [3]), (None, 2, [2]),
+         (None, None, [1])],
         ids=["affinity4-64-3", "affinity1-64-1", "64-3", "2-2", "None-1"],
     )
     def test_pool_has_no_more_workers_than_grid_points(
-        self, affinity, cpus, sizes, inline_pool, sweep_artifacts, tmp_path, monkeypatch
+        self, affinity, cpus, processes, inline_shares, sweep_artifacts, tmp_path, monkeypatch
     ):
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -482,14 +498,79 @@ class TestSweepCommand:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         config, out = sweep_artifacts
-        pooled = tmp_path / "pooled"
+        capped = tmp_path / "capped"
         assert main(
-            ["sweep", "--config", config, "--out", str(pooled), "--workers", "1000"]
+            ["sweep", "--config", config, "--out", str(capped), "--workers", "1000"]
         ) == 0
-        assert inline_pool == sizes
-        assert (pooled / "manifest.json").read_bytes() == (
+        assert inline_shares == processes
+        assert (capped / "manifest.json").read_bytes() == (
             out / "manifest.json"
         ).read_bytes()
+
+    def test_one_process_where_os_cannot_fork(
+        self, inline_shares, sweep_artifacts, tmp_path, monkeypatch
+    ):
+        monkeypatch.delattr(os, "fork")
+        config, out = sweep_artifacts
+        single = tmp_path / "single"
+        assert main(
+            ["sweep", "--config", config, "--out", str(single), "--workers", "2"]
+        ) == 0
+        assert inline_shares == [1]
+        assert files_under(single) == files_under(out)
+
+    def test_three_processes_sweep_shares_of_11_10_and_10(self, tmp_path, monkeypatch):
+        # The default config's 31 weights under three CPUs: share j holds
+        # the indices j, j + 3, ..., this process sweeps the last, and the
+        # artifacts are the bytes of one process.
+        serial = tmp_path / "serial"
+        assert main(["sweep", "--out", str(serial), "--workers", "1"]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        calls = record_calls(
+            monkeypatch, frontier, "evaluate_point", tmp_path / "points", by_index
+        )
+        three = tmp_path / "three"
+        assert main(["sweep", "--out", str(three), "--workers", "3"]) == 0
+        assert files_under(three) == files_under(serial)
+        shares = calls()
+        assert shares.pop(os.getpid()) == [str(i) for i in range(2, 31, 3)] * 4
+        assert sorted(shares.values(), key=len) == [
+            [str(i) for i in range(1, 31, 3)] * 4, [str(i) for i in range(0, 31, 3)] * 4
+        ]
+
+    def test_pair_fails_at_its_earliest_failing_weight(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Eight weights in three shares, {0, 3, 6}, {1, 4, 7} and {2, 5};
+        # the planner fails at indices 4 and 5.  Each share stops the pair
+        # at its own first failure, and the pair reports index 4, where
+        # one process sweeping the whole grid stops.
+        config = write_config(tmp_path, REDUCED_SWEEP.replace("count = 2", "count = 7"))
+        grid = load_config(config).mu_grid()
+        solve = frontier.solve
+
+        def failing(problem):
+            if problem.mu in (grid[4], grid[5]):
+                raise ValueError(f"no plan at {problem.mu!r}")
+            return solve(problem)
+
+        monkeypatch.setattr(frontier, "solve", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        path = tmp_path / "points"
+        calls = record_calls(monkeypatch, frontier, "evaluate_point", path, by_index)
+        runs, evaluated = [], []
+        for workers in ("1", "3"):
+            path.write_text("")
+            out = tmp_path / f"workers{workers}"
+            code = main(["sweep", "--config", config, "--out", str(out), "--workers", workers])
+            runs.append((code, capsys.readouterr().err, files_under(out)))
+            evaluated.append(calls())
+        assert runs[1] == runs[0]
+        message = f"sweep failed at mu = {grid[4]:g}: no plan at {grid[4]!r}"
+        assert runs[0][1] == f"sweep 20_200: {message}\n"
+        assert evaluated[0] == {os.getpid(): ["0", "1", "2", "3", "4"]}
+        assert evaluated[1].pop(os.getpid()) == ["2", "5"]
+        assert sorted(evaluated[1].values()) == [["0", "3", "6"], ["1", "4"]]
 
     def test_default_sweep_builds_each_design_once(self, tmp_path, monkeypatch):
         # Each controller builds one design, with its chain (lambda = 0)
@@ -511,8 +592,8 @@ class TestSweepCommand:
     def test_dead_pool_worker_fails_its_pairs_in_the_manifest(
         self, tmp_path, capsys, monkeypatch
     ):
-        # A worker that exits abruptly breaks the pool: its pair and every
-        # later one are recorded as failures, not raised as a traceback.
+        # A share worker that exits non-zero fails every pair with one
+        # line, recorded in the manifest, not raised as a traceback.
         parent = os.getpid()
 
         def dying(problem):
@@ -521,6 +602,40 @@ class TestSweepCommand:
             return solve(problem)
 
         monkeypatch.setattr(frontier, "solve", dying)
+        message = "sweep worker exited with status 3"
+        assert self.sweep_two_pairs(tmp_path, capsys) == dict.fromkeys(
+            ("10_100", "20_200"), message
+        )
+
+    @pytest.mark.parametrize("fault", ["killed", "garbled"])
+    def test_killed_or_garbled_worker_fails_every_pair(
+        self, fault, tmp_path, capsys, monkeypatch
+    ):
+        # A share worker killed by a signal, or one whose output does not
+        # unpickle, fails every pair the same way.
+        import pickle
+        import signal
+
+        parent = os.getpid()
+        if fault == "killed":
+            def dying(problem):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return solve(problem)
+
+            monkeypatch.setattr(frontier, "solve", dying)
+            message = f"sweep worker was killed by signal {int(signal.SIGKILL)}"
+        else:
+            monkeypatch.setattr(pickle, "dump", lambda result, pipe: pipe.write(b"junk"))
+            message = "sweep worker's result does not unpickle (UnpicklingError)"
+        assert self.sweep_two_pairs(tmp_path, capsys) == dict.fromkeys(
+            ("10_100", "20_200"), message
+        )
+
+    @staticmethod
+    def sweep_two_pairs(tmp_path, capsys) -> dict:
+        """The manifest's failures of a failing two-pair sweep on two
+        processes, checked against its stderr and its files."""
         config = write_config(
             tmp_path, REDUCED_SWEEP.replace("-20,-200", "-10,-100; -20,-200")
         )
@@ -529,19 +644,48 @@ class TestSweepCommand:
             ["sweep", "--config", config, "--out", str(out), "--workers", "2"]
         )
         assert code == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert [line.split(":")[0] for line in lines] == ["sweep 10_100", "sweep 20_200"]
-        assert "terminated abruptly" in lines[0]
-        assert "pool is not usable anymore" in lines[1]
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest["failures"]) == ["10_100", "20_200"]
         assert manifest["files"] == {}
+        assert set(files_under(out)) == {"manifest.json"}
+        assert capsys.readouterr().err == "".join(
+            f"sweep {slug}: {message}\n" for slug, message in manifest["failures"].items()
+        )
+        return manifest["failures"]
+
+    def test_no_process_outlives_the_sweep(self, sweep_artifacts, tmp_path, monkeypatch):
+        # Every share worker is reaped; if this process's own share raises,
+        # its workers are killed and reaped before the error leaves.
+        config, _ = sweep_artifacts
+        argv = ["sweep", "--config", config, "--workers", "2"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        class Interrupt(BaseException):
+            pass
+
+        parent = os.getpid()
+        evaluate_point = frontier.evaluate_point
+
+        def stalling(*args):
+            if os.getpid() == parent:
+                raise Interrupt
+            time.sleep(60)
+            return evaluate_point(*args)
+
+        monkeypatch.setattr(frontier, "evaluate_point", stalling)
+        start = time.monotonic()
+        with pytest.raises(Interrupt):
+            main([*argv, "--out", str(tmp_path / "interrupted")])
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_failed_build_ahead_is_reported_by_every_pair(
         self, tmp_path, capsys, monkeypatch
     ):
-        # Under a pool the factor fails ahead of the points, in the sweep's
-        # own process, and again at each pair's first mu > 0 point, which
+        # The factor fails ahead of the points, in the sweep's own
+        # process, and again at each pair's first mu > 0 point, which
         # reports it the same way under either worker count.
         def failing(matrix, *args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -574,20 +718,15 @@ class TestSweepCommand:
         assert manifest["files"] == {}
 
     def test_sweep_builds_each_design_once_past_the_cache_size(
-        self, inline_pool, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         # One pair more than the planner caches: the designs built ahead
-        # of a pool's points must not be evicted before their pairs run,
-        # and the last pair builds its own.
+        # of the points must not be evicted before their pairs run, and
+        # each process builds the last pair's design once, for its share.
         size = collocation_planner._DESIGN_CACHE_SIZE
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(matrix, *args, **kwargs):
-            calls.append(matrix.shape)
-            return eigh(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        calls = record_calls(
+            monkeypatch, np.linalg, "eigh", tmp_path / "eigh_calls", lambda m: len(m)
+        )
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         collocation_planner._cached_design.cache_clear()
         pairs = "; ".join(f"-{slow},-{10 * slow}" for slow in range(10, 11 + size))
@@ -596,8 +735,9 @@ class TestSweepCommand:
         assert main(
             ["sweep", "--config", config, "--out", str(out), "--workers", "2"]
         ) == 0
-        assert inline_pool == [2]
-        assert calls == [(61, 61)] * (size + 1)
+        built = calls()
+        assert built.pop(os.getpid()) == ["61"] * (size + 1)
+        assert list(built.values()) == [["61"]]
 
 
 class TestStiffnessCommand:
@@ -748,10 +888,10 @@ def test_json_records_reject_nan_and_infinity(value, tmp_path):
     "module", ["scipy", "concurrent.futures.process", "multiprocessing", "hashlib"]
 )
 def test_cli_import_does_not_load(module):
-    # scipy is a test-only dependency, the process pool is needed only
-    # by a sweep with more than one worker, and hashlib (OpenSSL, about
-    # 4 MB resident) only by a sweep's manifest; each costs every cold
-    # process its import time or memory.
+    # scipy is a test-only dependency, a sweep forks its share workers
+    # with os.fork and needs no process pool, and hashlib (OpenSSL, about
+    # 4 MB resident) is needed only by a sweep's manifest; each costs
+    # every cold process its import time or memory.
     package_root = str(Path(plantrack.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

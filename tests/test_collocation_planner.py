@@ -117,6 +117,19 @@ class TestTranscription:
         assert np.count_nonzero(row) == 1
         assert design.eq_rhs[1] == 0.0
 
+    @pytest.mark.parametrize("pin", [False, True])
+    def test_empty_working_set_is_the_equality_rows(self, pin):
+        design = collocation_planner._design(PlanProblem(enforce_initial_accel_zero=pin))
+        side = np.zeros(61, dtype=np.int8)
+        rows, rhs, knots, bounds = design.working_rows(side)
+        assert rows is design.eq_matrix and rhs is design.eq_rhs
+        assert knots.size == bounds.size == 0
+        # A working set's rows start with the same equality rows.
+        side[[20, 30]] = (-1, 1)
+        more_rows, more_rhs, _, _ = design.working_rows(side)
+        assert more_rows[:-2].tobytes() == rows.tobytes()
+        assert more_rhs[:-2].tobytes() == rhs.tobytes()
+
     def test_zero_weight_drops_velocity_block(self):
         design = collocation_planner._design(PlanProblem(mu=0.0, v0=3.0))
         hessian, gradient = design.objective(0.0)

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import constant_reference, make_reference, sim_configs
 from oracles import simulate_planar, trapezoid_quadrature
+from plantrack import tracking_sim
 from plantrack.cli import RunConfig
 from plantrack.collocation_planner import PlanProblem, solve
 from plantrack.lqr import EigenvaluePair, control_law, design_controller
@@ -456,6 +457,27 @@ class TestAltitudePathMatchesPlanar:
         ]).T
         assert np.array_equal(times, np.arange(times.size) * step)
         assert references.tobytes() == expected.tobytes()
+
+    def test_stage_basis_is_kept_for_the_last_flight_grid(self, mid_controller):
+        # Two plans on two RK4 grids: flights on one grid share one
+        # read-only basis, the other grid replaces it, and every flight
+        # reads the bits a cold cache gives.
+        plans = [solve(PlanProblem(mu=mu)) for mu in (0.0, 100.0)]
+        configs = [
+            SimConfig(step=step, reference=plan, controller=mid_controller)
+            for step in (1e-3, 5e-4) for plan in plans
+        ]
+        cold = []
+        for config in configs:
+            tracking_sim._stage_basis.cache_clear()
+            cold.append(_stage_references(config)[1].tobytes())
+        tracking_sim._stage_basis.cache_clear()
+        assert [_stage_references(config)[1].tobytes() for config in configs] == cold
+        info = tracking_sim._stage_basis.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 1)
+        for array in tracking_sim._stage_basis(5e-4, 2000, plans[0].knot_spacing, 1.0, 61):
+            assert not array.flags.writeable
+        assert tracking_sim._stage_basis.cache_info().hits == 3
 
     @pytest.mark.parametrize(
         ("level", "pair", "time"),
