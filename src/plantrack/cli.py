@@ -411,22 +411,15 @@ def _spring_record(pair: EigenvaluePair | None, fit: frontier_mod.SpringFit) -> 
     }
 
 
-def _sweep_share(jobs, grid, template, indices) -> list:
+def _sweep_share(jobs, weights, template) -> list:
     """One share of a sweep: for each (controller, step) of ``jobs``, its
-    points at the grid ``indices`` in order, up to the share's first
-    failure, as (points, failure); failure is None or (index, message)."""
+    frontier points over ``weights``, or the SweepError that stopped it."""
     outcomes = []
     for controller, step in jobs:
-        points, failure = [], None
-        for index in indices:
-            try:
-                points.append(frontier_mod.evaluate_point(
-                    controller, grid[index], template, step, index
-                ))
-            except frontier_mod.SweepError as exc:
-                failure = (index, str(exc))
-                break
-        outcomes.append((points, failure))
+        try:
+            outcomes.append(frontier_mod.sweep(controller, weights, template, step))
+        except frontier_mod.SweepError as exc:
+            outcomes.append(exc)
     return outcomes
 
 
@@ -514,15 +507,15 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     )
     # P processes: no more than the weights, nor than the CPUs this process
     # may use (its affinity set, which a mask or a container's cpuset can
-    # leave smaller than the machine), and one where os cannot fork.
-    # Share j holds the grid indices j, j + P, ..., so the last share,
-    # which this process sweeps itself, is the smallest.
+    # leave smaller than the machine), and one where os cannot fork or no
+    # pair is left to sweep.  Share j holds the weights of grid index j mod
+    # P, so the last share, which this process sweeps itself, is the smallest.
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    processes = min(workers, len(grid), cpus) if hasattr(os, "fork") else 1
-    shares = [range(j, len(grid), processes) for j in range(processes)]
+    processes = min(workers, len(grid), cpus) if jobs and hasattr(os, "fork") else 1
+    shares = [grid[j::processes] for j in range(processes)]
     results = _fan_out(
-        lambda share: _sweep_share(jobs.values(), grid, template, share), shares
+        lambda share: _sweep_share(jobs.values(), share, template), shares
     )
     dead = next((result for result in results if isinstance(result, str)), None)
 
@@ -530,14 +523,14 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
         if dead is not None:
             failures[slug] = dead
             continue
-        # The pair's failure is the earliest over the shares, where one
-        # process sweeping the whole grid would have stopped.
+        # Each share stops at its own first failing weight, so the smallest
+        # failing mu is where one process sweeping the whole grid stops.
         outcomes = [result[job] for result in results]
-        failed = [failure for _, failure in outcomes if failure is not None]
-        if failed:
-            failures[slug] = min(failed)[1]
+        errors = [o for o in outcomes if isinstance(o, frontier_mod.SweepError)]
+        if errors:
+            failures[slug] = str(min(errors, key=attrgetter("mu")))
             continue
-        points = [outcomes[i % processes][0][i // processes] for i in range(len(grid))]
+        points = sorted((p for share in outcomes for p in share), key=attrgetter("mu"))
         # A spring fit that fails (spring_fit_from_points's ValueError)
         # fails only its pair.
         try:

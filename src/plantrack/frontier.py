@@ -46,6 +46,9 @@ class FrontierPoint:
     predicted_error_integral: float
     actual_cost: float
     actual_error_integral: float
+    # The point's position in the weights given to `sweep`, under the CLI
+    # one share's; no artifact holds it and no package code reads it.  It
+    # stays for perfbench/probe.py's five-argument evaluate_point call.
     trajectory_id: int
 
     def __post_init__(self):
@@ -115,15 +118,10 @@ def sweep(
     step: float,
 ) -> tuple[FrontierPoint, ...]:
     """The frontier points of one controller over an ascending mu grid,
-    in grid order; the first point that fails raises its SweepError.
-
-    The grid must start at 0 (the unweighted head point).
-    """
+    in grid order; the first point that fails raises its SweepError."""
     grid = [float(mu) for mu in mu_grid]
     if not grid:
         raise ValueError("mu grid is empty")
-    if grid[0] != 0.0:
-        raise ValueError("mu grid must start at 0")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("mu grid must be strictly ascending")
     return tuple(

@@ -20,7 +20,7 @@ import pytest
 
 import plantrack
 from conftest import make_reference
-from failure_cases import CASES, REDUCED_SWEEP, USAGE, argvs
+from failure_cases import CASES, OVERFLOWING_START, REDUCED_SWEEP, USAGE, argvs, horizon
 from plantrack import cli, collocation_planner, error_estimator, frontier, tracking_sim
 from plantrack.cli import RunConfig, load_config, main
 from plantrack.collocation_planner import (
@@ -77,9 +77,10 @@ def record_calls(monkeypatch, module, name, path, describe):
     return read
 
 
-def by_index(controller, mu, template, step, index):
-    """describe for evaluate_point: the point's grid index."""
-    return index
+def by_grid_index(grid):
+    """describe for evaluate_point: the grid index of the point's weight,
+    not its position in the share that swept it."""
+    return lambda controller, mu, *rest: grid.index(mu)
 
 
 @pytest.fixture(scope="module")
@@ -462,7 +463,7 @@ class TestSweepCommand:
         points = read_frontier_points(tmp_path / "cold" / "frontier_20_200.csv")
         assert [p.mu for p in points] == [0.0, 1.0, 1e3, 1e6]
 
-    def test_pool_workers_inherit_every_design(self, tmp_path, monkeypatch):
+    def test_share_workers_inherit_every_design(self, tmp_path, monkeypatch):
         # The sweep's own process builds each controller's design, its
         # eigendecomposition included, before it forks; no share worker
         # builds one again.
@@ -489,7 +490,7 @@ class TestSweepCommand:
          (None, None, [1])],
         ids=["affinity4-64-3", "affinity1-64-1", "64-3", "2-2", "None-1"],
     )
-    def test_pool_has_no_more_workers_than_grid_points(
+    def test_no_more_share_workers_than_grid_points_or_cpus(
         self, affinity, cpus, processes, inline_shares, sweep_artifacts, tmp_path, monkeypatch
     ):
         if affinity is None:
@@ -519,15 +520,47 @@ class TestSweepCommand:
         assert inline_shares == [1]
         assert files_under(single) == files_under(out)
 
+    # Every pair fails its step rule before any point is planned, so the
+    # sweep forks no share worker, and its stderr and files are those of
+    # one process.
+    @pytest.mark.parametrize(
+        "text",
+        [horizon("1e100"), OVERFLOWING_START, "[sim]\nmax_step = 1.0\npole_fraction = 5.0\n"],
+        ids=["horizon_1e100", "overflowing_start", "rk4_unstable"],
+    )
+    def test_no_fork_without_a_pair_to_sweep(self, text, tmp_path, monkeypatch, capsys):
+        fork, forks = os.fork, []
+
+        def counting():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = write_config(tmp_path, text)
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            code = main(["sweep", "--config", config, "--out", str(out), "--workers", workers])
+            runs.append((code, capsys.readouterr().err, files_under(out)))
+        assert forks == []
+        assert runs[1] == runs[0]
+        assert runs[0][0] == 1
+        assert set(runs[0][2]) == {"manifest.json"}
+
     def test_three_processes_sweep_shares_of_11_10_and_10(self, tmp_path, monkeypatch):
         # The default config's 31 weights under three CPUs: share j holds
         # the indices j, j + 3, ..., this process sweeps the last, and the
-        # artifacts are the bytes of one process.
+        # artifacts are the bytes of one process and of the library's
+        # sweep over the whole grid.
+        config = RunConfig()
+        grid = config.mu_grid()
         serial = tmp_path / "serial"
         assert main(["sweep", "--out", str(serial), "--workers", "1"]) == 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         calls = record_calls(
-            monkeypatch, frontier, "evaluate_point", tmp_path / "points", by_index
+            monkeypatch, frontier, "evaluate_point", tmp_path / "points",
+            by_grid_index(grid),
         )
         three = tmp_path / "three"
         assert main(["sweep", "--out", str(three), "--workers", "3"]) == 0
@@ -537,6 +570,15 @@ class TestSweepCommand:
         assert sorted(shares.values(), key=len) == [
             [str(i) for i in range(1, 31, 3)] * 4, [str(i) for i in range(0, 31, 3)] * 4
         ]
+        for slug, controller in config.controllers.items():
+            path = tmp_path / f"library_{slug}.csv"
+            frontier.write_frontier_csv(
+                frontier.sweep(
+                    controller, grid, config.problem_template(), config.step_for(controller)
+                ),
+                path,
+            )
+            assert (three / f"frontier_{slug}.csv").read_bytes() == path.read_bytes()
 
     def test_pair_fails_at_its_earliest_failing_weight(
         self, tmp_path, monkeypatch, capsys
@@ -557,7 +599,9 @@ class TestSweepCommand:
         monkeypatch.setattr(frontier, "solve", failing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         path = tmp_path / "points"
-        calls = record_calls(monkeypatch, frontier, "evaluate_point", path, by_index)
+        calls = record_calls(
+            monkeypatch, frontier, "evaluate_point", path, by_grid_index(grid)
+        )
         runs, evaluated = [], []
         for workers in ("1", "3"):
             path.write_text("")
@@ -589,7 +633,7 @@ class TestSweepCommand:
         # Each cache miss constructs one design.
         assert collocation_planner._cached_design.cache_info().misses == 4
 
-    def test_dead_pool_worker_fails_its_pairs_in_the_manifest(
+    def test_dead_share_worker_fails_its_pairs_in_the_manifest(
         self, tmp_path, capsys, monkeypatch
     ):
         # A share worker that exits non-zero fails every pair with one

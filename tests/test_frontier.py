@@ -79,10 +79,6 @@ class TestSweepGridValidation:
         with pytest.raises(ValueError):
             sweep(controller, [], PlanProblem(), STEP)
 
-    def test_grid_must_start_at_zero(self, controller):
-        with pytest.raises(ValueError):
-            sweep(controller, [0.1, 1.0], PlanProblem(), STEP)
-
     def test_grid_must_ascend(self, controller):
         with pytest.raises(ValueError):
             sweep(controller, [0.0, 2.0, 1.0], PlanProblem(), STEP)
@@ -107,9 +103,12 @@ class TestSweep:
         assert pt.actual_cost > 0.0
         assert pt.actual_error_integral > 0.0
 
-    def test_points_follow_the_grid(self, controller):
-        points = sweep(controller, [0.0, 1e3], PlanProblem(), STEP)
-        assert [p.mu for p in points] == [0.0, 1e3]
+    # A grid need not start at the mu = 0 head: the CLI's sweep runs each
+    # share of its grid, and only share 0 holds the head.
+    @pytest.mark.parametrize("grid", [[0.0, 1e3], [1e2, 1e3]], ids=["head", "headless"])
+    def test_points_follow_the_grid(self, controller, grid):
+        points = sweep(controller, grid, PlanProblem(), STEP)
+        assert [p.mu for p in points] == grid
         assert [p.trajectory_id for p in points] == [0, 1]
         first, second = points
         assert second.designed_cost >= first.designed_cost - 1e-9
@@ -133,7 +132,8 @@ class TestSweep:
         ids=["sweep", "diverged"],
     )
     def test_failure_survives_pickling(self, error):
-        # A failure crosses a process boundary by pickle, whatever its cause.
+        # A failure crosses a process boundary by pickle, whatever its cause:
+        # a sweep's share workers send their SweepErrors through pipes.
         again = pickle.loads(pickle.dumps(error))
         assert type(again) is type(error)
         assert str(again) == str(error)
