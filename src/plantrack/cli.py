@@ -411,18 +411,6 @@ def _spring_record(pair: EigenvaluePair | None, fit: frontier_mod.SpringFit) -> 
     }
 
 
-def _sweep_share(jobs, weights, template) -> list:
-    """One share of a sweep: for each (controller, step) of ``jobs``, its
-    frontier points over ``weights``, or the SweepError that stopped it."""
-    outcomes = []
-    for controller, step in jobs:
-        try:
-            outcomes.append(frontier_mod.sweep(controller, weights, template, step))
-        except frontier_mod.SweepError as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
 def _fan_out(sweep_share, shares) -> list:
     """sweep_share(share) of every share, in order.  The last share runs in
     this process; each other one in a child forked for it, which sends its
@@ -515,7 +503,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int) -> int:
     processes = min(workers, len(grid), cpus) if jobs and hasattr(os, "fork") else 1
     shares = [grid[j::processes] for j in range(processes)]
     results = _fan_out(
-        lambda share: _sweep_share(jobs.values(), share, template), shares
+        lambda share: frontier_mod.sweep_pairs(jobs.values(), share, template), shares
     )
     dead = next((result for result in results if isinstance(result, str)), None)
 

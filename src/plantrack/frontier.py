@@ -12,13 +12,14 @@ the largest cost decrease.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
 from ._artifact_csv import read_rows, write_records
 from .collocation_planner import PlanProblem, solve
 from .lqr import ControllerSpec
-from .tracking_sim import SimConfig, simulate
+from .tracking_sim import SimConfig, SimulationDivergedError, simulate, simulate_lanes
 
 
 class SweepError(RuntimeError):
@@ -119,15 +120,78 @@ def sweep(
 ) -> tuple[FrontierPoint, ...]:
     """The frontier points of one controller over an ascending mu grid,
     in grid order; the first point that fails raises its SweepError."""
+    (outcome,) = sweep_pairs([(controller, step)], mu_grid, problem_template)
+    if isinstance(outcome, SweepError):
+        raise outcome
+    return outcome
+
+
+def sweep_pairs(jobs, mu_grid, problem_template: PlanProblem) -> list:
+    """For each (controller, step) of ``jobs``, its frontier points over
+    an ascending mu grid, or the SweepError at its smallest failing mu:
+    what ``evaluate_point`` gives at each weight in turn.
+
+    Each controller's weights are planned in order up to its first
+    planner failure, and the planned points fly as lanes of
+    ``simulate_lanes``, which draws them as it batches them.
+    """
     grid = [float(mu) for mu in mu_grid]
     if not grid:
         raise ValueError("mu grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("mu grid must be strictly ascending")
-    return tuple(
-        evaluate_point(controller, mu, problem_template, step, index)
-        for index, mu in enumerate(grid)
-    )
+    jobs = list(jobs)
+    points = [[] for _ in jobs]
+    errors = [None] * len(jobs)  # the first flight or point failure of each job
+    plan_errors = [None] * len(jobs)
+    planned = deque()  # (job, mu, plan) of each flight drawn and not yet scored
+
+    def flights():
+        for job, (controller, step) in enumerate(jobs):
+            for mu in grid:
+                problem = replace(
+                    problem_template, mu=mu, dominant_lambda=controller.dominant_lambda
+                )
+                try:
+                    traj = solve(problem)
+                    config = SimConfig(
+                        step=step, reference=traj, controller=controller,
+                        params=problem.params,
+                    )
+                except Exception as exc:
+                    plan_errors[job] = _failure(mu, exc)
+                    break
+                planned.append((job, mu, traj))
+                yield config
+
+    for result in simulate_lanes(flights()):
+        job, mu, traj = planned.popleft()
+        if errors[job] is not None:
+            continue
+        if isinstance(result, SimulationDivergedError):
+            errors[job] = _failure(mu, result)
+            continue
+        try:
+            points[job].append(FrontierPoint(
+                mu=mu,
+                designed_cost=traj.designed_cost,
+                predicted_error_integral=traj.predicted_error_integral,
+                actual_cost=result.actual_cost,
+                actual_error_integral=result.actual_error_integral,
+                trajectory_id=len(points[job]),
+            ))
+        except ValueError as exc:
+            errors[job] = _failure(mu, exc)
+    return [
+        errors[job] or plan_errors[job] or tuple(points[job]) for job in range(len(jobs))
+    ]
+
+
+def _failure(mu: float, cause: Exception) -> SweepError:
+    """The SweepError ``evaluate_point`` raises from ``cause``."""
+    error = SweepError(mu, cause)
+    error.__cause__ = cause
+    return error
 
 
 def best_compromise(points) -> FrontierPoint:

@@ -6,7 +6,8 @@ feed-forward).  Integration is fixed-step RK4, with the controller
 evaluated at every stage; the reference at the three stage times of
 every step (t, t + h/2, t + h) comes from one vectorised cubic Hermite
 lookup before the loop starts, on a basis kept for the last flight
-grid.  A flight is at most MAX_FLIGHT_STEPS steps: ``select_step`` and
+grid (``simulate_lanes`` builds it block by block as it flies).  A
+flight is at most MAX_FLIGHT_STEPS steps: ``select_step`` and
 ``SimConfig`` reject a longer one before anything is allocated.
 
 ``simulate`` integrates the altitude states (y, y_dot) only, and that is
@@ -17,15 +18,23 @@ references) then stay dormant: every lateral and attitude derivative is
 an IEEE zero, the rotor pair splits the thrust evenly (u1 = u2 =
 thrust / 2, u1 + u2 == thrust), and y_ddot = thrust / M - g in the same
 order of operations as the full model.  Its RK4 loop writes that
-altitude law out inline, the one copy of the physics outside ``model``
-and ``lqr``; the thrust and the accelerations it reports are rebuilt
-from the state history by ``control_law`` and ``nonlinear_derivative``
-after the loop.
+altitude law out inline, in Python floats.  ``simulate_lanes`` writes it
+out a second time, as numpy calls over many flights at once, each call
+one operation of the float loop in its order, so that every lane's bits
+are ``simulate``'s.  The second copy is there for speed: the 124 flights
+of a default sweep take about 70 ms as lanes of one loop against 190 ms
+through ``simulate`` (x86-64 Linux, CPython 3.11, numpy 2.4), while a
+loop of a few lanes costs more than their float loops, so single
+flights and small batches keep ``simulate``.  These are the two copies
+of the physics outside ``model`` and ``lqr``; the thrust and the
+accelerations either reports are rebuilt from the state history by
+``control_law`` and ``nonlinear_derivative`` after the loop.
 
 The six-state reference, with the PD loops live, is
 ``simulate_planar`` in ``tests/oracles.py``.  It steps over the same
 ``_stage_references`` and scores through the same ``_result``, and
-``simulate`` must match it bit for bit.
+``simulate`` must match it bit for bit, as each lane of
+``simulate_lanes`` must match ``simulate``.
 
 Scoring follows the planner's quadrature: actual cost is the trapezoid
 integral of the squared body accelerations, actual error the integral
@@ -201,16 +210,25 @@ def reference_lookup(traj: PlannedTrajectory, t):
     return float(values) if values.ndim == 0 else values
 
 
-# One entry: a process flies a sweep pair by pair, and every point of a
-# pair shares its flight grid.  The entry holds about 130 bytes per RK4
-# step (one index and four weights per stage time, and the two masks),
-# 130 MB at MAX_FLIGHT_STEPS, so it keeps no more than the last grid.
+def _stage_times(first: int, stop: int, step: float) -> np.ndarray:
+    """The three RK4 stage times (t, t + h/2, t + h) of steps first to
+    stop - 1 of a grid of step h, as rows; the bits do not depend on
+    first."""
+    times = np.arange(first, stop) * step
+    return np.stack((times, times + 0.5 * step, times + step))
+
+
+# One entry: the flights ``simulate`` flies back to back on one grid
+# share it, as the lanes of a batch below LANE_BREAK_EVEN do, a sweep's
+# points of one pair in grid order; ``simulate_lanes`` builds its own
+# bases block by block and does not read it.  The entry holds about 130
+# bytes per RK4 step (one index and four weights per stage time, and the
+# two masks), 130 MB at MAX_FLIGHT_STEPS, so it keeps no more than the
+# last grid.
 @functools.lru_cache(maxsize=1)
 def _stage_basis(step: float, steps: int, spacing: float, horizon: float, knots: int):
     """The Hermite basis at every RK4 stage time of a flight grid, read-only."""
-    times = np.arange(steps + 1) * step
-    stage_times = np.stack((times, times + 0.5 * step, times + step))
-    basis = _hermite_basis(stage_times, spacing, horizon, knots)
+    basis = _hermite_basis(_stage_times(0, steps + 1, step), spacing, horizon, knots)
     for array in basis:
         array.flags.writeable = False
     return basis
@@ -300,14 +318,21 @@ def simulate(config: SimConfig) -> TrackingResult:
     y_dot = np.array(yds)
     # The five lists hold 160 bytes a step, room the record needs.
     del start, middle, end, ys, yds
+    return _record(config, times, references[0], y, y_dot)
+
+
+def _record(config: SimConfig, times, y_ref, y, y_dot) -> TrackingResult:
+    """Score a flight from its altitude history: the thrust and the
+    accelerations are rebuilt by ``control_law`` and
+    ``nonlinear_derivative``, the record by ``_result``."""
     # A non-finite altitude never turns finite again, so the first one
     # is where the step-by-step check would have stopped.
     diverged = np.flatnonzero(~np.isfinite(y))
     if diverged.size:
         raise SimulationDivergedError(float(times[diverged[0]]))
 
-    y_ref = references[0]
-    thrust = control_law(spec, y, y_dot, y_ref, params)
+    params = config.params
+    thrust = control_law(config.controller, y, y_dot, y_ref, params)
     u1 = 0.5 * thrust
     u2 = 0.5 * thrust
     x, q, x_dot, q_dot = np.zeros((4, y.size))
@@ -316,6 +341,216 @@ def simulate(config: SimConfig) -> TrackingResult:
         (x, y, q, x_dot, y_dot, q_dot, u1, u2, y_ref,
          *nonlinear_derivative(0.0, u1, u2, params)),
     )
+
+
+# A batch of fewer lanes flies each through ``simulate``.  The batched
+# loop costs about the same per step whatever its width, and the float
+# loop about 0.86 us per lane and step, so they break even at 16 to 24
+# lanes of one flight length (x86-64 Linux, CPython 3.11, numpy 2.4).
+LANE_BREAK_EVEN = 20
+
+# Lane-steps of stage drives built at a time; each block and its
+# temporaries are a few hundred kB.
+_DRIVE_BLOCK = 2**13
+
+# A batch's state, constants and knots take about 1 kB a lane besides
+# its history, so a batch of short flights is capped in lanes as well.
+MAX_BATCH_LANES = 2**12
+
+
+def simulate_lanes(configs):
+    """Fly many flights as lanes of one RK4 loop; yields, in the order of
+    ``configs``, each flight's ``simulate`` result or the
+    SimulationDivergedError ``simulate`` raises for it, bit for bit.
+
+    Consecutive configs are drawn into batches of at most
+    MAX_FLIGHT_STEPS lane-steps and MAX_BATCH_LANES lanes, and a batch's
+    results are yielded once it has flown; its altitude history (16
+    bytes a lane-step) is kept until then.  A batch of fewer than
+    LANE_BREAK_EVEN lanes flies each through ``simulate``.
+    """
+    batch, lane_steps = [], 0
+    for config in configs:
+        if batch and (lane_steps + config.steps > MAX_FLIGHT_STEPS
+                      or len(batch) == MAX_BATCH_LANES):
+            yield from _fly_batch(batch)
+            batch, lane_steps = [], 0
+        batch.append(config)
+        lane_steps += config.steps
+    yield from _fly_batch(batch)
+
+
+def _fly_batch(configs):
+    if len(configs) < LANE_BREAK_EVEN:
+        return (_outcome(simulate, config) for config in configs)
+    return _fly_lanes(configs)
+
+
+def _outcome(fly, config, *args):
+    try:
+        return fly(config, *args)
+    except SimulationDivergedError as exc:
+        return exc
+
+
+def _grid(config: SimConfig) -> tuple:
+    """A flight's grid: its step count and step, and its reference's knot
+    spacing, horizon and knot count."""
+    reference = config.reference
+    return (config.steps, config.step, reference.knot_spacing, reference.horizon,
+            reference.y.size)
+
+
+def _fly_lanes(configs):
+    """``simulate_lanes`` on one batch: the lanes' histories from
+    ``_lane_histories``, each scored by ``_record`` as ``simulate``
+    scores it, with its reference read on one basis per grid."""
+    grids = {}
+    for index, config in enumerate(configs):
+        grids.setdefault(_grid(config), []).append(index)
+    # Longest flights first, and each grid's lanes together.
+    grids = sorted(grids.items(), key=lambda item: -item[0][0])
+    order = [index for _, members in grids for index in members]
+    histories = _lane_histories(
+        [(grid, [configs[index] for index in members]) for grid, members in grids]
+    )
+
+    lane_of = dict(zip(order, range(len(order))))
+    basis_grid = basis = None
+    for index, config in enumerate(configs):
+        lane = lane_of[index]
+        y, y_dot = (
+            np.concatenate([[0.0], *(h[:, row, lane] for h in histories if h.shape[2] > lane)])
+            for row in (0, 1)
+        )
+        times = np.arange(config.steps + 1) * config.step
+        if basis_grid != _grid(config):
+            basis_grid = _grid(config)
+            basis = _hermite_basis(times, *basis_grid[2:])
+        y_ref = _hermite_values(basis, config.reference.y, config.reference.v)
+        yield _outcome(_record, config, times, y_ref, y, y_dot)
+
+
+def _lane_histories(grids) -> list[np.ndarray]:
+    """The RK4 loop of ``simulate`` over the lanes of ``grids``, pairs
+    (grid, its lanes) sorted longest flight first.
+
+    Gives one (steps, 2, lanes) array of (y, y_dot) per distinct flight
+    length: the steps from the length before it, for the lanes still
+    flying, which are a prefix.  The state of those lanes is one
+    (12, lanes) buffer of rows [y, y_dot, a1, p2, v2, a2, p3, v3, a3, p4,
+    v4, a4], stage s at position p_s and velocity v_s: rows [y, y_dot]
+    are the state, [y_dot, a1] the first slope and [v_s, a_s] slope s,
+    so one ufunc call steps position and velocity together.  Each call
+    is one operation of ``simulate``'s float loop, in its order, and
+    every constant is an array of one value per lane.
+    """
+    lanes = [config for _, members in grids for config in members]
+    steps_per_lane = np.array([config.steps for config in lanes])
+    constants = np.array([
+        (-c.controller.k1, c.controller.k2, 0.5 * c.step, 0.5 * c.step, c.step, c.step,
+         c.step / 6.0, c.step / 6.0, 2.0, 2.0, c.params.hover_thrust, c.params.mass,
+         c.params.gravity)
+        for c in lanes
+    ]).T
+    # Per grid: its lanes' range, and their knots and reference gains as columns.
+    drive_grids = []
+    first = 0
+    for grid, members in grids:
+        drive_grids.append((
+            first, first + len(members), grid[1:],
+            np.stack([c.reference.y for c in members], axis=1),
+            np.stack([c.reference.v for c in members], axis=1),
+            np.array([c.controller.n1 for c in members]),
+        ))
+        first += len(members)
+
+    multiply, add, subtract, divide, copyto = (
+        np.multiply, np.add, np.subtract, np.divide, np.copyto
+    )
+    state = np.zeros((12, len(lanes)))
+    histories = []
+    done = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for end in sorted(set(steps_per_lane.tolist())):
+            active = int(np.count_nonzero(steps_per_lane >= end))
+            state = state[:, :active].copy()
+            held = constants[:, :active].copy()
+            gains, halves, steps, sixths, twos = (held[i:i + 2] for i in range(0, 10, 2))
+            trim, mass, grav = held[10:]
+            position, slope1 = state[0:2], state[1:3]
+            stage2, slope2, stage3, slope3, stage4, slope4 = (
+                state[i:i + 2] for i in (3, 4, 6, 7, 9, 10)
+            )
+            a1, a2, a3, a4 = state[2::3]
+            work, pulled = np.empty((2, 2, active))
+            pull_y, pull_yd = pulled
+
+            history = np.empty((end - done, 2, active))
+            records = iter(history)
+            block = max(1, _DRIVE_BLOCK // active)
+            for block_first in range(done, end, block):
+                drives = _stage_drives(
+                    drive_grids, block_first, min(block_first + block, end), active
+                )
+                for d1, d2, d4, record in zip(*drives, records):
+                    # a = (-k1 * y - k2 * y_dot + d + trim) / mass - g per stage.
+                    multiply(gains, position, pulled)
+                    subtract(pull_y, pull_yd, a1)
+                    add(a1, d1, a1)
+                    add(a1, trim, a1)
+                    divide(a1, mass, a1)
+                    subtract(a1, grav, a1)
+                    multiply(halves, slope1, work)
+                    add(position, work, stage2)
+                    multiply(gains, stage2, pulled)
+                    subtract(pull_y, pull_yd, a2)
+                    add(a2, d2, a2)
+                    add(a2, trim, a2)
+                    divide(a2, mass, a2)
+                    subtract(a2, grav, a2)
+                    multiply(halves, slope2, work)
+                    add(position, work, stage3)
+                    multiply(gains, stage3, pulled)
+                    subtract(pull_y, pull_yd, a3)
+                    add(a3, d2, a3)
+                    add(a3, trim, a3)
+                    divide(a3, mass, a3)
+                    subtract(a3, grav, a3)
+                    multiply(steps, slope3, work)
+                    add(position, work, stage4)
+                    multiply(gains, stage4, pulled)
+                    subtract(pull_y, pull_yd, a4)
+                    add(a4, d4, a4)
+                    add(a4, trim, a4)
+                    divide(a4, mass, a4)
+                    subtract(a4, grav, a4)
+                    # (y, y_dot) += sixth * (k1 + 2.0 * (k2 + k3) + k4).
+                    add(slope2, slope3, work)
+                    multiply(twos, work, work)
+                    add(slope1, work, work)
+                    add(work, slope4, work)
+                    multiply(sixths, work, work)
+                    add(position, work, position)
+                    copyto(record, position)
+            histories.append(history)
+            done = end
+    return histories
+
+
+def _stage_drives(drive_grids, first: int, stop: int, active: int) -> np.ndarray:
+    """n1 times the reference at the stage times of steps first to stop - 1
+    of the first ``active`` lanes, as (stage, step, lane), each grid's
+    from its Hermite basis on those steps."""
+    drives = np.empty((3, stop - first, active))
+    for lane, lane_stop, (step, spacing, horizon, knots), ys, vs, gains in drive_grids:
+        if lane >= active:
+            break
+        k, *weights = _hermite_basis(_stage_times(first, stop, step), spacing, horizon, knots)
+        basis = (k, *(w[..., np.newaxis] for w in weights))
+        with np.errstate(over="ignore", invalid="ignore"):
+            drives[:, :, lane:lane_stop] = gains * _hermite_values(basis, ys, vs)
+    return drives
 
 
 TRACKING_COLUMNS = {

@@ -78,9 +78,10 @@ def record_calls(monkeypatch, module, name, path, describe):
 
 
 def by_grid_index(grid):
-    """describe for evaluate_point: the grid index of the point's weight,
-    not its position in the share that swept it."""
-    return lambda controller, mu, *rest: grid.index(mu)
+    """describe for solve, which a sweep calls once per weight it plans:
+    the grid index of the problem's weight, not its position in the share
+    that swept it."""
+    return lambda problem: grid.index(problem.mu)
 
 
 @pytest.fixture(scope="module")
@@ -559,8 +560,7 @@ class TestSweepCommand:
         assert main(["sweep", "--out", str(serial), "--workers", "1"]) == 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         calls = record_calls(
-            monkeypatch, frontier, "evaluate_point", tmp_path / "points",
-            by_grid_index(grid),
+            monkeypatch, frontier, "solve", tmp_path / "points", by_grid_index(grid)
         )
         three = tmp_path / "three"
         assert main(["sweep", "--out", str(three), "--workers", "3"]) == 0
@@ -599,9 +599,7 @@ class TestSweepCommand:
         monkeypatch.setattr(frontier, "solve", failing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         path = tmp_path / "points"
-        calls = record_calls(
-            monkeypatch, frontier, "evaluate_point", path, by_grid_index(grid)
-        )
+        calls = record_calls(monkeypatch, frontier, "solve", path, by_grid_index(grid))
         runs, evaluated = [], []
         for workers in ("1", "3"):
             path.write_text("")
@@ -709,15 +707,14 @@ class TestSweepCommand:
             pass
 
         parent = os.getpid()
-        evaluate_point = frontier.evaluate_point
 
-        def stalling(*args):
+        def stalling(problem):
             if os.getpid() == parent:
                 raise Interrupt
             time.sleep(60)
-            return evaluate_point(*args)
+            return solve(problem)
 
-        monkeypatch.setattr(frontier, "evaluate_point", stalling)
+        monkeypatch.setattr(frontier, "solve", stalling)
         start = time.monotonic()
         with pytest.raises(Interrupt):
             main([*argv, "--out", str(tmp_path / "interrupted")])

@@ -16,6 +16,7 @@ from oracles import (
     trapezoid_quadrature,
 )
 from plantrack import frontier as frontier_module
+from plantrack import tracking_sim
 from plantrack._artifact_csv import SchemaError
 from plantrack.collocation_planner import PlanProblem
 from plantrack.frontier import (
@@ -163,6 +164,51 @@ class TestSweep:
             evaluate_point(controller, 5.0, PlanProblem(), STEP, 0)
         assert err.value.mu == 5.0
         assert isinstance(err.value.__cause__, ValueError)
+
+    def test_pairs_fail_at_their_smallest_failing_weight(self, params, monkeypatch):
+        # Three controllers over 16 weights: the first one's flight diverges
+        # at index 5 and its planner fails at 12, the second is healthy and
+        # the third one's planner fails at 2.  Each outcome is what
+        # evaluate_point gives weight by weight up to the first failure, and
+        # the 30 planned points fly as the lanes of one loop.
+        grid = [0.0] + [10.0 ** (k / 3) for k in range(15)]
+        jobs = []
+        for n in (1, 2, 3):
+            pair = EigenvaluePair(lambda_slow=-10.0 * n, lambda_fast=-100.0 * n)
+            controller = design_controller(pair, params)
+            jobs.append((controller, select_step(controller, 1.0)))
+        solve = frontier_module.solve
+
+        def planning(problem):
+            failing = (problem.dominant_lambda, grid.index(problem.mu))
+            if failing == (10.0, 5):
+                return constant_reference(1e308, 1.0)
+            if failing in ((10.0, 12), (30.0, 2)):
+                raise ValueError(f"no plan at {problem.mu!r}")
+            return solve(problem)
+
+        monkeypatch.setattr(frontier_module, "solve", planning)
+        flown = []
+        fly_lanes = tracking_sim._fly_lanes
+        monkeypatch.setattr(tracking_sim, "_fly_lanes",
+                            lambda configs: flown.append(len(configs)) or fly_lanes(configs))
+        outcomes = frontier_module.sweep_pairs(jobs, grid, PlanProblem())
+        assert flown == [30]
+        expected = []
+        for controller, step in jobs:
+            try:
+                expected.append(tuple(
+                    evaluate_point(controller, mu, PlanProblem(), step, index)
+                    for index, mu in enumerate(grid)
+                ))
+            except SweepError as exc:
+                expected.append(exc)
+        assert [type(o) for o in outcomes] == [SweepError, tuple, SweepError]
+        assert [o if isinstance(o, tuple) else str(o) for o in outcomes] == [
+            e if isinstance(e, tuple) else str(e) for e in expected
+        ]
+        assert outcomes[0].mu == grid[5]
+        assert isinstance(outcomes[0].__cause__, SimulationDivergedError)
 
     def test_actual_cost_dips_then_rises(self, controller):
         # The pseudo frontier is not monotone in mu: a weighted point

@@ -22,6 +22,8 @@ from plantrack.cli import RunConfig
 from plantrack.collocation_planner import PlanProblem, solve
 from plantrack.lqr import EigenvaluePair, control_law, design_controller
 from plantrack.tracking_sim import (
+    LANE_BREAK_EVEN,
+    MAX_BATCH_LANES,
     MAX_FLIGHT_STEPS,
     TRACKING_COLUMNS,
     SimConfig,
@@ -31,6 +33,7 @@ from plantrack.tracking_sim import (
     reference_lookup,
     select_step,
     simulate,
+    simulate_lanes,
     write_tracking_csv,
 )
 
@@ -501,3 +504,122 @@ class TestAltitudePathMatchesPlanar:
             times.append(err.value.time)
         assert times[0] == times[1]
         assert times[0] == pytest.approx(time, abs=1e-12)
+
+
+def _outcome_bytes(outcome):
+    """A lane's record as raw bytes, or its failure time."""
+    if isinstance(outcome, SimulationDivergedError):
+        return ("diverged", outcome.time)
+    return _field_bytes(outcome)
+
+
+def _simulated(config):
+    try:
+        return simulate(config)
+    except SimulationDivergedError as exc:
+        return exc
+
+
+@pytest.fixture
+def flown(monkeypatch):
+    """Records how simulate_lanes flies: the lane count of each lane loop,
+    and 1 for each flight it hands to simulate."""
+    batches = []
+    fly_lanes, fly = tracking_sim._fly_lanes, tracking_sim.simulate
+
+    def lanes(configs):
+        batches.append(("lanes", len(configs)))
+        return fly_lanes(configs)
+
+    def single(config):
+        batches.append(("simulate", 1))
+        return fly(config)
+
+    monkeypatch.setattr(tracking_sim, "_fly_lanes", lanes)
+    monkeypatch.setattr(tracking_sim, "simulate", single)
+    return batches
+
+
+class TestLanes:
+    """``simulate_lanes`` against ``simulate``, lane by lane, bit for bit."""
+
+    @staticmethod
+    def mixed_lanes(params):
+        """Flights of the default, bounded, dip and awkward-grid templates,
+        six grids in all (two of them 1000 steps long), with the diverging
+        flights of test_divergence_time and test_overflowing_score_is_divergence
+        among them."""
+        def pairs(*poles):
+            return tuple(EigenvaluePair(lambda_slow=s, lambda_fast=f) for s, f in poles)
+
+        templates = (
+            RunConfig(mu_count=3),
+            RunConfig(pairs=pairs((-10.0, -100.0), (-20.0, -200.0)),
+                      segments=120, v0=30.0, yf=0.0, mu_count=3),
+            RunConfig(v0=-30.0, mu_count=3),
+            RunConfig(pairs=pairs((-10.0, -100.0), (-30.0, -300.0)),
+                      horizon=0.7005, segments=47, v0=1.3, mu_count=3),
+        )
+        healthy = [config for template in templates for config in sim_configs(template)]
+        diverging = [
+            SimConfig(step=1e-3, reference=constant_reference(level, 1.0),
+                      controller=design_controller(pair, params))
+            for level, pair in zip((1e308, 5.0, 5.0),
+                                   pairs((-10.0, -100.0), (-10.0, -10000.0), (-10.0, -60000.0)))
+        ]
+        (fast_pair,) = pairs((-50.0, -500.0))
+        diverging += [
+            SimConfig(step=4e-4, reference=overflow_reference(ramp, params),
+                      controller=design_controller(fast_pair, params), params=params)
+            for ramp in (False, True)
+        ]
+        lanes = healthy[:]
+        for position, config in zip((0, 9, 17, 30, len(healthy) + 4), diverging):
+            lanes.insert(position, config)
+        return lanes
+
+    def test_mixed_batch_is_simulate(self, params, flown):
+        lanes = self.mixed_lanes(params)
+        grids = {(c.step, c.steps, c.reference.knot_spacing) for c in lanes}
+        assert len(grids) == 6
+        assert sum(c.steps for c in lanes) <= MAX_FLIGHT_STEPS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = list(simulate_lanes(lanes))
+        assert flown == [("lanes", len(lanes))]
+        expected = [_simulated(config) for config in lanes]
+        assert sum(isinstance(e, SimulationDivergedError) for e in expected) == 5
+        assert [_outcome_bytes(o) for o in outcomes] == [_outcome_bytes(e) for e in expected]
+
+    def test_below_the_break_even_each_lane_is_simulate(self, params, flown):
+        lanes = self.mixed_lanes(params)[: LANE_BREAK_EVEN - 1]
+        outcomes = list(simulate_lanes(lanes))
+        assert flown == [("simulate", 1)] * len(lanes)
+        expected = [_simulated(config) for config in lanes]
+        assert [_outcome_bytes(o) for o in outcomes] == [_outcome_bytes(e) for e in expected]
+
+    @pytest.mark.parametrize(
+        ("step", "count", "batches"),
+        [
+            # 31 flights of 50 000 steps: 20 fill the lane-step bound and
+            # 11 are left, below the break-even.
+            (2e-5, 31, [("lanes", 20)] + [("simulate", 1)] * 11),
+            # 60-step flights: the lane bound cuts first.
+            (1 / 60, MAX_BATCH_LANES + LANE_BREAK_EVEN,
+             [("lanes", MAX_BATCH_LANES), ("lanes", LANE_BREAK_EVEN)]),
+        ],
+        ids=["lane_steps", "lanes"],
+    )
+    def test_batches_split_at_the_bounds_before_allocating(
+        self, slow_controller, monkeypatch, step, count, batches
+    ):
+        # The 31 x 50 000 lane-steps would hold 25 MB of history.
+        reference = constant_reference(0.0, 1.0)
+        config = SimConfig(step=step, reference=reference, controller=slow_controller)
+        flown = []
+        monkeypatch.setattr(tracking_sim, "_fly_lanes",
+                            lambda configs: flown.append(("lanes", len(configs))) or configs)
+        monkeypatch.setattr(tracking_sim, "simulate",
+                            lambda config: flown.append(("simulate", 1)) or config)
+        assert list(simulate_lanes([config] * count)) == [config] * count
+        assert flown == batches

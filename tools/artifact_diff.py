@@ -49,6 +49,9 @@ INPUTS = {
                       + "\n\n[mu_grid]\ncount = 1\n",
     # Pairs separated by a spaced ';', which is not a comment.
     "spaced_pairs.ini": "[controllers]\npairs = -10,-100 ; -20,-200\n\n[mu_grid]\ncount = 2\n",
+    # 31 flights of 50 000 steps: one process flies 20 as lanes, up to the
+    # lane-step bound, and the other 11 one by one.
+    "long_flights.ini": "[controllers]\npairs = -10,-100\n\n[sim]\nmax_step = 2e-5\n",
 }
 
 # Valid CSVs from earlier commands, copied with lines the readers skip.
@@ -81,6 +84,7 @@ RUNS = (
         # The last pair builds its design after the sweep's build-ahead.
         "sweep --config nine_pairs.ini --out nine_pairs_w{w} --workers {w}",
         "sweep --config spaced_pairs.ini --out spaced_pairs_w{w} --workers {w}",
+        "sweep --config long_flights.ini --out long_flights_w{w} --workers {w}",
     )),
     (ONCE, (
         # The awkward knot spacing and the two-sided working sets through track.
