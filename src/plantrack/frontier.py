@@ -47,9 +47,10 @@ class FrontierPoint:
     predicted_error_integral: float
     actual_cost: float
     actual_error_integral: float
-    # The point's position in the weights given to `sweep`, under the CLI
-    # one share's; no artifact holds it and no package code reads it.  It
-    # stays for perfbench/probe.py's five-argument evaluate_point call.
+    # The point's position in the weights given to `sweep` or
+    # `sweep_pairs`, under the CLI one share's; no artifact holds it and no
+    # package code reads it.  It stays for perfbench/probe.py's
+    # five-argument evaluate_point call.
     trajectory_id: int
 
     def __post_init__(self):
