@@ -29,8 +29,17 @@ the grid, its weights, C, Y, L, the y offset, the equality rows, the
 error terms and the error block's spectral factor form one design per
 controller (grid, lambda, boundary data and box), built once and kept,
 read-only, in a small per-process cache.  A point's QP is its design
-at one mu: the design forms Q(mu) and c(mu) and applies Q(mu)^-1, and
-the point reads its predicted error through the design's L.
+at one mu, and the point reads its predicted error through the design's
+L.  solve_weights plans a grid of weights of one design in one pass:
+each weight is a lane of stacked arrays, and the lanes' c(mu),
+Q(mu)^-1, equality-row solve, box check, KKT certificate and rebuild
+of y, v, u and the predicted error run as stacks.  numpy's matmul on a
+stack issues one BLAS call per lane with the operands of the point's own
+call, so with the same operand order and every lane 16-byte aligned
+each lane gets the bits of its point solved alone; Q(mu) is formed one
+lane at a time.  Only the lanes whose equality-row optimum leaves the
+box go on through the active-set loop, one at a time.  solve is
+solve_weights of one weight.
 
 A dual active-set loop (Goldfarb and Idnani, Math. Programming 27,
 1983; Nocedal and Wright, Numerical Optimization, 2nd ed., 16.5)
@@ -63,7 +72,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -282,35 +291,23 @@ class _Design:
         vectors.flags.writeable = spectrum.flags.writeable = False
         return vectors, spectrum
 
-    def objective(self, mu: float) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, c) of the point at weight mu, arrays the caller owns.
+    @functools.cached_property
+    def error_bounds(self) -> np.ndarray:
+        """(max |P_ij|, max |p_i|) of the error terms (P, p, q) = weighted."""
+        P, p, _ = self.weighted
+        return np.array([np.abs(P).max(), np.abs(p).max()])
 
-        1/2 a'Qa + c'a + mu q, with q = weighted[2], equals the design
-        objective, integral of a^2 + mu e^2, at every a.  A finite mu can
-        still overflow the terms (1e308 does); the constant mu q is not
-        returned, but its overflow rejects the weight too.
+    def hessian(self, mu: float) -> np.ndarray:
+        """Q(mu) = diag(2 w) + 2 mu P, an n x n array the caller owns.
+
+        A finite mu can still overflow it (1e308 does); _Lanes.at checks
+        each weight before its point is planned.
         """
-        quad = self.quad
-        hessian = np.diag(2.0 * quad)
-        gradient = np.zeros(quad.size)
+        hessian = np.diag(2.0 * self.quad)
         if mu > 0:
-            P, p, q = self.weighted
             with np.errstate(over="ignore", invalid="ignore"):
-                hessian += 2.0 * mu * P
-                gradient = 2.0 * mu * p
-            if not all(np.isfinite(term).all() for term in (hessian, gradient, mu * q)):
-                raise PlannerNumericalError(f"mu = {mu!r} overflows the design terms")
-        return hessian, gradient
-
-    def inverse(self, mu: float):
-        """Q(mu)^-1 applied to vectors and column blocks, never formed: the
-        reciprocal diagonal at mu = 0, else SV (r * (SV' x)), O(n^2) per column."""
-        if mu == 0:
-            inverse_diagonal = 1.0 / (2.0 * self.quad)
-            return lambda x: (inverse_diagonal * x.T).T
-        vectors, spectrum = self.spectral
-        ratio = 1.0 / (1.0 + 2.0 * mu * spectrum)
-        return lambda x: vectors @ (ratio * (x.T @ vectors)).T
+                hessian += 2.0 * mu * self.weighted[0]
+        return hessian
 
     def working_rows(self, side: np.ndarray):
         """(rows, rhs, knots, bounds) of the working set side, which holds
@@ -377,47 +374,228 @@ def prepare(problems) -> None:
             pass
 
 
-def _solve_working_set(objective, apply_inverse, free_optimum, rows, rhs):
-    """Working-set optimum of min 1/2 a'Qa + c'a s.t. rows a = rhs.
+def _stack(lanes: int, *shape: int) -> np.ndarray:
+    """An uninitialised (lanes, *shape) stack whose every lane starts
+    16-byte aligned, as a fresh array does.
+
+    OpenBLAS kernels can round an operand or an output that starts 8
+    bytes off a 16-byte boundary differently, so a stacked product gives
+    each lane the bits of the pointwise product only if every lane starts
+    aligned: the lanes are an even number of doubles apart.
+    """
+    size = math.prod(shape)
+    if lanes == 1 or size % 2 == 0:
+        return np.empty((lanes, *shape))
+    return np.empty((lanes, size + 1))[:, :size].reshape(lanes, *shape)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, one operand or both a stack of lanes, with aligned lanes.
+
+    numpy's matmul issues one gemv, gemm or dot call per lane, with the
+    operands and the operand order of the same product on one lane.  Its
+    own output lanes are contiguous, so only an odd lane size needs a
+    padded stack.
+    """
+    rows, columns = a.shape[-2], b.shape[-1]
+    lanes = len(a) if a.ndim == 3 else len(b)
+    if lanes == 1 or rows * columns % 2 == 0:
+        return np.matmul(a, b)
+    return np.matmul(a, b, out=_stack(lanes, rows, columns))
+
+
+class _Lanes:
+    """One design's QPs at several weights, all zero or all positive, as
+    stacks: lane b is the point at weight mu[b], with its gradient c and,
+    for mu > 0, its spectral ratio r = 1 / (1 + 2 mu s).
+
+    A lane's arithmetic is its point's own, call for call and in the same
+    operand order, so each lane gets the bits of the point planned alone.
+    Q(mu) is formed one lane at a time: a stack of them would hold
+    lanes x n^2 doubles.  Q^-1 is applied as the module docstring says:
+    the reciprocal diagonal at mu = 0, else SV (r * (SV' x)).  errors
+    holds the PlannerNumericalError that decides a lane before its
+    solve, or None.
+    """
+
+    def __init__(self, design: _Design, mu: list, gradient, ratio, errors: list):
+        self.design = design
+        self.mu = mu
+        self.gradient = gradient
+        self.ratio = ratio
+        self.errors = errors
+        self._hessian = None
+
+    @classmethod
+    def at(cls, design: _Design, mu: list) -> _Lanes:
+        """The lanes of design at the weights mu.
+
+        A finite mu can still overflow its point's objective 1/2 a'Qa +
+        c'a + mu q (1e308 does): that lane's error is the overflow, and
+        it is planned as a stand-in at mu = 0, which keeps its values
+        finite.  Q and c are checked without forming Q: rounding is
+        monotone, so the entries (2 mu) P_ij and (2 mu) p_i are all
+        finite exactly when (2 mu) max|P| and (2 mu) max|p| are, and Q's
+        diagonal is formed as _Design.hessian forms it.  When the
+        spectral factor fails, every lane not failed already fails with
+        it.  Raises the error of error terms that overflow the design.
+        """
+        count, n = len(mu), design.times.size
+        gradient = _stack(count, n)
+        errors = [None] * count
+        if mu[0] == 0:
+            gradient[:] = 0.0
+            return cls(design, mu, gradient, None, errors)
+        P, p, q = design.weighted
+        weights = np.array(mu, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = 2.0 * weights[:, None]
+            np.multiply(scale, p, out=gradient)
+            finite = (
+                np.isfinite(scale * design.error_bounds).all(axis=1)
+                & np.isfinite(2.0 * design.quad + scale * np.diagonal(P)).all(axis=1)
+                & np.isfinite(weights * q)
+            )
+        if not finite.all():
+            for b in np.flatnonzero(~finite).tolist():
+                errors[b] = PlannerNumericalError(
+                    f"mu = {mu[b]!r} overflows the design terms"
+                )
+            mu = [0.0 if error else w for w, error in zip(mu, errors)]
+            scale[~finite] = gradient[~finite] = 0.0
+        try:
+            spectrum = design.spectral[1]
+        except PlannerNumericalError as exc:
+            errors = [error or exc for error in errors]
+            spectrum = np.zeros(n)
+        return cls(design, mu, gradient, 1.0 / (1.0 + scale * spectrum), errors)
+
+    def lane(self, b: int) -> _Lanes:
+        """Lane b alone."""
+        if len(self.mu) == 1:
+            return self
+        ratio = None if self.ratio is None else self.ratio[b : b + 1]
+        return _Lanes(
+            self.design, self.mu[b : b + 1], self.gradient[b : b + 1], ratio,
+            self.errors[b : b + 1],
+        )
+
+    def hessians(self):
+        """Q of each lane, formed in turn; a single lane keeps its own."""
+        if len(self.mu) > 1:
+            return map(self.design.hessian, self.mu)
+        if self._hessian is None:
+            self._hessian = self.design.hessian(self.mu[0])
+        return (self._hessian,)
+
+    def inverse_vectors(self, x: np.ndarray) -> np.ndarray:
+        """Q^-1 x of each lane, x a (lanes, n) stack."""
+        if self.ratio is None:
+            return np.multiply(1.0 / (2.0 * self.design.quad), x, out=_stack(*x.shape))
+        vectors = self.design.spectral[0]
+        w = _matmul(x[:, None, :], vectors)
+        np.multiply(self.ratio[:, None, :], w, out=w)
+        return _matmul(vectors, w.transpose(0, 2, 1))[:, :, 0]
+
+    def inverse_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Q^-1 R' of each lane, for the (m, n) rows R the lanes share."""
+        if self.ratio is None:
+            shared = (1.0 / (2.0 * self.design.quad) * rows).T
+            return np.broadcast_to(shared, (len(self.mu), *shared.shape))
+        vectors = self.design.spectral[0]
+        w = rows @ vectors
+        w = np.multiply(self.ratio[:, None, :], w, out=_stack(len(self.mu), *w.shape))
+        return _matmul(vectors, w.transpose(0, 2, 1))
+
+
+def _solve_working_sets(lanes: _Lanes, free_optimum, rows, rhs):
+    """Each lane's optimum of min 1/2 a'Qa + c'a s.t. rows a = rhs.
 
     Range-space (Schur complement) solve of [[Q, R'], [R, 0]] [x; nu] =
-    [-c; rhs]: with x0 = -Q^-1 c and G = Q^-1 R', (R G) nu = R x0 - rhs
-    and x = x0 - G nu.  One correction against the true KKT residual
-    of the explicitly formed Q, through the same G and R G, takes back
-    the accuracy the factored inverse gives away.
+    [-c; rhs]: with x0 = -Q^-1 c (free_optimum, a stack) and G = Q^-1 R',
+    (R G) nu = R x0 - rhs and x = x0 - G nu.  One correction against the
+    true KKT residual of the explicitly formed Q, through the same G and
+    R G, takes back the accuracy the factored inverse gives away.
+
+    Returns the stacks (a, multipliers) and whether each lane's values
+    are finite.  numpy fails a stacked solve for one singular lane, so a
+    failed solve fails every lane.
     """
-    hessian, gradient = objective
-    # Terms that overflow (a very large mu) fail the finite check below
-    # as one error, not as numpy warnings.
+    count = len(lanes.mu)
+    # Terms that overflow (a very large mu) fail the finite check as one
+    # error, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        G = apply_inverse(rows.T)
-        schur = rows @ G
+        G = lanes.inverse_rows(rows)
+        schur = _matmul(rows, G)
         try:
-            mult = np.linalg.solve(schur, rows @ free_optimum - rhs)
-            target = free_optimum - G @ mult
-            stationarity = hessian @ target + gradient + rows.T @ mult
-            feasibility = rows @ target - rhs
-            correction = -apply_inverse(stationarity)
-            delta = np.linalg.solve(schur, rows @ correction + feasibility)
+            # np.linalg.solve's stacks need no padding: with one row the
+            # products of its lanes are no BLAS calls, with two its lanes
+            # are 16 bytes apart, and larger working sets are one lane.
+            mult = np.linalg.solve(
+                schur, _matmul(rows, free_optimum[:, :, None]) - rhs[:, None]
+            )
+            target = np.subtract(
+                free_optimum, _matmul(G, mult)[:, :, 0], out=_stack(*free_optimum.shape)
+            )
+            stationarity = _stack(*target.shape)
+            for b, hessian in enumerate(lanes.hessians()):
+                np.matmul(hessian, target[b], out=stationarity[b])
+            stationarity += lanes.gradient
+            stationarity += _matmul(rows.T, mult)[:, :, 0]
+            feasibility = _matmul(rows, target[:, :, None]) - rhs[:, None]
+            correction = lanes.inverse_vectors(stationarity)
+            np.negative(correction, out=correction)
+            delta = np.linalg.solve(
+                schur, _matmul(rows, correction[:, :, None]) + feasibility
+            )
         except np.linalg.LinAlgError as exc:
             raise PlannerNumericalError(f"KKT solve failed: {exc}") from exc
-        target = target + correction - G @ delta
-        mult = mult + delta
-    if not (np.all(np.isfinite(target)) and np.all(np.isfinite(mult))):
-        nv, m = G.shape
-        raise PlannerNumericalError(
-            f"KKT solve produced non-finite values (size {nv + m}, constraint rows {m})"
+        target = np.subtract(
+            target + correction, _matmul(G, delta)[:, :, 0], out=_stack(*target.shape)
         )
-    return target, mult
+        mult = np.add(mult[:, :, 0], delta[:, :, 0], out=_stack(count, rows.shape[0]))
+    finite = np.isfinite(target).all(axis=1) & np.isfinite(mult).all(axis=1)
+    return target, mult, finite
 
 
-def _solve_box_qp(design: _Design, objective, apply_inverse):
-    """Minimize a point's QP, (Q, c) = objective, by a dual active-set loop.
+def _non_finite_error(design: _Design, rows) -> PlannerNumericalError:
+    n, m = design.times.size, rows.shape[0]
+    return PlannerNumericalError(
+        f"KKT solve produced non-finite values (size {n + m}, constraint rows {m})"
+    )
 
-    apply_inverse applies Q^-1 (see _Design.inverse), costing O(n^2 m)
-    per working set of m rows.  Starts from the optimum of the equality
-    rows alone, which needs no feasible point, and adds the most
-    violated interior bound until none is violated (Goldfarb and
+
+def _solve_working_set(lane: _Lanes, free_optimum, rows, rhs):
+    """_solve_working_sets of one lane, as 1-D (a, multipliers)."""
+    a, mult, finite = _solve_working_sets(lane, free_optimum[None], rows, rhs)
+    if not finite[0]:
+        raise _non_finite_error(lane.design, rows)
+    return a[0], mult[0]
+
+
+def _box_violations(design: _Design, a, side=None):
+    """(y, violation) of each lane of the stacks a and side: the altitude
+    y0 + v0 t + Y a and, at each interior knot off the working set side
+    (empty when None), how far y is outside the box (-inf elsewhere).
+
+    The endpoint knots are fixed by the boundary data (y_0 does not
+    depend on a, y_{n-1} is an equality row); only interior knots can
+    leave the box.
+    """
+    y = design.y_offset + _matmul(design.y_map, a[:, :, None])[:, :, 0]
+    violation = np.maximum(design.lower - y, y - design.upper)
+    violation[:, 0] = violation[:, -1] = -np.inf
+    if side is not None:
+        violation[side != 0] = -np.inf
+    return y, violation
+
+
+def _solve_box_qp(lane: _Lanes, free_optimum, a, mult):
+    """Minimize one lane's QP by the dual active-set loop, from (a, mult),
+    the optimum of the equality rows alone.
+
+    Its Q^-1 costs O(n^2 m) per working set of m rows.  The loop adds the
+    most violated interior bound until none is violated (Goldfarb and
     Idnani, Math. Programming 27, 1983; Nocedal and Wright 16.5).
     Adding bound p moves (a, nu) on a straight line from the current
     optimum, where p carries nu_p = 0 and its own value as right-hand
@@ -430,9 +608,9 @@ def _solve_box_qp(design: _Design, objective, apply_inverse):
     Convention: with stationarity Q a + c + A' nu = 0, an active lower
     bound carries nu <= 0 and an active upper bound nu >= 0.
     """
+    design = lane.design
     n = design.times.size
     m_base = design.eq_matrix.shape[0]
-    free_optimum = -apply_inverse(objective[1])
     tol = KKT_TOLERANCE / 10.0
     # Working set by knot: -1 lower bound, +1 upper bound, 0 free; a
     # multiplier nu has the right sign when side * nu >= 0.  nu holds the
@@ -443,14 +621,14 @@ def _solve_box_qp(design: _Design, objective, apply_inverse):
     # and 7.4n at v0 = 1000 in a 0.1 m box; only a rounding loop gets
     # further.
     limit = 10 * n
-    additions = solves = 0
+    additions = 0
+    solves = 1
+    knots = _NO_KNOTS
     while True:
-        rows, rhs, knots, _ = design.working_rows(side)
-        a, mult = _solve_working_set(objective, apply_inverse, free_optimum, rows, rhs)
-        solves += 1
+        # (a, mult) is the optimum of the working set side, whose bound
+        # rows are at knots.
         new = np.zeros(n)
         new[knots] = mult[m_base:]
-
         wrong = np.flatnonzero(side * new < -tol)
         if wrong.size:
             # Partial step: on the line nu + t (new - nu) the first
@@ -460,63 +638,244 @@ def _solve_box_qp(design: _Design, objective, apply_inverse):
             nu += max(float(np.min(steps)), 0.0) * (new - nu)
             side[drop] = 0
             nu[drop] = 0.0
-            continue
-
-        # The endpoint knots are fixed by the boundary data (y_0 does not
-        # depend on a, y_{n-1} is an equality row); only interior knots
-        # can leave the box.
-        y = design.y_offset + design.y_map @ a
-        violation = np.maximum(design.lower - y, y - design.upper)
-        violation[[0, n - 1]] = -np.inf
-        violation[side != 0] = -np.inf
-        knot = int(np.argmax(violation))
-        if violation[knot] <= tol:
-            return a, mult, side, solves
-        additions += 1
-        if additions > limit:
-            raise PlannerNumericalError(
-                f"active-set loop exceeded {limit} bound additions"
-            )
-        side[knot] = -1 if y[knot] < design.lower else 1
-        nu = new
+        else:
+            y, violation = _box_violations(design, a[None], side[None])
+            knot = int(np.argmax(violation[0]))
+            if violation[0, knot] <= tol:
+                return a, mult, side, solves
+            additions += 1
+            if additions > limit:
+                raise PlannerNumericalError(
+                    f"active-set loop exceeded {limit} bound additions"
+                )
+            side[knot] = -1 if y[0, knot] < design.lower else 1
+            nu = new
+        rows, rhs, knots, _ = design.working_rows(side)
+        a, mult = _solve_working_set(lane, free_optimum, rows, rhs)
+        solves += 1
 
 
 def _trapezoid_chain(start: float, rates: np.ndarray, dt: float) -> np.ndarray:
-    """x_0 = start, x_k = x_{k-1} + dt/2 (rate_k + rate_{k-1})."""
-    increments = 0.5 * dt * (rates[1:] + rates[:-1])
-    return np.cumsum(np.concatenate([[start], increments]))
+    """x_0 = start, x_k = x_{k-1} + dt/2 (rate_k + rate_{k-1}), along
+    each lane of a stack of rates."""
+    chain = _stack(*rates.shape)
+    chain[:, 0] = start
+    np.multiply(0.5 * dt, rates[:, 1:] + rates[:, :-1], out=chain[:, 1:])
+    return np.cumsum(chain, axis=1, out=chain)
 
 
-def _kkt_residual(design, objective, a, y, mult, side) -> dict[str, float]:
-    """Max-norm KKT residual terms of a and its altitude profile y.
+def _trapezoids(times: np.ndarray, values: np.ndarray) -> list[float]:
+    """The trapezoid integral of each lane of a stack of samples, as
+    _trapezoid integrates one: a dot with the weights first."""
+    weights = trapezoid_weights(times.size)
+    return (np.matmul(weights, values[:, :, None])[:, 0] * _spacing(times)).tolist()
 
-    Stationarity of the point's QP, (Q, c) = objective, with the rows
-    and multipliers of the working set side (see _Design.working_rows),
-    primal feasibility of the equality rows and of the working set (the
-    gap of its knots from their bound) with the box violation at every
-    interior knot, and the multiplier sign and complementarity on the
-    working set, keyed by those names.  Inactive bounds carry no
-    multiplier by construction.
+
+def _kkt_residual(lanes: _Lanes, a, y, mults, side) -> list[dict[str, float]]:
+    """Max-norm KKT residual terms of each lane's a and altitude profile
+    y, from the stacks a, y and side and the list mults.
+
+    Stationarity of the lane's QP, with the rows and multipliers of its
+    working set side (see _Design.working_rows), primal feasibility of
+    the equality rows and of the working set (the gap of its knots from
+    their bound) with the box violation at every interior knot, and the
+    multiplier sign and complementarity on the working set, keyed by
+    those names.  Inactive bounds carry no multiplier by construction.
     """
-    hessian, gradient = objective
-    rows, _, knots, bounds = design.working_rows(side)
-    stationarity = np.max(np.abs(hessian @ a + gradient + rows.T @ mult))
+    design = lanes.design
+    m_base = design.eq_matrix.shape[0]
+    residual = _stack(*a.shape)
+    # (|gap|, multiplier sign, complementarity) of each lane's working set.
+    bound_terms = np.zeros((len(a), 3))
+    for b, hessian in enumerate(lanes.hessians()):
+        rows, _, knots, bounds = design.working_rows(side[b])
+        residual[b] = hessian @ a[b] + lanes.gradient[b] + rows.T @ mults[b]
+        if knots.size:
+            bound_mult = mults[b][m_base:]
+            gap = y[b, knots] - bounds
+            bound_terms[b] = (
+                np.max(np.abs(gap)),
+                np.max(-side[b, knots] * bound_mult, initial=0.0),
+                np.max(np.abs(gap * bound_mult)),
+            )
+    stationarity = np.max(np.abs(residual), axis=1)
+    equality = _matmul(design.eq_matrix, a[:, :, None])[:, :, 0] - design.eq_rhs
+    interior = y[:, 1:-1]
+    # The largest of the equality residual, the working set's gap and the
+    # interior knots' box violation, which counts only where positive
+    # since the other two are never negative.
+    primal = np.maximum(np.max(np.abs(equality), axis=1), bound_terms[:, 0])
+    violation = np.maximum(design.lower - interior, interior - design.upper)
+    primal = np.maximum(primal, np.max(violation, axis=1)).tolist()
+    return [
+        {
+            "stationarity": stationarity[b],
+            "primal": primal[b],
+            "multiplier sign": sign,
+            "complementarity": complementarity,
+        }
+        for b, (_, sign, complementarity) in enumerate(bound_terms.tolist())
+    ]
 
-    bound_mult = mult[design.eq_matrix.shape[0] :]
-    gap = y[knots] - bounds
-    interior = y[1:-1]
-    primal = max(
-        float(np.max(np.abs(design.eq_matrix @ a - design.eq_rhs))),
-        float(np.max(np.abs(gap), initial=0.0)),
-        float(np.max(np.maximum(design.lower - interior, 0.0), initial=0.0)),
-        float(np.max(np.maximum(interior - design.upper, 0.0), initial=0.0)),
-    )
-    return {
-        "stationarity": stationarity,
-        "primal": primal,
-        "multiplier sign": float(np.max(-side[knots] * bound_mult, initial=0.0)),
-        "complementarity": float(np.max(np.abs(gap * bound_mult), initial=0.0)),
-    }
+
+def _plan_stack(lanes: _Lanes, template: PlanProblem) -> list:
+    """solve's outcome at each lane: the equality-row optimum of every
+    lane in one stacked solve, the active-set loop for the lanes it
+    leaves outside the box, then the certificate and the trajectory of
+    every lane as stacks.  Raises the PlannerNumericalError of a failed
+    stacked solve."""
+    design = lanes.design
+    count = len(lanes.mu)
+    free_optimum = lanes.inverse_vectors(lanes.gradient)
+    np.negative(free_optimum, out=free_optimum)
+    rows = design.eq_matrix
+    a, mult, finite = _solve_working_sets(lanes, free_optimum, rows, design.eq_rhs)
+    errors = [
+        error or (None if ok else _non_finite_error(design, rows))
+        for error, ok in zip(lanes.errors, finite.tolist())
+    ]
+    if not finite.all():
+        # A failed lane's outcome is decided; keep the stacks finite.
+        a[~finite] = mult[~finite] = 0.0
+    side = np.zeros(a.shape, dtype=np.int8)
+    mults = list(mult)
+    solves = [1] * count
+    _, violation = _box_violations(design, a)
+    for b in np.flatnonzero(violation.max(axis=1) > KKT_TOLERANCE / 10.0).tolist():
+        if errors[b] is not None:
+            continue
+        try:
+            a[b], mults[b], side[b], solves[b] = _solve_box_qp(
+                lanes.lane(b), free_optimum[b], a[b], mult[b]
+            )
+        except PlannerNumericalError as exc:
+            errors[b] = exc
+            a[b] = 0.0
+
+    times = design.times
+    dt = _spacing(times)
+    v = _trapezoid_chain(template.v0, a, dt)
+    y = _trapezoid_chain(template.y0, v, dt)
+    terms = _kkt_residual(lanes, a, y, mults, side)
+    residuals = []
+    for b, lane_terms in enumerate(terms):
+        worst = max(lane_terms, key=lane_terms.get)
+        residuals.append(lane_terms[worst])
+        if errors[b] is None and residuals[b] >= KKT_TOLERANCE:
+            errors[b] = PlannerNumericalError(
+                f"optimality residual {residuals[b]:.3e} exceeds {KKT_TOLERANCE:.0e} "
+                f"({worst})"
+            )
+    # The lanes decided so far go on as zeros, so that no value of theirs
+    # raises a numpy warning a point alone would not.
+    for b, error in enumerate(errors):
+        if error is not None:
+            a[b] = v[b] = 0.0
+    # Pin working-set knots exactly; the recursion leaves them within
+    # rounding of their bound.
+    if side.any():
+        y[side < 0] = design.lower
+        y[side > 0] = design.upper
+    predicted = apply_lag(design.lag, v)
+    params = template.params
+    # Finite constants can still overflow the thrust (a mass of 1e307 does).
+    with np.errstate(over="ignore"):
+        thrust = params.mass * (a + params.gravity)
+    finite = np.isfinite(thrust).all(axis=1)
+    if not finite.all():
+        for b in np.flatnonzero(~finite).tolist():
+            errors[b] = PlannerNumericalError("planned thrust M (a + g) overflows")
+            a[b] = predicted[b] = 0.0
+    squares = _stack(2 * count, a.shape[1])
+    np.square(a, out=squares[:count])
+    np.square(predicted, out=squares[count:])
+    integrals = _trapezoids(times, squares)
+    return [
+        errors[b] or PlannedTrajectory(
+            times=times,
+            y=y[b],
+            v=v[b],
+            a=a[b],
+            u=thrust[b],
+            predicted_error=predicted[b],
+            designed_cost=integrals[b],
+            predicted_error_integral=integrals[count + b],
+            mu=mu,
+            kkt_residual=residuals[b],
+            active_set_iterations=solves[b],
+        )
+        for b, mu in enumerate(lanes.mu)
+    ]
+
+
+def _plan_lanes(design: _Design, template: PlanProblem, mu: list) -> list:
+    """solve's outcome at each weight of mu, all zero or all positive, on
+    the template's design, planned as the lanes of one stack."""
+    try:
+        lanes = _Lanes.at(design, mu)
+    except PlannerNumericalError as exc:
+        return [exc] * len(mu)
+    if all(lanes.errors):
+        return lanes.errors
+    try:
+        return _plan_stack(lanes, template)
+    except PlannerNumericalError as exc:
+        # numpy failed the stacked solve for one lane or more; plan each
+        # lane alone to find which.
+        if len(mu) == 1:
+            return [exc]
+        return [_plan_lanes(design, template, [w])[0] for w in mu]
+
+
+def _weight_error(template: PlanProblem, mu) -> ValueError | None:
+    """The ValueError replace(template, mu=mu) raises, or None.  Every
+    field but mu passed its checks when template was built."""
+    if math.isfinite(mu) and mu >= 0:
+        return None
+    try:
+        replace(template, mu=mu)
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def solve_weights(template: PlanProblem, weights) -> list:
+    """solve at each weight of a grid: for each w of weights, the
+    PlannedTrajectory solve(replace(template, mu=w)) returns or the
+    exception it raises, the invalid weight's ValueError included, bit
+    for bit.
+
+    Every weight shares the template's design.  The zero weights and the
+    positive weights are each planned as the lanes of one stack, and
+    only the lanes whose equality-row optimum leaves the box go on
+    through the active-set loop one at a time.
+    """
+    weights = list(weights)
+    outcomes = [_weight_error(template, mu) for mu in weights]
+    zero, positive = [], []  # the indices of the valid weights
+    for index, (mu, error) in enumerate(zip(weights, outcomes)):
+        if error is None:
+            (positive if mu > 0 else zero).append(index)
+    if not (zero or positive):
+        return outcomes
+    lo, hi = template.y_bounds
+    try:
+        if not (lo <= template.y0 <= hi and lo <= template.yf <= hi):
+            raise InfeasibleProblemError(
+                f"boundary altitudes y0={template.y0}, yf={template.yf} "
+                f"must lie within the bounds [{lo}, {hi}]"
+            )
+        design = _design(template)
+    except (InfeasibleProblemError, PlannerNumericalError) as exc:
+        for index in zero + positive:
+            outcomes[index] = exc
+        return outcomes
+    for indices in (zero, positive):
+        if indices:
+            planned = _plan_lanes(design, template, [weights[i] for i in indices])
+            for index, outcome in zip(indices, planned):
+                outcomes[index] = outcome
+    return outcomes
 
 
 def solve(problem: PlanProblem) -> PlannedTrajectory:
@@ -524,55 +883,12 @@ def solve(problem: PlanProblem) -> PlannedTrajectory:
 
     The condensed QP is strictly convex with affine constraints, so the
     KKT point found here is the global optimum; the residual certificate
-    is attached to the returned trajectory.
+    is attached to the returned trajectory.  solve_weights of one weight.
     """
-    lo, hi = problem.y_bounds
-    if not (lo <= problem.y0 <= hi and lo <= problem.yf <= hi):
-        raise InfeasibleProblemError(
-            f"boundary altitudes y0={problem.y0}, yf={problem.yf} "
-            f"must lie within the bounds [{lo}, {hi}]"
-        )
-    design = _design(problem)
-    objective = design.objective(problem.mu)
-    a, mult, side, iterations = _solve_box_qp(
-        design, objective, design.inverse(problem.mu)
-    )
-    times = design.times
-    dt = _spacing(times)
-    v = _trapezoid_chain(problem.v0, a, dt)
-    y = _trapezoid_chain(problem.y0, v, dt)
-    terms = _kkt_residual(design, objective, a, y, mult, side)
-    worst = max(terms, key=terms.get)
-    residual = terms[worst]
-    if residual >= KKT_TOLERANCE:
-        raise PlannerNumericalError(
-            f"optimality residual {residual:.3e} exceeds {KKT_TOLERANCE:.0e} "
-            f"({worst})"
-        )
-    # Pin working-set knots exactly; the recursion leaves them within
-    # rounding of their bound.
-    y[side < 0] = design.lower
-    y[side > 0] = design.upper
-    predicted = apply_lag(design.lag, v)
-    params = problem.params
-    # Finite constants can still overflow the thrust (a mass of 1e307 does).
-    with np.errstate(over="ignore"):
-        thrust = params.mass * (a + params.gravity)
-    if not np.isfinite(thrust).all():
-        raise PlannerNumericalError("planned thrust M (a + g) overflows")
-    return PlannedTrajectory(
-        times=times,
-        y=y,
-        v=v,
-        a=a,
-        u=thrust,
-        predicted_error=predicted,
-        designed_cost=_trapezoid(times, a**2),
-        predicted_error_integral=_trapezoid(times, predicted**2),
-        mu=problem.mu,
-        kkt_residual=residual,
-        active_set_iterations=iterations,
-    )
+    (outcome,) = solve_weights(problem, [problem.mu])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 TRAJECTORY_COLUMNS = {

@@ -88,14 +88,25 @@ def lag_response_matrix(times: np.ndarray, lam: float) -> np.ndarray:
 
 
 def apply_lag(L: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """e = L v, each knot summed over exactly its causal slice.
+    """e = L v, each knot summed over exactly its causal slice; v may be
+    one vector or a stack of them, one per row.
 
     Truncating v after t_k therefore reproduces e(t_0..t_k) bit for bit;
     a full matrix product would regroup the trailing zero terms and
-    perturb the last ulp.
+    perturb the last ulp.  A stack of rows takes one matmul call per
+    knot, which numpy issues as one dot per row with L's slice first,
+    the call a single vector makes.
     """
-    e = np.empty(values.size)
-    e[0] = 0.0
-    for k in range(1, values.size):
-        e[k] = np.dot(L[k, : k + 1], values[: k + 1])
+    e = np.empty(values.shape)
+    rows = values.reshape(-1, values.shape[-1])
+    out = e.reshape(rows.shape)
+    out[:, 0] = 0.0
+    if len(rows) == 1:
+        row, target = rows[0], out[0]
+        for k in range(1, row.size):
+            target[k] = np.dot(L[k, : k + 1], row[: k + 1])
+        return e
+    columns = rows[:, :, None]
+    for k in range(1, rows.shape[1]):
+        np.matmul(L[k, : k + 1], columns[:, : k + 1], out=out[:, k : k + 1])
     return e

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 
 from ._artifact_csv import read_rows, write_records
-from .collocation_planner import PlanProblem, solve
+from .collocation_planner import PlanProblem, solve, solve_weights
 from .lqr import ControllerSpec
 from .tracking_sim import SimConfig, SimulationDivergedError, simulate, simulate_lanes
 
@@ -132,8 +132,8 @@ def sweep_pairs(jobs, mu_grid, problem_template: PlanProblem) -> list:
     an ascending mu grid, or the SweepError at its smallest failing mu:
     what ``evaluate_point`` gives at each weight in turn.
 
-    Each controller's weights are planned in order up to its first
-    planner failure, and the planned points fly as lanes of
+    Each controller's whole grid is planned by one ``solve_weights``
+    call, and its points up to its first planner failure fly as lanes of
     ``simulate_lanes``, which draws them as it batches them.
     """
     grid = [float(mu) for mu in mu_grid]
@@ -149,15 +149,16 @@ def sweep_pairs(jobs, mu_grid, problem_template: PlanProblem) -> list:
 
     def flights():
         for job, (controller, step) in enumerate(jobs):
-            for mu in grid:
-                problem = replace(
-                    problem_template, mu=mu, dominant_lambda=controller.dominant_lambda
-                )
+            template = replace(
+                problem_template, dominant_lambda=controller.dominant_lambda
+            )
+            for mu, traj in zip(grid, solve_weights(template, grid)):
                 try:
-                    traj = solve(problem)
+                    if isinstance(traj, Exception):
+                        raise traj
                     config = SimConfig(
                         step=step, reference=traj, controller=controller,
-                        params=problem.params,
+                        params=template.params,
                     )
                 except Exception as exc:
                     plan_errors[job] = _failure(mu, exc)

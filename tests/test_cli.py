@@ -26,6 +26,7 @@ from plantrack.cli import RunConfig, load_config, main
 from plantrack.collocation_planner import (
     read_trajectory_csv,
     solve,
+    solve_weights,
     write_trajectory_csv,
 )
 from plantrack.error_estimator import lag_response_matrix
@@ -54,16 +55,17 @@ def inline_shares(monkeypatch):
 
 
 def record_calls(monkeypatch, module, name, path, describe):
-    """Wraps module.name to append a line to path per call: the calling
-    process's id and describe(*args).  Appends survive the fork into the
-    sweep's share workers.  Gives a function that reads the file back as
-    {process id: [description text, ...]}."""
+    """Wraps module.name to append lines to path per call: the calling
+    process's id and each description in describe(*args), one a line.
+    Appends survive the fork into the sweep's share workers.  Gives a
+    function that reads the file back as {process id: [description
+    text, ...]}."""
     path.touch()
     function = getattr(module, name)
 
     def recording(*args, **kwargs):
         with path.open("a") as handle:
-            handle.write(f"{os.getpid()} {describe(*args)}\n")
+            handle.writelines(f"{os.getpid()} {text}\n" for text in describe(*args))
         return function(*args, **kwargs)
 
     def read():
@@ -78,10 +80,16 @@ def record_calls(monkeypatch, module, name, path, describe):
 
 
 def by_grid_index(grid):
-    """describe for solve, which a sweep calls once per weight it plans:
-    the grid index of the problem's weight, not its position in the share
-    that swept it."""
-    return lambda problem: grid.index(problem.mu)
+    """describe for solve_weights, which a sweep calls once per pair with
+    the weights of its share: the grid index of each weight, not its
+    position in the share."""
+    return lambda template, weights: [grid.index(mu) for mu in weights]
+
+
+def by_flown_index(grid):
+    """describe for tracking_sim._fly_batch, which a sweep calls with each
+    batch of flights: the grid index of each flight's planned weight."""
+    return lambda configs: [grid.index(config.reference.mu) for config in configs]
 
 
 @pytest.fixture(scope="module")
@@ -469,7 +477,7 @@ class TestSweepCommand:
         # eigendecomposition included, before it forks; no share worker
         # builds one again.
         calls = record_calls(
-            monkeypatch, np.linalg, "eigh", tmp_path / "eigh_calls", lambda m: len(m)
+            monkeypatch, np.linalg, "eigh", tmp_path / "eigh_calls", lambda m: [len(m)]
         )
         collocation_planner._cached_design.cache_clear()
         config = write_config(
@@ -560,7 +568,7 @@ class TestSweepCommand:
         assert main(["sweep", "--out", str(serial), "--workers", "1"]) == 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         calls = record_calls(
-            monkeypatch, frontier, "solve", tmp_path / "points", by_grid_index(grid)
+            monkeypatch, frontier, "solve_weights", tmp_path / "points", by_grid_index(grid)
         )
         three = tmp_path / "three"
         assert main(["sweep", "--out", str(three), "--workers", "3"]) == 0
@@ -584,22 +592,22 @@ class TestSweepCommand:
         self, tmp_path, monkeypatch, capsys
     ):
         # Eight weights in three shares, {0, 3, 6}, {1, 4, 7} and {2, 5};
-        # the planner fails at indices 4 and 5.  Each share stops the pair
-        # at its own first failure, and the pair reports index 4, where
+        # the planner fails at indices 4 and 5.  Each share flies the pair
+        # up to its own first failure, and the pair reports index 4, where
         # one process sweeping the whole grid stops.
         config = write_config(tmp_path, REDUCED_SWEEP.replace("count = 2", "count = 7"))
         grid = load_config(config).mu_grid()
-        solve = frontier.solve
 
-        def failing(problem):
-            if problem.mu in (grid[4], grid[5]):
-                raise ValueError(f"no plan at {problem.mu!r}")
-            return solve(problem)
+        def failing(template, weights):
+            return [
+                ValueError(f"no plan at {mu!r}") if mu in (grid[4], grid[5]) else outcome
+                for mu, outcome in zip(weights, solve_weights(template, weights))
+            ]
 
-        monkeypatch.setattr(frontier, "solve", failing)
+        monkeypatch.setattr(frontier, "solve_weights", failing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         path = tmp_path / "points"
-        calls = record_calls(monkeypatch, frontier, "solve", path, by_grid_index(grid))
+        calls = record_calls(monkeypatch, tracking_sim, "_fly_batch", path, by_flown_index(grid))
         runs, evaluated = [], []
         for workers in ("1", "3"):
             path.write_text("")
@@ -610,9 +618,9 @@ class TestSweepCommand:
         assert runs[1] == runs[0]
         message = f"sweep failed at mu = {grid[4]:g}: no plan at {grid[4]!r}"
         assert runs[0][1] == f"sweep 20_200: {message}\n"
-        assert evaluated[0] == {os.getpid(): ["0", "1", "2", "3", "4"]}
-        assert evaluated[1].pop(os.getpid()) == ["2", "5"]
-        assert sorted(evaluated[1].values()) == [["0", "3", "6"], ["1", "4"]]
+        assert evaluated[0] == {os.getpid(): ["0", "1", "2", "3"]}
+        assert evaluated[1].pop(os.getpid()) == ["2"]
+        assert sorted(evaluated[1].values()) == [["0", "3", "6"], ["1"]]
 
     def test_default_sweep_builds_each_design_once(self, tmp_path, monkeypatch):
         # Each controller builds one design, with its chain (lambda = 0)
@@ -638,12 +646,12 @@ class TestSweepCommand:
         # line, recorded in the manifest, not raised as a traceback.
         parent = os.getpid()
 
-        def dying(problem):
+        def dying(template, weights):
             if os.getpid() != parent:
                 os._exit(3)
-            return solve(problem)
+            return solve_weights(template, weights)
 
-        monkeypatch.setattr(frontier, "solve", dying)
+        monkeypatch.setattr(frontier, "solve_weights", dying)
         message = "sweep worker exited with status 3"
         assert self.sweep_two_pairs(tmp_path, capsys) == dict.fromkeys(
             ("10_100", "20_200"), message
@@ -660,12 +668,12 @@ class TestSweepCommand:
 
         parent = os.getpid()
         if fault == "killed":
-            def dying(problem):
+            def dying(template, weights):
                 if os.getpid() != parent:
                     os.kill(os.getpid(), signal.SIGKILL)
-                return solve(problem)
+                return solve_weights(template, weights)
 
-            monkeypatch.setattr(frontier, "solve", dying)
+            monkeypatch.setattr(frontier, "solve_weights", dying)
             message = f"sweep worker was killed by signal {int(signal.SIGKILL)}"
         else:
             monkeypatch.setattr(pickle, "dump", lambda result, pipe: pipe.write(b"junk"))
@@ -708,13 +716,13 @@ class TestSweepCommand:
 
         parent = os.getpid()
 
-        def stalling(problem):
+        def stalling(template, weights):
             if os.getpid() == parent:
                 raise Interrupt
             time.sleep(60)
-            return solve(problem)
+            return solve_weights(template, weights)
 
-        monkeypatch.setattr(frontier, "solve", stalling)
+        monkeypatch.setattr(frontier, "solve_weights", stalling)
         start = time.monotonic()
         with pytest.raises(Interrupt):
             main([*argv, "--out", str(tmp_path / "interrupted")])
@@ -766,7 +774,7 @@ class TestSweepCommand:
         # each process builds the last pair's design once, for its share.
         size = collocation_planner._DESIGN_CACHE_SIZE
         calls = record_calls(
-            monkeypatch, np.linalg, "eigh", tmp_path / "eigh_calls", lambda m: len(m)
+            monkeypatch, np.linalg, "eigh", tmp_path / "eigh_calls", lambda m: [len(m)]
         )
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         collocation_planner._cached_design.cache_clear()

@@ -7,6 +7,10 @@ cubic is the oracle for the solver tests here.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +35,12 @@ from plantrack.collocation_planner import (
     write_trajectory_csv,
 )
 from plantrack.error_estimator import lag_response_matrix, trapezoid_weights
+from plantrack.model import ModelParams
+
+
+def objective(design, mu):
+    """(Q, c) of the point at weight mu, as the planner forms them."""
+    return design.hessian(mu), collocation_planner._Lanes.at(design, [mu]).gradient[0]
 
 
 def analytic_cubic(times):
@@ -91,7 +101,7 @@ class TestTranscription:
 
     def test_dimensions(self):
         design = collocation_planner._design(PlanProblem())
-        hessian, gradient = design.objective(0.0)
+        hessian, gradient = objective(design, 0.0)
         n = 61
         assert design.times.shape == (n,)
         assert hessian.shape == (n, n)
@@ -132,7 +142,7 @@ class TestTranscription:
 
     def test_zero_weight_drops_velocity_block(self):
         design = collocation_planner._design(PlanProblem(mu=0.0, v0=3.0))
-        hessian, gradient = design.objective(0.0)
+        hessian, gradient = objective(design, 0.0)
         dt = 1.0 / 60
         expected = 2.0 * dt * np.ones(61)
         expected[0] = expected[-1] = dt
@@ -147,7 +157,7 @@ class TestTranscription:
     def test_weighted_velocity_block_is_psd(self):
         # Positive definite, in fact: the acceleration weights stay on the
         # diagonal.
-        hessian, _ = collocation_planner._design(PlanProblem()).objective(100.0)
+        hessian, _ = objective(collocation_planner._design(PlanProblem()), 100.0)
         assert np.allclose(hessian, hessian.T, atol=1e-12)
         assert np.linalg.eigvalsh(hessian).min() > 0.0
 
@@ -316,7 +326,7 @@ def test_objective_consistency_with_the_estimator(mu):
     # v0 != 0 so the linear term and the constant carry weight too.
     problem = PlanProblem(mu=mu, v0=2.0)
     design = collocation_planner._design(problem)
-    hessian, gradient = design.objective(mu)
+    hessian, gradient = objective(design, mu)
     traj = solve(problem)
     a = traj.a
     constant = mu * design.weighted[2]
@@ -450,10 +460,10 @@ def test_spectral_apply_matches_a_dense_solve(template, lam):
     # and box rows along the grid.
     columns = np.column_stack([design.eq_matrix.T, design.y_map[1:-1:7].T])
     for mu in RunConfig().mu_grid()[1:]:
-        hessian, _ = design.objective(mu)
-        apply_inverse = design.inverse(mu)
+        hessian, _ = objective(design, mu)
+        applied = collocation_planner._Lanes.at(design, [mu]).inverse_rows(columns.T)[0]
         expected = np.linalg.solve(hessian, columns)
-        error = np.max(np.abs(apply_inverse(columns) - expected), axis=0)
+        error = np.max(np.abs(applied - expected), axis=0)
         assert np.all(error <= SPECTRAL_APPLY_RTOL * np.max(np.abs(expected), axis=0)), mu
     vectors, spectrum = design.spectral
     assert spectrum.min() >= 0.0
@@ -567,6 +577,179 @@ def _trajectory_bytes(traj):
     )
 
 
+# solve_weights is held to solve weight by weight, on templates that take
+# each path: box-inactive (default, pinned), the bounded toss (17 to 23
+# of a pair's 31 weights leave the box, so one stack mixes the stacked
+# path and the active-set loop) and the dip (every weight leaves the
+# box), each at the four default lambdas.  The failing templates decide
+# lanes on their own: a weight whose objective overflows (1e308, added to
+# every grid), a box the boundary data leave, a narrow box whose
+# certificate rejects 17 of 31 weights on complementarity (the class of
+# test_complementarity_rejections_are_counted_and_bounded), and a mass
+# whose thrust overflows from index 23 of the grid.
+_LAMBDAS = (10.0, 20.0, 30.0, 50.0)
+_WEIGHT_TEMPLATES = {
+    "default": (_DEFAULT_TEMPLATE, _LAMBDAS),
+    "pinned": (PlanProblem(enforce_initial_accel_zero=True), _LAMBDAS),
+    "bounded": (_BOUNDED_TEMPLATE, _LAMBDAS),
+    "dip": (_DIP_TEMPLATE, _LAMBDAS),
+    "infeasible": (PlanProblem(yf=6.0), (20.0,)),
+    "rejected": (
+        PlanProblem(
+            segments=98, v0=40.480705020426115, yf=0.0, y_bounds=(0.0, 0.1),
+            enforce_initial_accel_zero=True,
+        ),
+        (34.477184528171854,),
+    ),
+    "thrust": (PlanProblem(params=ModelParams(mass=4e306)), (20.0,)),
+}
+
+
+def _outcome_bytes(outcome):
+    """An outcome of solve as comparable values: an exception's type and
+    message, or every array's bytes and every scalar's repr (np.float64
+    and float repr differently)."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    arrays = [getattr(outcome, name) for name in TRAJECTORY_COLUMNS.values()]
+    scalars = (
+        outcome.designed_cost, outcome.predicted_error_integral, outcome.mu,
+        outcome.kkt_residual, outcome.active_set_iterations,
+    )
+    return [array.tobytes() for array in arrays] + [repr(value) for value in scalars]
+
+
+def _solved_weight_by_weight(template, weights):
+    outcomes = []
+    for mu in weights:
+        try:
+            outcomes.append(solve(dataclasses.replace(template, mu=mu)))
+        except (InfeasibleProblemError, PlannerNumericalError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+@pytest.mark.parametrize("name", _WEIGHT_TEMPLATES)
+def test_solve_weights_is_solve_weight_by_weight(name):
+    grid = RunConfig().mu_grid() + [1e308]
+    template, lambdas = _WEIGHT_TEMPLATES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in lambdas:
+            template = dataclasses.replace(template, dominant_lambda=lam)
+            stacked = collocation_planner.solve_weights(template, grid)
+            alone = _solved_weight_by_weight(template, grid)
+            assert list(map(_outcome_bytes, stacked)) == list(map(_outcome_bytes, alone))
+    kinds = {type(outcome).__name__ for outcome in stacked}
+    assert ("PlannedTrajectory" in kinds) == (name != "infeasible")
+    assert ("PlannerNumericalError" in kinds) == (name != "infeasible")
+
+
+def test_solve_weights_takes_any_weights():
+    # Unordered, repeated, zero among positive, and invalid weights, with
+    # the ValueError replace raises for an invalid one.
+    weights = [1e3, 0.0, -1.0, 10.0, 1e3, float("nan"), 0.0]
+    template = _DIP_TEMPLATE
+    stacked = collocation_planner.solve_weights(template, weights)
+    for mu, outcome in zip(weights, stacked):
+        try:
+            expected = solve(dataclasses.replace(template, mu=mu))
+        except ValueError as exc:
+            expected = exc
+        assert _outcome_bytes(outcome) == _outcome_bytes(expected)
+    assert collocation_planner.solve_weights(template, []) == []
+
+
+def test_a_failed_factor_fails_every_positive_weight(monkeypatch):
+    def failing(matrix, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    collocation_planner._cached_design.cache_clear()
+    weights = [0.0, 1.0, 1e308, 1e3]
+    stacked = collocation_planner.solve_weights(_DEFAULT_TEMPLATE, weights)
+    alone = _solved_weight_by_weight(_DEFAULT_TEMPLATE, weights)
+    collocation_planner._cached_design.cache_clear()
+    assert list(map(_outcome_bytes, stacked)) == list(map(_outcome_bytes, alone))
+    assert [type(outcome).__name__ for outcome in stacked] == [
+        "PlannedTrajectory", *["PlannerNumericalError"] * 3
+    ]
+
+
+def test_a_failed_stacked_solve_plans_each_lane_alone(monkeypatch):
+    # numpy fails a stacked solve for one singular lane; the lanes are
+    # then planned one at a time, each with its own outcome.
+    real = np.linalg.solve
+
+    def failing_stacks(a, b):
+        if a.ndim == 3 and len(a) > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+
+    grid = RunConfig().mu_grid()
+    expected = list(map(_outcome_bytes, _solved_weight_by_weight(_BOUNDED_TEMPLATE, grid)))
+    monkeypatch.setattr(np.linalg, "solve", failing_stacks)
+    stacked = collocation_planner.solve_weights(_BOUNDED_TEMPLATE, grid)
+    assert list(map(_outcome_bytes, stacked)) == expected
+
+
+def test_solve_weights_forms_no_stack_of_hessians():
+    # 31 weights at 121 knots: one (31, n, n) stack would hold 3.6 MB.
+    grid = RunConfig().mu_grid()
+    template = dataclasses.replace(_BOUNDED_TEMPLATE, dominant_lambda=10.0)
+    collocation_planner.prepare([template])
+    collocation_planner.solve_weights(template, grid)
+    n = template.segments + 1
+    tracemalloc.start()
+    try:
+        collocation_planner.solve_weights(template, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(grid) * n * n * 8
+
+
+# OpenBLAS picks a kernel for the CPU when it loads, and
+# OPENBLAS_CORETYPE forces one for a process.  Each kernel runs only on a
+# CPU with its instructions (flags from /proc/cpuinfo, where SSE3 is
+# "pni").
+_KERNEL_FLAGS = {
+    "SkylakeX": "avx512f",
+    "Haswell": "avx2",
+    "Sandybridge": "avx",
+    "Nehalem": "sse4_2",
+    "Prescott": "pni",
+}
+
+
+def _cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+@pytest.mark.parametrize("kernel", _KERNEL_FLAGS)
+def test_solve_weights_is_solve_under_every_kernel(kernel):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas:
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+    flag = _KERNEL_FLAGS[kernel]
+    if flag not in _cpu_flags():
+        pytest.skip(f"this CPU has no {flag} for the {kernel} kernel")
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+    test = f"{__file__}::test_solve_weights_is_solve_weight_by_weight"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-3000:]
+
+
 def lag_matrix_from_scratch(times, lam):
     n = times.size
     dt = (times[-1] - times[0]) / (n - 1)
@@ -673,7 +856,7 @@ class TestDesignCache:
         problem = PlanProblem(mu=100.0, enforce_initial_accel_zero=True)
         traj = solve(problem)
         design = collocation_planner._design(problem)
-        hessian, gradient = design.objective(problem.mu)
+        hessian, gradient = objective(design, problem.mu)
         shared = [
             design.times,
             design.eq_matrix,
@@ -757,7 +940,7 @@ class TestDesignCache:
     @staticmethod
     def assert_design_is_the_formula(problem):
         design = collocation_planner._design(problem)
-        hessian, gradient = design.objective(problem.mu)
+        hessian, gradient = objective(design, problem.mu)
         built = dict(
             times=design.times,
             hessian=hessian,
@@ -933,7 +1116,7 @@ def test_residual_gate_names_the_largest_term(monkeypatch, term):
         ["stationarity", "primal", "multiplier sign", "complementarity"], 1e-12
     )
     terms[term] = 2e-8
-    monkeypatch.setattr(collocation_planner, "_kkt_residual", lambda *_: terms)
+    monkeypatch.setattr(collocation_planner, "_kkt_residual", lambda *_: [terms])
     with pytest.raises(PlannerNumericalError) as info:
         solve(PlanProblem())
     assert str(info.value) == f"optimality residual 2.000e-08 exceeds 1e-08 ({term})"

@@ -170,24 +170,40 @@ class TestSweep:
         # at index 5 and its planner fails at 12, the second is healthy and
         # the third one's planner fails at 2.  Each outcome is what
         # evaluate_point gives weight by weight up to the first failure, and
-        # the 30 planned points fly as the lanes of one loop.
+        # the 30 points before each pair's first planner failure fly as the
+        # lanes of one loop.
         grid = [0.0] + [10.0 ** (k / 3) for k in range(15)]
         jobs = []
         for n in (1, 2, 3):
             pair = EigenvaluePair(lambda_slow=-10.0 * n, lambda_fast=-100.0 * n)
             controller = design_controller(pair, params)
             jobs.append((controller, select_step(controller, 1.0)))
-        solve = frontier_module.solve
+        solve, solve_weights = frontier_module.solve, frontier_module.solve_weights
 
-        def planning(problem):
-            failing = (problem.dominant_lambda, grid.index(problem.mu))
+        def fault(lam, mu):
+            failing = (lam, grid.index(mu))
             if failing == (10.0, 5):
                 return constant_reference(1e308, 1.0)
             if failing in ((10.0, 12), (30.0, 2)):
-                raise ValueError(f"no plan at {problem.mu!r}")
-            return solve(problem)
+                return ValueError(f"no plan at {mu!r}")
+            return None
 
-        monkeypatch.setattr(frontier_module, "solve", planning)
+        def planning(template, weights):
+            return [
+                fault(template.dominant_lambda, mu) or outcome
+                for mu, outcome in zip(weights, solve_weights(template, weights))
+            ]
+
+        def solving(problem):
+            outcome = fault(problem.dominant_lambda, problem.mu) or solve(problem)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        # The sweep plans each pair's grid with one call, evaluate_point
+        # one weight at a time.
+        monkeypatch.setattr(frontier_module, "solve_weights", planning)
+        monkeypatch.setattr(frontier_module, "solve", solving)
         flown = []
         fly_lanes = tracking_sim._fly_lanes
         monkeypatch.setattr(tracking_sim, "_fly_lanes",
