@@ -292,10 +292,19 @@ class _Design:
         return vectors, spectrum
 
     @functools.cached_property
-    def error_bounds(self) -> np.ndarray:
-        """(max |P_ij|, max |p_i|) of the error terms (P, p, q) = weighted."""
+    def overflow_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, factors): Q(mu) and c(mu) are finite exactly when
+        offsets + 2 mu factors is.
+
+        Rounding is monotone, so the entries 2 mu P_ij and 2 mu p_i are
+        all finite exactly when 2 mu max|P| and 2 mu max|p| are, and Q's
+        diagonal 2 w + 2 mu diag(P) is formed as hessian forms it.
+        """
         P, p, _ = self.weighted
-        return np.array([np.abs(P).max(), np.abs(p).max()])
+        factors = np.concatenate([[np.abs(P).max(), np.abs(p).max()], np.diagonal(P)])
+        offsets = np.concatenate([[0.0, 0.0], 2.0 * self.quad])
+        factors.flags.writeable = offsets.flags.writeable = False
+        return offsets, factors
 
     def hessian(self, mu: float) -> np.ndarray:
         """Q(mu) = diag(2 w) + 2 mu P, an n x n array the caller owns.
@@ -433,12 +442,10 @@ class _Lanes:
         A finite mu can still overflow its point's objective 1/2 a'Qa +
         c'a + mu q (1e308 does): that lane's error is the overflow, and
         it is planned as a stand-in at mu = 0, which keeps its values
-        finite.  Q and c are checked without forming Q: rounding is
-        monotone, so the entries (2 mu) P_ij and (2 mu) p_i are all
-        finite exactly when (2 mu) max|P| and (2 mu) max|p| are, and Q's
-        diagonal is formed as _Design.hessian forms it.  When the
-        spectral factor fails, every lane not failed already fails with
-        it.  Raises the error of error terms that overflow the design.
+        finite.  Q is checked without forming it, by
+        _Design.overflow_terms.  When the spectral factor fails, every
+        lane not failed already fails with it.  Raises the error of error
+        terms that overflow the design.
         """
         count, n = len(mu), design.times.size
         gradient = _stack(count, n)
@@ -446,15 +453,14 @@ class _Lanes:
         if mu[0] == 0:
             gradient[:] = 0.0
             return cls(design, mu, gradient, None, errors)
-        P, p, q = design.weighted
+        _, p, q = design.weighted
+        offsets, factors = design.overflow_terms
         weights = np.array(mu, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             scale = 2.0 * weights[:, None]
             np.multiply(scale, p, out=gradient)
-            finite = (
-                np.isfinite(scale * design.error_bounds).all(axis=1)
-                & np.isfinite(2.0 * design.quad + scale * np.diagonal(P)).all(axis=1)
-                & np.isfinite(weights * q)
+            finite = np.isfinite(offsets + scale * factors).all(axis=1) & np.isfinite(
+                weights * q
             )
         if not finite.all():
             for b in np.flatnonzero(~finite).tolist():
@@ -521,19 +527,18 @@ def _solve_working_sets(lanes: _Lanes, free_optimum, rows, rhs):
     are finite.  numpy fails a stacked solve for one singular lane, so a
     failed solve fails every lane.
     """
-    count = len(lanes.mu)
     # Terms that overflow (a very large mu) fail the finite check as one
     # error, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         G = lanes.inverse_rows(rows)
-        schur = _matmul(rows, G)
+        # Products with m = rows.shape[0] rows per lane need no padded
+        # stack: a stack of more than one lane has m <= 2, where they are
+        # dots with one row and lanes 16 or 32 bytes apart with two; so do
+        # the solved multipliers.
+        schur = rows @ G
+        rhs = rhs[:, None]
         try:
-            # np.linalg.solve's stacks need no padding: with one row the
-            # products of its lanes are no BLAS calls, with two its lanes
-            # are 16 bytes apart, and larger working sets are one lane.
-            mult = np.linalg.solve(
-                schur, _matmul(rows, free_optimum[:, :, None]) - rhs[:, None]
-            )
+            mult = np.linalg.solve(schur, rows @ free_optimum[:, :, None] - rhs)
             target = np.subtract(
                 free_optimum, _matmul(G, mult)[:, :, 0], out=_stack(*free_optimum.shape)
             )
@@ -542,18 +547,16 @@ def _solve_working_sets(lanes: _Lanes, free_optimum, rows, rhs):
                 np.matmul(hessian, target[b], out=stationarity[b])
             stationarity += lanes.gradient
             stationarity += _matmul(rows.T, mult)[:, :, 0]
-            feasibility = _matmul(rows, target[:, :, None]) - rhs[:, None]
+            feasibility = rows @ target[:, :, None] - rhs
             correction = lanes.inverse_vectors(stationarity)
             np.negative(correction, out=correction)
-            delta = np.linalg.solve(
-                schur, _matmul(rows, correction[:, :, None]) + feasibility
-            )
+            delta = np.linalg.solve(schur, rows @ correction[:, :, None] + feasibility)
         except np.linalg.LinAlgError as exc:
             raise PlannerNumericalError(f"KKT solve failed: {exc}") from exc
         target = np.subtract(
             target + correction, _matmul(G, delta)[:, :, 0], out=_stack(*target.shape)
         )
-        mult = np.add(mult[:, :, 0], delta[:, :, 0], out=_stack(count, rows.shape[0]))
+        mult = (mult + delta)[:, :, 0]
     finite = np.isfinite(target).all(axis=1) & np.isfinite(mult).all(axis=1)
     return target, mult, finite
 
@@ -590,9 +593,10 @@ def _box_violations(design: _Design, a, side=None):
     return y, violation
 
 
-def _solve_box_qp(lane: _Lanes, free_optimum, a, mult):
+def _solve_box_qp(lane: _Lanes, free_optimum, a, mult, y, violation):
     """Minimize one lane's QP by the dual active-set loop, from (a, mult),
-    the optimum of the equality rows alone.
+    the optimum of the equality rows alone, whose altitude y leaves the
+    box by violation (see _box_violations).
 
     Its Q^-1 costs O(n^2 m) per working set of m rows.  The loop adds the
     most violated interior bound until none is violated (Goldfarb and
@@ -603,8 +607,9 @@ def _solve_box_qp(lane: _Lanes, free_optimum, a, mult):
     wrong-signed multiplier, the loop stops on the line where the first
     multiplier reaches zero, drops that row and re-solves.
 
-    Returns (a, multipliers, side, working-set solves): side is the final
-    working set and the multipliers follow its rows, _Design.working_rows.
+    Returns (a, multipliers, side, working-set solves, (rows, knots,
+    bounds)): side is the final working set, the triple its
+    _Design.working_rows, and the multipliers follow its rows.
     Convention: with stationarity Q a + c + A' nu = 0, an active lower
     bound carries nu <= 0 and an active upper bound nu >= 0.
     """
@@ -614,23 +619,37 @@ def _solve_box_qp(lane: _Lanes, free_optimum, a, mult):
     tol = KKT_TOLERANCE / 10.0
     # Working set by knot: -1 lower bound, +1 upper bound, 0 free; a
     # multiplier nu has the right sign when side * nu >= 0.  nu holds the
-    # bound multipliers of the current point on the dual path.
+    # bound multipliers of the current point on the dual path, new those
+    # of the last optimum.
     side = np.zeros(n, dtype=np.int8)
-    nu = np.zeros(n)
+    nu = new = np.zeros(n)
+    working = (design.eq_matrix, _NO_KNOTS, _NO_BOUNDS)
     # The most additions measured are 3.0n over 3400 property-test draws
     # and 7.4n at v0 = 1000 in a 0.1 m box; only a rounding loop gets
     # further.
     limit = 10 * n
     additions = 0
     solves = 1
-    knots = _NO_KNOTS
     while True:
-        # (a, mult) is the optimum of the working set side, whose bound
-        # rows are at knots.
-        new = np.zeros(n)
-        new[knots] = mult[m_base:]
-        wrong = np.flatnonzero(side * new < -tol)
-        if wrong.size:
+        knot = int(np.argmax(violation))
+        if violation[knot] <= tol:
+            return a, mult, side, solves, working
+        additions += 1
+        if additions > limit:
+            raise PlannerNumericalError(
+                f"active-set loop exceeded {limit} bound additions"
+            )
+        side[knot] = -1 if y[knot] < design.lower else 1
+        nu = new
+        while True:
+            rows, rhs, knots, bounds = design.working_rows(side)
+            a, mult = _solve_working_set(lane, free_optimum, rows, rhs)
+            solves += 1
+            new = np.zeros(n)
+            new[knots] = mult[m_base:]
+            wrong = np.flatnonzero(side * new < -tol)
+            if not wrong.size:
+                break
             # Partial step: on the line nu + t (new - nu) the first
             # wrong-signed multiplier reaches zero at t = nu / (nu - new).
             steps = nu[wrong] / (nu[wrong] - new[wrong])
@@ -638,21 +657,8 @@ def _solve_box_qp(lane: _Lanes, free_optimum, a, mult):
             nu += max(float(np.min(steps)), 0.0) * (new - nu)
             side[drop] = 0
             nu[drop] = 0.0
-        else:
-            y, violation = _box_violations(design, a[None], side[None])
-            knot = int(np.argmax(violation[0]))
-            if violation[0, knot] <= tol:
-                return a, mult, side, solves
-            additions += 1
-            if additions > limit:
-                raise PlannerNumericalError(
-                    f"active-set loop exceeded {limit} bound additions"
-                )
-            side[knot] = -1 if y[0, knot] < design.lower else 1
-            nu = new
-        rows, rhs, knots, _ = design.working_rows(side)
-        a, mult = _solve_working_set(lane, free_optimum, rows, rhs)
-        solves += 1
+        working = (rows, knots, bounds)
+        (y,), (violation,) = _box_violations(design, a[None], side[None])
 
 
 def _trapezoid_chain(start: float, rates: np.ndarray, dt: float) -> np.ndarray:
@@ -671,12 +677,13 @@ def _trapezoids(times: np.ndarray, values: np.ndarray) -> list[float]:
     return (np.matmul(weights, values[:, :, None])[:, 0] * _spacing(times)).tolist()
 
 
-def _kkt_residual(lanes: _Lanes, a, y, mults, side) -> list[dict[str, float]]:
+def _kkt_residual(lanes: _Lanes, a, y, mults, side, working) -> list[dict[str, float]]:
     """Max-norm KKT residual terms of each lane's a and altitude profile
-    y, from the stacks a, y and side and the list mults.
+    y, from the stacks a, y and side and the lists mults and working,
+    each lane's (rows, knots, bounds) of _Design.working_rows(side).
 
     Stationarity of the lane's QP, with the rows and multipliers of its
-    working set side (see _Design.working_rows), primal feasibility of
+    working set side, primal feasibility of
     the equality rows and of the working set (the gap of its knots from
     their bound) with the box violation at every interior knot, and the
     multiplier sign and complementarity on the working set, keyed by
@@ -688,7 +695,7 @@ def _kkt_residual(lanes: _Lanes, a, y, mults, side) -> list[dict[str, float]]:
     # (|gap|, multiplier sign, complementarity) of each lane's working set.
     bound_terms = np.zeros((len(a), 3))
     for b, hessian in enumerate(lanes.hessians()):
-        rows, _, knots, bounds = design.working_rows(side[b])
+        rows, knots, bounds = working[b]
         residual[b] = hessian @ a[b] + lanes.gradient[b] + rows.T @ mults[b]
         if knots.size:
             bound_mult = mults[b][m_base:]
@@ -740,13 +747,14 @@ def _plan_stack(lanes: _Lanes, template: PlanProblem) -> list:
     side = np.zeros(a.shape, dtype=np.int8)
     mults = list(mult)
     solves = [1] * count
-    _, violation = _box_violations(design, a)
+    working = [(rows, _NO_KNOTS, _NO_BOUNDS)] * count
+    y, violation = _box_violations(design, a)
     for b in np.flatnonzero(violation.max(axis=1) > KKT_TOLERANCE / 10.0).tolist():
         if errors[b] is not None:
             continue
         try:
-            a[b], mults[b], side[b], solves[b] = _solve_box_qp(
-                lanes.lane(b), free_optimum[b], a[b], mult[b]
+            a[b], mults[b], side[b], solves[b], working[b] = _solve_box_qp(
+                lanes.lane(b), free_optimum[b], a[b], mult[b], y[b], violation[b]
             )
         except PlannerNumericalError as exc:
             errors[b] = exc
@@ -756,7 +764,7 @@ def _plan_stack(lanes: _Lanes, template: PlanProblem) -> list:
     dt = _spacing(times)
     v = _trapezoid_chain(template.v0, a, dt)
     y = _trapezoid_chain(template.y0, v, dt)
-    terms = _kkt_residual(lanes, a, y, mults, side)
+    terms = _kkt_residual(lanes, a, y, mults, side, working)
     residuals = []
     for b, lane_terms in enumerate(terms):
         worst = max(lane_terms, key=lane_terms.get)

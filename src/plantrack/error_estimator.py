@@ -102,9 +102,8 @@ def apply_lag(L: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = e.reshape(rows.shape)
     out[:, 0] = 0.0
     if len(rows) == 1:
-        row, target = rows[0], out[0]
-        for k in range(1, row.size):
-            target[k] = np.dot(L[k, : k + 1], row[: k + 1])
+        row = rows[0]
+        out[0, 1:] = [L[k, : k + 1].dot(row[: k + 1]) for k in range(1, row.size)]
         return e
     columns = rows[:, :, None]
     for k in range(1, rows.shape[1]):
