@@ -383,15 +383,18 @@ def prepare(problems) -> None:
             pass
 
 
-def _stack(lanes: int, *shape: int) -> np.ndarray:
+def _stack(lanes: int | None, *shape: int) -> np.ndarray:
     """An uninitialised (lanes, *shape) stack whose every lane starts
-    16-byte aligned, as a fresh array does.
+    16-byte aligned, as a fresh array does; a fresh array of shape when
+    lanes is None (one point, no lane axis).
 
     OpenBLAS kernels can round an operand or an output that starts 8
     bytes off a 16-byte boundary differently, so a stacked product gives
     each lane the bits of the pointwise product only if every lane starts
     aligned: the lanes are an even number of doubles apart.
     """
+    if lanes is None:
+        return np.empty(shape)
     size = math.prod(shape)
     if lanes == 1 or size % 2 == 0:
         return np.empty((lanes, *shape))
@@ -406,10 +409,12 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     own output lanes are contiguous, so only an odd lane size needs a
     padded stack.
     """
+    if a.ndim < 3 and b.ndim < 3:
+        return a @ b
     rows, columns = a.shape[-2], b.shape[-1]
     lanes = len(a) if a.ndim == 3 else len(b)
     if lanes == 1 or rows * columns % 2 == 0:
-        return np.matmul(a, b)
+        return a @ b
     return np.matmul(a, b, out=_stack(lanes, rows, columns))
 
 
@@ -424,7 +429,9 @@ class _Lanes:
     lanes x n^2 doubles.  Q^-1 is applied as the module docstring says:
     the reciprocal diagonal at mu = 0, else SV (r * (SV' x)).  errors
     holds the PlannerNumericalError that decides a lane before its
-    solve, or None.
+    solve, or None.  lane(b) is lane b as one point, whose vectors have
+    no lane axis (lanes is None), so the active-set loop makes the
+    pointwise calls themselves.
     """
 
     def __init__(self, design: _Design, mu: list, gradient, ratio, errors: list):
@@ -433,6 +440,7 @@ class _Lanes:
         self.gradient = gradient
         self.ratio = ratio
         self.errors = errors
+        self.lanes = len(mu) if gradient.ndim == 2 else None
         self._hessian = None
 
     @classmethod
@@ -477,14 +485,15 @@ class _Lanes:
         return cls(design, mu, gradient, 1.0 / (1.0 + scale * spectrum), errors)
 
     def lane(self, b: int) -> _Lanes:
-        """Lane b alone."""
-        if len(self.mu) == 1:
-            return self
-        ratio = None if self.ratio is None else self.ratio[b : b + 1]
-        return _Lanes(
-            self.design, self.mu[b : b + 1], self.gradient[b : b + 1], ratio,
+        """Lane b as one point; it shares the Q a single lane has formed."""
+        ratio = None if self.ratio is None else self.ratio[b]
+        point = _Lanes(
+            self.design, self.mu[b : b + 1], self.gradient[b], ratio,
             self.errors[b : b + 1],
         )
+        if len(self.mu) == 1:
+            point._hessian = self._hessian
+        return point
 
     def hessians(self):
         """Q of each lane, formed in turn; a single lane keeps its own."""
@@ -494,39 +503,54 @@ class _Lanes:
             self._hessian = self.design.hessian(self.mu[0])
         return (self._hessian,)
 
+    def hessian_times(self, x: np.ndarray) -> np.ndarray:
+        """Q x of each lane."""
+        if self.lanes is None:
+            (hessian,) = self.hessians()
+            return hessian @ x
+        product = _stack(*x.shape)
+        for b, hessian in enumerate(self.hessians()):
+            np.matmul(hessian, x[b], out=product[b])
+        return product
+
     def inverse_vectors(self, x: np.ndarray) -> np.ndarray:
-        """Q^-1 x of each lane, x a (lanes, n) stack."""
+        """Q^-1 x of each lane, x an (n,)-vector per lane."""
         if self.ratio is None:
-            return np.multiply(1.0 / (2.0 * self.design.quad), x, out=_stack(*x.shape))
+            inverse_diagonal = 1.0 / (2.0 * self.design.quad)
+            return np.multiply(inverse_diagonal, x, out=_stack(self.lanes, x.shape[-1]))
         vectors = self.design.spectral[0]
-        w = _matmul(x[:, None, :], vectors)
-        np.multiply(self.ratio[:, None, :], w, out=w)
-        return _matmul(vectors, w.transpose(0, 2, 1))[:, :, 0]
+        w = _matmul(x[..., None, :], vectors)
+        np.multiply(self.ratio[..., None, :], w, out=w)
+        return _matmul(vectors, w.swapaxes(-1, -2))[..., 0]
 
     def inverse_rows(self, rows: np.ndarray) -> np.ndarray:
         """Q^-1 R' of each lane, for the (m, n) rows R the lanes share."""
         if self.ratio is None:
             shared = (1.0 / (2.0 * self.design.quad) * rows).T
-            return np.broadcast_to(shared, (len(self.mu), *shared.shape))
+            if self.lanes is None:
+                return shared
+            return np.broadcast_to(shared, (self.lanes, *shared.shape))
         vectors = self.design.spectral[0]
         w = rows @ vectors
-        w = np.multiply(self.ratio[:, None, :], w, out=_stack(len(self.mu), *w.shape))
-        return _matmul(vectors, w.transpose(0, 2, 1))
+        w = np.multiply(self.ratio[..., None, :], w, out=_stack(self.lanes, *w.shape))
+        return _matmul(vectors, w.swapaxes(-1, -2))
 
 
 def _solve_working_sets(lanes: _Lanes, free_optimum, rows, rhs):
     """Each lane's optimum of min 1/2 a'Qa + c'a s.t. rows a = rhs.
 
     Range-space (Schur complement) solve of [[Q, R'], [R, 0]] [x; nu] =
-    [-c; rhs]: with x0 = -Q^-1 c (free_optimum, a stack) and G = Q^-1 R',
+    [-c; rhs]: with x0 = -Q^-1 c (free_optimum) and G = Q^-1 R',
     (R G) nu = R x0 - rhs and x = x0 - G nu.  One correction against the
     true KKT residual of the explicitly formed Q, through the same G and
     R G, takes back the accuracy the factored inverse gives away.
 
-    Returns the stacks (a, multipliers) and whether each lane's values
-    are finite.  numpy fails a stacked solve for one singular lane, so a
-    failed solve fails every lane.
+    Returns (a, multipliers) and whether each lane's values are finite,
+    each with the lane axis of free_optimum, if any.  numpy fails a
+    stacked solve for one singular lane, so a failed solve fails every
+    lane.
     """
+    count, n = lanes.lanes, free_optimum.shape[-1]
     # Terms that overflow (a very large mu) fail the finite check as one
     # error, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -538,26 +562,24 @@ def _solve_working_sets(lanes: _Lanes, free_optimum, rows, rhs):
         schur = rows @ G
         rhs = rhs[:, None]
         try:
-            mult = np.linalg.solve(schur, rows @ free_optimum[:, :, None] - rhs)
+            mult = np.linalg.solve(schur, rows @ free_optimum[..., None] - rhs)
             target = np.subtract(
-                free_optimum, _matmul(G, mult)[:, :, 0], out=_stack(*free_optimum.shape)
+                free_optimum, _matmul(G, mult)[..., 0], out=_stack(count, n)
             )
-            stationarity = _stack(*target.shape)
-            for b, hessian in enumerate(lanes.hessians()):
-                np.matmul(hessian, target[b], out=stationarity[b])
+            stationarity = lanes.hessian_times(target)
             stationarity += lanes.gradient
-            stationarity += _matmul(rows.T, mult)[:, :, 0]
-            feasibility = rows @ target[:, :, None] - rhs
+            stationarity += _matmul(rows.T, mult)[..., 0]
+            feasibility = rows @ target[..., None] - rhs
             correction = lanes.inverse_vectors(stationarity)
             np.negative(correction, out=correction)
-            delta = np.linalg.solve(schur, rows @ correction[:, :, None] + feasibility)
+            delta = np.linalg.solve(schur, rows @ correction[..., None] + feasibility)
         except np.linalg.LinAlgError as exc:
             raise PlannerNumericalError(f"KKT solve failed: {exc}") from exc
         target = np.subtract(
-            target + correction, _matmul(G, delta)[:, :, 0], out=_stack(*target.shape)
+            target + correction, _matmul(G, delta)[..., 0], out=_stack(count, n)
         )
-        mult = (mult + delta)[:, :, 0]
-    finite = np.isfinite(target).all(axis=1) & np.isfinite(mult).all(axis=1)
+        mult = (mult + delta)[..., 0]
+    finite = np.isfinite(target).all(axis=-1) & np.isfinite(mult).all(axis=-1)
     return target, mult, finite
 
 
@@ -568,33 +590,34 @@ def _non_finite_error(design: _Design, rows) -> PlannerNumericalError:
     )
 
 
-def _solve_working_set(lane: _Lanes, free_optimum, rows, rhs):
-    """_solve_working_sets of one lane, as 1-D (a, multipliers)."""
-    a, mult, finite = _solve_working_sets(lane, free_optimum[None], rows, rhs)
-    if not finite[0]:
-        raise _non_finite_error(lane.design, rows)
-    return a[0], mult[0]
+def _solve_working_set(point: _Lanes, free_optimum, rows, rhs):
+    """_solve_working_sets of one point (_Lanes.lane), as (a, multipliers)."""
+    a, mult, finite = _solve_working_sets(point, free_optimum, rows, rhs)
+    if not finite:
+        raise _non_finite_error(point.design, rows)
+    return a, mult
 
 
 def _box_violations(design: _Design, a, side=None):
-    """(y, violation) of each lane of the stacks a and side: the altitude
-    y0 + v0 t + Y a and, at each interior knot off the working set side
-    (empty when None), how far y is outside the box (-inf elsewhere).
+    """(y, violation) of each lane of a and side, with or without a lane
+    axis: the altitude y0 + v0 t + Y a and, at each interior knot off
+    the working set side (empty when None), how far y is outside the box
+    (-inf elsewhere).
 
     The endpoint knots are fixed by the boundary data (y_0 does not
     depend on a, y_{n-1} is an equality row); only interior knots can
     leave the box.
     """
-    y = design.y_offset + _matmul(design.y_map, a[:, :, None])[:, :, 0]
+    y = design.y_offset + _matmul(design.y_map, a[..., None])[..., 0]
     violation = np.maximum(design.lower - y, y - design.upper)
-    violation[:, 0] = violation[:, -1] = -np.inf
+    violation[..., 0] = violation[..., -1] = -np.inf
     if side is not None:
         violation[side != 0] = -np.inf
     return y, violation
 
 
-def _solve_box_qp(lane: _Lanes, free_optimum, a, mult, y, violation):
-    """Minimize one lane's QP by the dual active-set loop, from (a, mult),
+def _solve_box_qp(point: _Lanes, free_optimum, a, mult, y, violation):
+    """Minimize one point's QP by the dual active-set loop, from (a, mult),
     the optimum of the equality rows alone, whose altitude y leaves the
     box by violation (see _box_violations).
 
@@ -613,7 +636,7 @@ def _solve_box_qp(lane: _Lanes, free_optimum, a, mult, y, violation):
     Convention: with stationarity Q a + c + A' nu = 0, an active lower
     bound carries nu <= 0 and an active upper bound nu >= 0.
     """
-    design = lane.design
+    design = point.design
     n = design.times.size
     m_base = design.eq_matrix.shape[0]
     tol = KKT_TOLERANCE / 10.0
@@ -643,7 +666,7 @@ def _solve_box_qp(lane: _Lanes, free_optimum, a, mult, y, violation):
         nu = new
         while True:
             rows, rhs, knots, bounds = design.working_rows(side)
-            a, mult = _solve_working_set(lane, free_optimum, rows, rhs)
+            a, mult = _solve_working_set(point, free_optimum, rows, rhs)
             solves += 1
             new = np.zeros(n)
             new[knots] = mult[m_base:]
@@ -658,7 +681,7 @@ def _solve_box_qp(lane: _Lanes, free_optimum, a, mult, y, violation):
             side[drop] = 0
             nu[drop] = 0.0
         working = (rows, knots, bounds)
-        (y,), (violation,) = _box_violations(design, a[None], side[None])
+        y, violation = _box_violations(design, a, side)
 
 
 def _trapezoid_chain(start: float, rates: np.ndarray, dt: float) -> np.ndarray:

@@ -568,7 +568,8 @@ class TestSweepCommand:
         assert main(["sweep", "--out", str(serial), "--workers", "1"]) == 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         calls = record_calls(
-            monkeypatch, frontier, "solve_weights", tmp_path / "points", by_grid_index(grid)
+            monkeypatch, frontier, "solve_weights", tmp_path / "points",
+            by_grid_index(grid),
         )
         three = tmp_path / "three"
         assert main(["sweep", "--out", str(three), "--workers", "3"]) == 0
@@ -599,15 +600,18 @@ class TestSweepCommand:
         grid = load_config(config).mu_grid()
 
         def failing(template, weights):
+            refused = (grid[4], grid[5])
             return [
-                ValueError(f"no plan at {mu!r}") if mu in (grid[4], grid[5]) else outcome
+                ValueError(f"no plan at {mu!r}") if mu in refused else outcome
                 for mu, outcome in zip(weights, solve_weights(template, weights))
             ]
 
         monkeypatch.setattr(frontier, "solve_weights", failing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         path = tmp_path / "points"
-        calls = record_calls(monkeypatch, tracking_sim, "_fly_batch", path, by_flown_index(grid))
+        calls = record_calls(
+            monkeypatch, tracking_sim, "_fly_batch", path, by_flown_index(grid)
+        )
         runs, evaluated = [], []
         for workers in ("1", "3"):
             path.write_text("")

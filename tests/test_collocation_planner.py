@@ -639,7 +639,9 @@ def test_solve_weights_is_solve_weight_by_weight(name):
             template = dataclasses.replace(template, dominant_lambda=lam)
             stacked = collocation_planner.solve_weights(template, grid)
             alone = _solved_weight_by_weight(template, grid)
-            assert list(map(_outcome_bytes, stacked)) == list(map(_outcome_bytes, alone))
+            assert [_outcome_bytes(o) for o in stacked] == [
+                _outcome_bytes(o) for o in alone
+            ]
     kinds = {type(outcome).__name__ for outcome in stacked}
     assert ("PlannedTrajectory" in kinds) == (name != "infeasible")
     assert ("PlannerNumericalError" in kinds) == (name != "infeasible")
@@ -687,7 +689,8 @@ def test_a_failed_stacked_solve_plans_each_lane_alone(monkeypatch):
         return real(a, b)
 
     grid = RunConfig().mu_grid()
-    expected = list(map(_outcome_bytes, _solved_weight_by_weight(_BOUNDED_TEMPLATE, grid)))
+    alone = _solved_weight_by_weight(_BOUNDED_TEMPLATE, grid)
+    expected = [_outcome_bytes(outcome) for outcome in alone]
     monkeypatch.setattr(np.linalg, "solve", failing_stacks)
     stacked = collocation_planner.solve_weights(_BOUNDED_TEMPLATE, grid)
     assert list(map(_outcome_bytes, stacked)) == expected
