@@ -641,11 +641,11 @@ def _solve_box_qp(point: _Lanes, free_optimum, a, mult, y, violation):
     m_base = design.eq_matrix.shape[0]
     tol = KKT_TOLERANCE / 10.0
     # Working set by knot: -1 lower bound, +1 upper bound, 0 free; a
-    # multiplier nu has the right sign when side * nu >= 0.  nu holds the
-    # bound multipliers of the current point on the dual path, new those
-    # of the last optimum.
+    # multiplier nu has the right sign when side * nu >= 0.  new holds the
+    # bound multipliers of the last optimum by knot, and nu, from the
+    # first addition on, those of the current point on the dual path.
     side = np.zeros(n, dtype=np.int8)
-    nu = new = np.zeros(n)
+    new = np.zeros(n)
     working = (design.eq_matrix, _NO_KNOTS, _NO_BOUNDS)
     # The most additions measured are 3.0n over 3400 property-test draws
     # and 7.4n at v0 = 1000 in a 0.1 m box; only a rounding loop gets
@@ -654,6 +654,8 @@ def _solve_box_qp(point: _Lanes, free_optimum, a, mult, y, violation):
     additions = 0
     solves = 1
     while True:
+        # (a, mult) is the optimum of the working set side, y its altitude
+        # and violation how far y leaves the box off the working set.
         knot = int(np.argmax(violation))
         if violation[knot] <= tol:
             return a, mult, side, solves, working
