@@ -708,11 +708,11 @@ def _kkt_residual(lanes: _Lanes, a, y, mults, side, working) -> list[dict[str, f
     each lane's (rows, knots, bounds) of _Design.working_rows(side).
 
     Stationarity of the lane's QP, with the rows and multipliers of its
-    working set side, primal feasibility of
-    the equality rows and of the working set (the gap of its knots from
-    their bound) with the box violation at every interior knot, and the
-    multiplier sign and complementarity on the working set, keyed by
-    those names.  Inactive bounds carry no multiplier by construction.
+    working set side, primal feasibility of the equality rows and of the
+    working set (the gap of its knots from their bound) with the box
+    violation at every interior knot, and the multiplier sign and
+    complementarity on the working set, keyed by those names.  Inactive
+    bounds carry no multiplier by construction.
     """
     design = lanes.design
     m_base = design.eq_matrix.shape[0]
